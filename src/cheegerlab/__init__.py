@@ -38,6 +38,7 @@ from .graphs import (
     quasi_isometry_check,
     relabeled,
     vertex_function,
+    window_max_size,
 )
 from .hyperbolicity import (
     DEFAULT_DELTA_BUDGET,

@@ -157,22 +157,26 @@ def build_truncated(
     frontier = frozenset(_vertex_name(k_max, p) for p in levels[k_max])
     graph = Graph(tuple(names), frozenset(edges), frontier)
     built = LeveledGraph(graph, space, r, k0, k_max, level_map, center, radius)
-    _assert_invariants(built)
+    skips, no_upper = _level_violations(built)
+    problems = skips + no_upper
+    if problems:
+        raise ConstructionError(problems[0], witness=tuple(problems))
+    if not graph.is_connected:
+        raise ConstructionError("approximation graph is disconnected")
     return built
 
 
-def _assert_invariants(lg: LeveledGraph) -> None:
-    for u, v in lg.graph.edges:
-        if abs(lg.level[u] - lg.level[v]) > 1:
-            raise ConstructionError("edge skips a level", witness=(u, v))
-    for v in lg.graph.vertices:
-        k = lg.level[v]
-        if k < lg.k_max and not any(
-            lg.level[w] == k + 1 for w in lg.graph.adjacency[v]
-        ):
-            raise ConstructionError("vertex has no upper neighbor", witness=v)
-    if not lg.graph.is_connected:
-        raise ConstructionError("approximation graph is disconnected")
+def _level_violations(lg: LeveledGraph) -> tuple[list[str], list[str]]:
+    """Violations of the level invariants, each list sorted: edges that skip a
+    level (neither horizontal nor radial), and vertices above the deepest
+    level with no neighbor one level up."""
+    level, adjacency = lg.level, lg.graph.adjacency
+    skips = sorted(f"edge {u}--{v} is neither horizontal nor radial"
+                   for u, v in lg.graph.edges if abs(level[u] - level[v]) > 1)
+    no_upper = sorted(f"{v} has no neighbor one level up" for v in lg.graph.vertices
+                      if level[v] < lg.k_max
+                      and all(level[w] != level[v] + 1 for w in adjacency[v]))
+    return skips, no_upper
 
 
 def relevel(lg: LeveledGraph, s: int) -> LeveledGraph:
@@ -218,30 +222,18 @@ class StructuralReport:
     violations: tuple[str, ...]
 
 
-def structural_checks(
-    lg: LeveledGraph,
-    delta_cap: float = 3.0,
-    delta_budget: int = 2**31,
-) -> StructuralReport:
-    violations: list[str] = []
-
-    classification_ok = True
-    for u, v in lg.graph.edges:
-        if abs(lg.level[u] - lg.level[v]) > 1:
-            classification_ok = False
-            violations.append(f"edge {u}--{v} is neither horizontal nor radial")
+def structural_checks(lg: LeveledGraph, delta_cap: float = 3.0) -> StructuralReport:
+    skips, no_upper = _level_violations(lg)
+    violations = list(skips)
+    classification_ok = not skips
 
     base_vertices = [v for v in lg.graph.vertices if lg.level[v] == lg.k0]
     unique_base_ok = len(base_vertices) == 1
     if not unique_base_ok:
         violations.append(f"level {lg.k0} has {len(base_vertices)} vertices")
 
-    upper_ok = True
-    for v in lg.graph.vertices:
-        k = lg.level[v]
-        if k < lg.k_max and not any(lg.level[w] == k + 1 for w in lg.graph.adjacency[v]):
-            upper_ok = False
-            violations.append(f"{v} has no neighbor one level up")
+    violations.extend(no_upper)
+    upper_ok = not no_upper
 
     scales = [lg.r**k for k in range(lg.k0, lg.k_max + 1)]
     m1 = strongly_bounded_geometry_profile(lg.space, 5.0, scales).m
@@ -252,7 +244,7 @@ def structural_checks(
     if not degree_cap_ok:
         violations.append(f"max degree {max_degree} exceeds the profile cap {cap}")
 
-    delta = delta_four_point(lg.graph, budget=delta_budget)
+    delta = delta_four_point(lg.graph)
     delta_ok = float(delta.delta) <= delta_cap
 
     return StructuralReport(

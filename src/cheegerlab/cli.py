@@ -39,9 +39,9 @@ from .graphs import (
     DEFAULT_SUBSET_BUDGET,
     CheegerBound,
     admissible_vertices,
-    auto_max_size,
     certificate_lower_bound,
     interior_cheeger_bruteforce,
+    window_max_size,
 )
 from .hyperbolicity import DEFAULT_DELTA_BUDGET, delta_four_point
 from .metric import (
@@ -86,15 +86,20 @@ def _bound_payload(bound: CheegerBound) -> dict:
     return {"lower": endpoint(bound.lower), "upper": endpoint(bound.upper)}
 
 
+_GENERATORS = {"cantor": (cantor_sample, int), "interval": (interval_sample, int),
+               "two_point": (two_point, float)}
+
+
 def _load_metric_input(token: str) -> tuple[Any, dict]:
     """A metric input is either a file path or a generator spec name:params."""
     kind, _, rest = token.partition(":")
-    if kind == "cantor" and rest:
-        return cantor_sample(int(rest)), {"generator": token}
-    if kind == "interval" and rest:
-        return interval_sample(int(rest)), {"generator": token}
-    if kind == "two_point" and rest:
-        return two_point(float(rest)), {"generator": token}
+    if kind in _GENERATORS and rest:
+        make, parse = _GENERATORS[kind]
+        try:
+            value = parse(rest)
+        except ValueError:
+            raise InvalidInputError(f"bad {kind} parameter {rest!r} in {token!r}") from None
+        return make(value), {"generator": token}
     return io.load_metric(token), {"path": token, "sha256": io.sha256_file(token)}
 
 
@@ -122,8 +127,7 @@ def _base_report(command: str, inputs: dict, params: dict, seed: int | None = No
 
 def _cmd_cheeger(args) -> tuple[dict, int]:
     g, src = _graph_input(args.infile)
-    adm = admissible_vertices(g)
-    max_size = args.max_size if args.max_size else auto_max_size(len(adm), args.budget)
+    max_size = window_max_size(g, args.max_size, args.budget)
     bound = interior_cheeger_bruteforce(g, max_size, args.budget)
     report = _base_report(
         "cheeger", {"graph": src},
@@ -134,7 +138,7 @@ def _cmd_cheeger(args) -> tuple[dict, int]:
         "bound": _bound_payload(bound),
     }
     report["disclosures"] = {
-        "admissible_vertices": len(adm),
+        "admissible_vertices": len(admissible_vertices(g)),
         "frontier_size": len(g.frontier),
         "window_only": bool(g.frontier),
     }

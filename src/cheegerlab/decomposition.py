@@ -16,17 +16,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import EmptyWindowError, InvalidInputError
+from .errors import ConstructionError, InvalidInputError
 from .graphs import (
     BoundEndpoint,
     CheegerBound,
     DEFAULT_SUBSET_BUDGET,
     Graph,
     admissible_vertices,
-    auto_max_size,
     certificate_lower_bound,
     interior_cheeger_bruteforce,
     normalize_edge,
+    window_max_size,
 )
 from .trees import (
     RootedTree,
@@ -64,7 +64,8 @@ def bound_strong(mu: int, radius: int, rate: Fraction | int) -> Fraction:
     num = rate * (mu - 1)
     den = (mu ** (radius + 1) - 1) * (mu + rate) + mu * (mu - 1)
     value = num / den
-    assert value >= bound_general(mu, radius, rate)
+    if value < bound_general(mu, radius, rate):
+        raise ConstructionError("strong bound fell below the general bound", witness=value)
     return value
 
 
@@ -126,11 +127,10 @@ class ValidationReport:
     scans: dict[str, PieceScan]
 
 
-def _induced(g: Graph, verts: frozenset[str], frontier_too: bool = True) -> Graph:
+def _induced(g: Graph, verts: frozenset[str]) -> Graph:
     edges = frozenset(e for e in g.edges if e[0] in verts and e[1] in verts)
     order = tuple(v for v in g.vertices if v in verts)
-    frontier = frozenset(g.frontier & verts) if frontier_too else frozenset()
-    return Graph(order, edges, frontier)
+    return Graph(order, edges, frozenset(g.frontier & verts))
 
 
 def _tree_from_graph(g: Graph, root: str, live: frozenset[str]) -> RootedTree:
@@ -243,7 +243,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         dist = piece.bfs_distances(contact)
         shield = sorted(v for v, d in dist.items() if d <= spec.radius)
         rest = frozenset(verts) - set(shield)
-        comps = _components(piece, rest)
+        comps = piece.components(rest)
         if rest:
             strong = False
         scans[s] = PieceScan(tuple(contact), tuple(shield), tuple(tuple(sorted(c)) for c in comps))
@@ -272,24 +272,6 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         verified_lower=verified,
         scans=scans,
     )
-
-
-def _components(g: Graph, verts: frozenset[str]) -> list[frozenset[str]]:
-    remaining = set(verts)
-    out = []
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if y in remaining and y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        remaining -= comp
-        out.append(frozenset(comp))
-    return out
 
 
 def decomposition_bound(spec: DecompositionSpec) -> CheegerBound:
@@ -339,7 +321,7 @@ def graft(base: Graph, attachment: Graph, port: str, verify_limit: int = 300) ->
 
     The base stays isometrically embedded (checked exhaustively on windows up
     to ``verify_limit`` vertices) and the degree bound mu(base) + mu(att)
-    is asserted.  Copy vertices are named ``<base vertex>/<attachment vertex>``.
+    is checked.  Copy vertices are named ``<base vertex>/<attachment vertex>``.
     """
     if port not in attachment.index:
         raise InvalidInputError(f"port {port!r} is not an attachment vertex")
@@ -370,7 +352,8 @@ def graft(base: Graph, attachment: Graph, port: str, verify_limit: int = 300) ->
         copy_roots[pid] = w
     result = Graph(tuple(vertices), frozenset(edges), frozenset(frontier))
 
-    assert result.mu <= base.mu + attachment.mu, "degree bound violated"
+    if result.mu > base.mu + attachment.mu:
+        raise ConstructionError("graft exceeds the degree bound", witness=result.mu)
     if len(result.vertices) <= verify_limit:
         db = base.distance_matrix
         dr = result.distance_matrix
@@ -445,13 +428,7 @@ def converse_scan(
     values: list[Fraction] = []
     witnesses: list[tuple[str, ...]] = []
     for g in windows:
-        adm = admissible_vertices(g)
-        if not adm:
-            raise EmptyWindowError("a window has no admissible vertex")
-        if max_size is None:
-            size = auto_max_size(len(adm), budget)
-        else:
-            size = min(max_size, len(adm))
+        size = min(window_max_size(g, max_size, budget), len(admissible_vertices(g)))
         bound = interior_cheeger_bruteforce(g, size, budget)
         values.append(bound.upper.value)
         witnesses.append(tuple(bound.upper.witness["set"]))

@@ -27,6 +27,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     BudgetExceededError,
+    ConstructionError,
     EmptyWindowError,
     InvalidInputError,
     InvalidSupportError,
@@ -122,9 +123,27 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(self.bfs_distances([self.vertices[0]])) == len(self.vertices)
+        return len(self.components()) <= 1
+
+    def components(self, within: Iterable[str] | None = None) -> list[frozenset[str]]:
+        """Connected components of the subgraph induced on ``within`` (every
+        vertex when omitted), ordered by their smallest vertex."""
+        remaining = set(self.vertices if within is None else within)
+        unknown = remaining - self.adjacency.keys()
+        if unknown:
+            raise InvalidInputError(f"unknown vertex {min(unknown)!r}")
+        out = []
+        while remaining:
+            start = min(remaining)
+            remaining.remove(start)
+            comp = [start]
+            for x in comp:
+                for y in self.adjacency[x]:
+                    if y in remaining:
+                        remaining.remove(y)
+                        comp.append(y)
+            out.append(frozenset(comp))
+        return out
 
     def bfs_distances(self, sources: Iterable[str]) -> dict[str, int]:
         """Multi-source BFS distances to every reachable vertex."""
@@ -301,6 +320,18 @@ def auto_max_size(n: int, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
     return m
 
 
+def window_max_size(
+    g: Graph, max_size: int | None = None, budget: int = DEFAULT_SUBSET_BUDGET
+) -> int:
+    """Subset-size cap for a window scan of ``g``: ``max_size`` when given,
+    else the largest cap whose enumeration of the admissible vertices fits
+    ``budget``.  Raises EmptyWindowError when no vertex is admissible."""
+    adm = admissible_vertices(g)
+    if not adm:
+        raise EmptyWindowError("no vertex is at distance >= 2 from the frontier")
+    return auto_max_size(len(adm), budget) if max_size is None else max_size
+
+
 def interior_cheeger_bruteforce(
     g: Graph,
     max_size: int,
@@ -355,7 +386,8 @@ def interior_cheeger_bruteforce(
             chosen.pop()
 
     rec(0, 0, 0, 0, [])
-    assert best is not None
+    if best is None:
+        raise ConstructionError("the window enumeration visited no set")
     b, size, witness = best
     value = Fraction(b, size)
     upper = BoundEndpoint(

@@ -68,14 +68,19 @@ def graph_payload(g: Graph) -> dict:
     return payload
 
 
-def graph_from_payload(data: dict, require_connected: bool = True) -> Graph:
+def graph_from_payload(data: dict) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise InvalidInputError("graph document needs 'vertices' and 'edges'")
+    for key in ("vertices", "edges", "frontier"):
+        if not isinstance(data.get(key, []), list):
+            raise InvalidInputError(f"graph document: {key!r} must be a list")
+    for e in data["edges"]:
+        if not isinstance(e, list) or len(e) != 2:
+            raise InvalidInputError(f"graph document: edge {e!r} is not a pair [u, v]")
     return Graph.from_edges(
         [(str(u), str(v)) for u, v in data["edges"]],
         vertices=[str(v) for v in data["vertices"]],
         frontier=[str(v) for v in data.get("frontier", [])],
-        require_connected=require_connected,
     )
 
 
@@ -83,8 +88,8 @@ def save_graph(path: str | Path, g: Graph) -> None:
     write_canonical(path, graph_payload(g))
 
 
-def load_graph(path: str | Path, require_connected: bool = True) -> Graph:
-    return graph_from_payload(read_json(path), require_connected)
+def load_graph(path: str | Path) -> Graph:
+    return graph_from_payload(read_json(path))
 
 
 # -- metric spaces ------------------------------------------------------------

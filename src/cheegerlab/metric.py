@@ -53,12 +53,10 @@ class FiniteMetricSpace:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and (off <= 0).any():
             raise InvalidInputError("dist(x,y) must be positive for x != y")
-        if n <= 600:
-            worst = (d[:, None, :] - d[:, :, None] - d[None, :, :]).max()
-        else:  # chunk the O(n^3) check to bound memory
-            worst = -np.inf
-            for i in range(n):
-                worst = max(worst, (d[i][None, :] - d[i][:, None] - d).max())
+        # one row at a time: O(n^2) memory for the O(n^3) check
+        worst = -np.inf
+        for i in range(n):
+            worst = max(worst, (d[i][None, :] - d[i][:, None] - d).max())
         if worst > TRIANGLE_TOL:
             raise InvalidInputError(
                 f"triangle inequality violated by {worst:.3e} (tolerance {TRIANGLE_TOL})"

@@ -28,10 +28,10 @@ from .graphs import (
     BoundEndpoint,
     CheegerBound,
     Graph,
-    auto_max_size,
     boundary,
     interior_cheeger_bruteforce,
     normalize_edge,
+    window_max_size,
 )
 from .metric import FiniteMetricSpace
 
@@ -315,7 +315,7 @@ def essential_boundary(t: RootedTree, subset: Iterable[str]) -> EssentialBoundar
     if not a or not a <= set(t.children):
         raise InvalidInputError("A must be a non-empty set of tree vertices")
     g = t.graph
-    if not _connected_in(g, a):
+    if len(g.components(a)) != 1:
         raise InvalidInputError("the induced subgraph on A must be connected")
     bd = boundary(g, a)
     top = min(t.depth[x] for x in a)
@@ -323,19 +323,6 @@ def essential_boundary(t: RootedTree, subset: Iterable[str]) -> EssentialBoundar
     e = bd - ne
     inner = frozenset(x for x in a if g.adjacency[x] & e)
     return EssentialBoundary(ne, e, inner)
-
-
-def _connected_in(g: Graph, a: frozenset[str]) -> bool:
-    start = next(iter(a))
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in g.adjacency[x]:
-            if y in a and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(a)
 
 
 # ---------------------------------------------------------------------------
@@ -388,11 +375,7 @@ def tree_cheeger_bounds(
     pseudo = pseudo_regularity_index(t)
     comp = complementedness_index(t)
 
-    if max_size is None:
-        interior = [v for v, d in g.bfs_distances(g.frontier).items() if d >= 2]
-        if not interior:
-            raise EmptyWindowError("horizon too shallow for a window upper bound")
-        max_size = auto_max_size(len(interior), budget)
+    max_size = window_max_size(g, max_size, budget)
     upper_bound = interior_cheeger_bruteforce(g, max_size, budget).upper
 
     if pseudo.k is not None:

@@ -91,6 +91,25 @@ def test_structural_checks_two_point():
     assert float(rep.delta.delta) <= 3.0
 
 
+def test_structural_checks_report_level_violations():
+    # a(0) - b(1) - c(2) is a proper ray; a--c skips level 1 and d(1) has no
+    # neighbor on level 2
+    g = cl.Graph.from_edges(
+        [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d")], frontier=["c"]
+    )
+    level = {"a": 0, "b": 1, "c": 2, "d": 1}
+    center = {"a": "p", "b": "p", "c": "p", "d": "q"}
+    radius = {v: 2 * (1 / 6) ** k for v, k in level.items()}
+    lg = cl.LeveledGraph(g, cl.two_point(1.0), 1 / 6, 0, 2, level, center, radius)
+    rep = cl.structural_checks(lg)
+    assert not rep.classification_ok
+    assert not rep.upper_neighbor_ok
+    assert rep.unique_base_ok
+    assert not rep.structural_ok
+    assert "edge a--c is neither horizontal nor radial" in rep.violations
+    assert "d has no neighbor one level up" in rep.violations
+
+
 def test_structural_checks_cantor():
     for depth, kmax in ((5, 2), (6, 3)):
         lg = cl.build_truncated(cl.cantor_sample(depth), 1 / 9, kmax)

@@ -33,6 +33,12 @@ def test_strong_dominates_general_on_sweep():
     assert count == 100
 
 
+def test_strong_below_general_raises_construction_error(monkeypatch):
+    monkeypatch.setattr(cl.decomposition, "bound_general", lambda *args: Fraction(1))
+    with pytest.raises(cl.ConstructionError):
+        cl.bound_strong(3, 0, 1)
+
+
 def test_general_monotone_in_rate_spot_check():
     assert cl.bound_general(3, 0, 1) == Fraction(1, 22)
     assert cl.bound_general(3, 0, 2) == Fraction(8, 74)
@@ -187,6 +193,15 @@ def test_second_class_needs_contact():
     )
     report = cl.validate(spec)
     assert any("does not meet" in v for v in report.violations)
+
+
+def test_unknown_vertex_in_second_class_piece_is_invalid_input():
+    spec = cl.graft_decomposition(cl.grid_window(3, 3), cl.homogeneous_tree(3, 2).graph, "v")
+    pieces = {**spec.pieces, "base": spec.pieces["base"] | {"zz"}}
+    bad = DecompositionSpec(spec.ambient, pieces, spec.s1, spec.s2, spec.radius,
+                            spec.rate, spec.certificates)
+    with pytest.raises(InvalidInputError, match="'zz'"):
+        cl.validate(bad)
 
 
 def test_frontier_crossing_component_reported_unverified():

@@ -46,6 +46,23 @@ def test_rejects_disconnected_by_default():
     assert not g.is_connected
 
 
+def test_components_of_graph_and_of_vertex_subset():
+    g = Graph.from_edges(
+        [("d", "e"), ("a", "b"), ("b", "c"), ("x", "y")],
+        vertices=["x", "y", "e", "d", "c", "b", "a", "z"],
+        require_connected=False,
+    )
+    assert g.components() == [{"a", "b", "c"}, {"d", "e"}, {"x", "y"}, {"z"}]
+    assert not g.is_connected
+    # removing the middle of a-b-c splits it; order is by smallest vertex
+    assert g.components({"y", "c", "a", "e"}) == [{"a"}, {"c"}, {"e"}, {"y"}]
+    assert g.components({"c", "b", "x"}) == [{"b", "c"}, {"x"}]
+    assert g.components(()) == []
+    assert cl.path_window(5).components() == [frozenset("12345")]
+    with pytest.raises(InvalidInputError):
+        g.components({"a", "q"})
+
+
 def test_rejects_frontier_outside_vertices():
     with pytest.raises(InvalidInputError):
         Graph(("a", "b"), frozenset({("a", "b")}), frozenset({"z"}))
@@ -204,6 +221,18 @@ def test_interior_budget_and_window_errors():
         cl.interior_cheeger_bruteforce(g, 1)
     with pytest.raises(InvalidInputError):
         cl.interior_cheeger_bruteforce(cl.path_window(7), 99)
+
+
+def test_window_max_size():
+    t = cl.homogeneous_tree(3, 6)
+    adm = len(cl.admissible_vertices(t.graph))
+    assert cl.window_max_size(t.graph) == cl.auto_max_size(adm) == 5
+    assert cl.window_max_size(t.graph, 3) == 3
+    assert cl.window_max_size(t.graph, budget=adm) == 1
+    with pytest.raises(EmptyWindowError):
+        cl.window_max_size(cl.path_window(3))
+    with pytest.raises(EmptyWindowError):
+        cl.window_max_size(cl.path_window(3), 1)
 
 
 def test_auto_max_size():

@@ -99,6 +99,21 @@ def test_loader_rejects_malformed(tmp_path):
         io.load_graph(bad)
 
 
+def test_graph_loader_type_checks_fields(tmp_path):
+    bad = tmp_path / "bad.json"
+    for doc in (
+        {"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
+        {"vertices": ["a", "b"], "edges": [["a"]]},
+        {"vertices": ["a", "b"], "edges": ["ab"]},
+        {"vertices": "ab", "edges": [["a", "b"]]},
+        {"vertices": ["a", "b"], "edges": {"a": "b"}},
+        {"vertices": ["a", "e"], "edges": [["a", "e"]], "frontier": "ae"},
+    ):
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(cl.InvalidInputError):
+            io.load_graph(bad)
+
+
 # -- CLI contract -------------------------------------------------------------------
 
 
@@ -170,6 +185,32 @@ def test_cli_exit_codes(workdir):
     )
     assert code == 4
     assert json.loads(blob)["results"]["witness"] == ["p", 0.25]
+
+
+def test_cli_malformed_graph_documents_exit_invalid(workdir):
+    bad = workdir / "bad.json"
+    bad.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}')
+    assert cli_main(["cheeger", "--in", str(bad)]) == 2
+    bad.write_text('{"vertices": ["a", "e"], "edges": [["a", "e"]], "frontier": "ae"}')
+    assert cli_main(["cheeger", "--in", str(bad)]) == 2
+
+
+def test_cli_cheeger_window_errors_exit_invalid(workdir):
+    io.save_graph(workdir / "p3.json", cl.path_window(3))  # no admissible vertex
+    assert cli_main(["cheeger", "--in", str(workdir / "p3.json")]) == 2
+    assert cli_main(["cheeger", "--in", str(workdir / "p9.json"), "--max-size", "0"]) == 2
+
+
+def test_cli_bad_generator_parameter_exits_invalid():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cheegerlab.cli", "perfect", "--in", "cantor:abc",
+         "--s", "3", "--eps0", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "cantor:abc" in proc.stderr
 
 
 def test_cli_decomp_invalid_spec_exits_falsified(workdir, tmp_path):

@@ -1,6 +1,8 @@
 """Metric spaces: separated sets, perfectness checks and conversions,
 bounded-geometry profiles, nets and generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,6 +37,17 @@ def test_rejects_triangle_violation():
     d = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]], dtype=float)
     with pytest.raises(InvalidInputError):
         FiniteMetricSpace(("a", "b", "c"), d)
+
+
+def test_triangle_check_memory_is_quadratic():
+    tracemalloc.start()
+    try:
+        cl.interval_sample(400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an n x n x n float64 temporary would be 512 MB; a few n x n rows fit easily
+    assert peak < 64 * 2**20
 
 
 def test_rejects_zero_offdiagonal():
