@@ -27,7 +27,7 @@ def main():
     print(f"validation: valid = {report.valid}, strong = {report.strong}")
     print(f"re-verified piece bounds: all >= {min(report.verified_lower.values())}")
 
-    bound = cl.decomposition_bound(spec)
+    bound = cl.decomposition_bound(spec, report)
     print(f"\nglobal lower bound: {bound.lower.value} "
           f"(strong formula at mu = {g.mu}, R = 0, r = {spec.rate})")
 

@@ -325,7 +325,7 @@ def _cmd_decomp(args) -> tuple[dict, int]:
         "verified_lower": {k: str(v) for k, v in sorted(result.verified_lower.items())},
     }
     if result.valid:
-        bound = decomposition_bound(spec)
+        bound = decomposition_bound(spec, result)
         results["bound"] = _bound_payload(bound)
     report["results"] = results
     report["disclosures"] = {"ambient_mu": spec.ambient.mu, "pieces": len(spec.pieces)}

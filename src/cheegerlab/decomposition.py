@@ -119,6 +119,7 @@ class PieceScan:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
+    spec: DecompositionSpec = field(repr=False)  # the spec object that was validated
     valid: bool
     strong: bool
     violations: tuple[str, ...]
@@ -201,16 +202,24 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         violations.append(f"cover misses vertex {sorted(missing)[0]!r}")
 
     names = sorted(spec.pieces)
+    pieces_at: dict[str, list[str]] = {}
+    for name in names:
+        for v in spec.pieces[name]:
+            pieces_at.setdefault(v, []).append(name)
+    shared: dict[tuple[str, str], tuple[str, str]] = {}  # piece pair -> smallest shared edge
+    for u, v in sorted(g.edges):
+        both = [name for name in pieces_at.get(u, ()) if v in spec.pieces[name]]
+        for i, a in enumerate(both):
+            for b in both[i + 1:]:
+                shared.setdefault((a, b), (u, v))
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            common = spec.pieces[a] & spec.pieces[b]
-            for u, v in g.edges:
-                if u in common and v in common:
-                    violations.append(
-                        f"pieces {a!r} and {b!r} share the edge {u}--{v}; "
-                        "intersections must be vertex sets"
-                    )
-                    break
+            if (a, b) in shared:
+                u, v = shared[a, b]
+                violations.append(
+                    f"pieces {a!r} and {b!r} share the edge {u}--{v}; "
+                    "intersections must be vertex sets"
+                )
             if not spec.pieces[a] - spec.pieces[b]:
                 violations.append(f"piece {a!r} is contained in {b!r}")
             if not spec.pieces[b] - spec.pieces[a]:
@@ -265,6 +274,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
                 violations.append(f"component {key!r}: {reason}")
 
     return ValidationReport(
+        spec=spec,
         valid=not violations,
         strong=strong,
         violations=tuple(violations),
@@ -274,10 +284,12 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
     )
 
 
-def decomposition_bound(spec: DecompositionSpec) -> CheegerBound:
-    """Certified ambient lower bound from a validated decomposition; the
-    strong formula is used exactly when the shields cover their pieces."""
-    report = validate(spec)
+def decomposition_bound(spec: DecompositionSpec, report: ValidationReport) -> CheegerBound:
+    """Certified ambient lower bound from a decomposition and the report
+    :func:`validate` returned for that same spec object; the strong formula
+    is used exactly when the shields cover their pieces."""
+    if report.spec is not spec:
+        raise InvalidInputError("the validation report belongs to another decomposition")
     if not report.valid:
         raise InvalidInputError(
             "decomposition does not validate: " + "; ".join(report.violations)

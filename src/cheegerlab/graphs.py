@@ -17,8 +17,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
+from operator import or_
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
@@ -27,7 +28,6 @@ from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     BudgetExceededError,
-    ConstructionError,
     EmptyWindowError,
     InvalidInputError,
     InvalidSupportError,
@@ -184,16 +184,6 @@ class Graph:
     def eccentricity(self, v: str) -> int:
         return int(self.distance_matrix[self.index[v]].max())
 
-    # -- bitset views used by the enumeration oracle ---------------------
-
-    @cached_property
-    def _neighbor_masks(self) -> list[int]:
-        masks = [0] * len(self.vertices)
-        for u, v in self.edges:
-            masks[self.index[u]] |= 1 << self.index[v]
-            masks[self.index[v]] |= 1 << self.index[u]
-        return masks
-
 
 def relabeled(g: Graph, mapping: Mapping[str, str]) -> Graph:
     """Copy of ``g`` with vertices renamed through a bijection."""
@@ -332,6 +322,36 @@ def window_max_size(
     return auto_max_size(len(adm), budget) if max_size is None else max_size
 
 
+def _connected_bitsets(adj: list[int], carry: list[int], max_size: int):
+    """Yield ``(set, acc)`` once for each connected set of at most ``max_size``
+    vertices; vertex i is bit i, ``adj[i]`` its neighbours, ``acc`` the OR of
+    ``carry`` over the set.  Exclusive-neighbourhood extension (ESU; Wernicke,
+    IEEE/ACM TCBB 2006) on an explicit stack, twice as fast as recursion."""
+    for v in range(len(adj)):
+        above = -(2 << v)  # every bit position greater than v
+        stack = [(0, 0, 1 << v, 0, 0)]  # (set, its neighbours, extension, acc, size)
+        while stack:
+            sub, nbrs, ext, acc, size = stack.pop()
+            low = ext & -ext
+            ext ^= low
+            if ext:
+                stack.append((sub, nbrs, ext, acc, size))
+            w = low.bit_length() - 1
+            sub |= low
+            acc |= carry[w]
+            yield sub, acc
+            grown = ext | (adj[w] & above & ~nbrs)
+            if size + 1 < max_size and grown:
+                stack.append((sub, nbrs | adj[w], grown, acc, size + 1))
+
+
+def _lex_less(x: int, y: int) -> bool:
+    """Whether bit set ``x`` sorts before ``y`` as an increasing tuple: at their
+    lowest differing bit j, the set holding j is first unless the other stops below j."""
+    j = (x ^ y) & -(x ^ y)
+    return bool(x & j and y >= j << 1 or y & j and x < j)
+
+
 def interior_cheeger_bruteforce(
     g: Graph,
     max_size: int,
@@ -342,9 +362,12 @@ def interior_cheeger_bruteforce(
 
     Admissible means distance >= 2 from the frontier, so each enumerated
     window ratio equals its value in the ambient graph and the minimum is a
-    true upper bound for the ambient Cheeger constant.  Disconnected sets are
-    enumerated too: shared boundary vertices can make them optimal.  The
-    witness reported is the lexicographically smallest minimizing set.
+    true upper bound for the ambient Cheeger constant.  The witness reported
+    is the lexicographically smallest minimizing set.
+
+    Only sets connected in G^2 (distance <= 2 joins) are scanned: a set's
+    G^2-components lie at distance >= 3, so its ratio is a mediant of theirs,
+    and the minimizers are the unions of far-apart G^2-connected ones.
     """
     adm = sorted(admissible_vertices(g))
     if not adm:
@@ -357,43 +380,54 @@ def interior_cheeger_bruteforce(
     if required > budget:
         raise BudgetExceededError(required, budget)
 
-    masks = g._neighbor_masks
-    idx = [g.index[v] for v in adm]
-    names = list(adm)
-    n = len(idx)
+    # bit i is adm[i] for i < n, so bit order is name order; other vertices follow
+    n = len(adm)
+    pos = {v: i for i, v in enumerate(adm + sorted(set(g.vertices) - set(adm)))}
+    closed = {v: sum(1 << pos[u] for u in g.adjacency[v] | {v}) for v in pos}
+    square = [  # G^2 on the admissible vertices
+        reduce(or_, map(closed.get, g.adjacency[v]), 0) & ((1 << n) - 1) & ~(1 << i)
+        for i, v in enumerate(adm)
+    ]
 
-    # best = (boundary_count, size, witness tuple of names)
-    best: tuple[int, int, tuple[str, ...]] | None = None
+    # ratio best_b/best_s (first above all), its lex-smallest minimizer, the least
+    # size of one, and the minimizers below the cap
+    best_b, best_s, lex_min, least, tied = 1, 0, 0, 0, []
+    for sub, acc in _connected_bitsets(square, [closed[v] for v in adm], max_size):
+        b, s = (acc & ~sub).bit_count(), sub.bit_count()
+        if b * best_s < best_b * s:
+            best_b, best_s, lex_min, least, tied = b, s, sub, s, []
+        elif b * best_s > best_b * s:
+            continue
+        elif _lex_less(sub, lex_min):
+            lex_min = sub
+        least = min(least, s)
+        if s < max_size:
+            tied.append((sub, acc, s))
 
-    def consider(b: int, size: int, chosen: list[int]):
-        nonlocal best
-        if best is None or b * best[1] < best[0] * size:
-            best = (b, size, tuple(names[i] for i in chosen))
-            return
-        if b * best[1] == best[0] * size:
-            cand = tuple(names[i] for i in chosen)
-            if cand < best[2]:
-                best = (b, size, cand)
-
-    def rec(start: int, size: int, set_mask: int, nb_mask: int, chosen: list[int]):
-        for i in range(start, n):
-            m = set_mask | (1 << idx[i])
-            nb = nb_mask | masks[idx[i]]
-            chosen.append(i)
-            consider((nb & ~m).bit_count(), size + 1, chosen)
-            if size + 1 < max_size:
-                rec(i + 1, size + 1, m, nb, chosen)
-            chosen.pop()
-
-    rec(0, 0, 0, 0, [])
-    if best is None:
-        raise ConstructionError("the window enumeration visited no set")
-    b, size, witness = best
-    value = Fraction(b, size)
+    # Unions of pairwise distance->=3 minimizers, parts in lex order.  Extensions
+    # add only bits above the last part's lowest, so a union that differs from
+    # lex_min on those bits cannot lead below lex_min.
+    tied = sorted((t for t in tied if t[2] + least <= max_size),
+                  key=lambda t: [i for i in range(n) if t[0] >> i & 1])
+    stack = [(0, 0, 0, 0, 0)]  # (next part, union, its closed neighbourhood, size, bits fixed)
+    while stack:
+        start, union, covered, size, fixed = stack.pop()
+        if (union ^ lex_min) & fixed:
+            continue
+        for i in reversed(range(start, len(tied))):  # lex-smallest part is popped first
+            sub, acc, s = tied[i]
+            if acc & covered or size + s > max_size:
+                continue
+            grown = union | sub
+            if _lex_less(grown, lex_min):
+                lex_min = grown
+            if size + s + least <= max_size:
+                stack.append((i + 1, grown, covered | acc, size + s, (sub & -sub) * 2 - 1))
+    witness = tuple(adm[j] for j in range(n) if lex_min >> j & 1)
     upper = BoundEndpoint(
-        value,
+        Fraction(best_b, best_s),
         "brute-force-window",
-        witness={"set": witness, "boundary_size": b, "max_size": max_size},
+        witness={"set": witness, "boundary_size": len(boundary(g, witness)), "max_size": max_size},
         horizon_certified=bool(g.frontier),
     )
     return CheegerBound(lower=BoundEndpoint(Fraction(0), "trivial"), upper=upper)
@@ -435,9 +469,7 @@ def green_identity_check(
     f = vertex_function(g, f)
     g2 = vertex_function(g, g2)
     if g.frontier:
-        zone = frozenset(
-            v for v, d in g.bfs_distances(g.frontier).items() if d <= 1
-        )
+        zone = frozenset(g.vertices) - admissible_vertices(g)
         if support(f) & zone and support(g2) & zone:
             offender = sorted((support(f) | support(g2)) & zone)[0]
             raise InvalidSupportError(
@@ -485,13 +517,7 @@ def certificate_lower_bound(g: Graph, f: Mapping[str, Fraction]) -> CertificateR
         raise EmptyWindowError("interior (V minus frontier and its neighbors) is empty")
 
     c1 = max((abs(f[v] - f[u]) for u, v in g.edges), default=Fraction(0))
-    c2 = None
-    worst_vertex = None
-    for x in interior:
-        val = laplacian(g, f, x)
-        if c2 is None or val < c2:
-            c2, worst_vertex = val, x
-    assert c2 is not None
+    c2, worst_vertex = min((laplacian(g, f, x), x) for x in interior)
     if c2 <= 0:
         return CertificateResult(False, None, c1, c2, violating_vertex=worst_vertex)
     # c2 > 0 forces some neighbor value to differ, hence c1 > 0.
@@ -650,13 +676,8 @@ def grid_window(rows: int, cols: int, truncated: bool = True) -> Graph:
     if rows < 1 or cols < 1:
         raise InvalidInputError("need positive grid dimensions")
     names = [f"g{r}.{c}" for r in range(rows) for c in range(cols)]
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((f"g{r}.{c}", f"g{r}.{c + 1}"))
-            if r + 1 < rows:
-                edges.append((f"g{r}.{c}", f"g{r + 1}.{c}"))
+    edges = [(f"g{r}.{c}", f"g{r}.{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"g{r}.{c}", f"g{r + 1}.{c}") for r in range(rows - 1) for c in range(cols)]
     frontier = set()
     if truncated:
         frontier = {

@@ -108,9 +108,16 @@ def metric_payload(space: FiniteMetricSpace) -> dict:
 def metric_from_payload(data: dict) -> FiniteMetricSpace:
     if not isinstance(data, dict) or "points" not in data or "dist" not in data:
         raise InvalidInputError("metric document needs 'points' and 'dist'")
+    for key in ("points", "dist"):
+        if not isinstance(data[key], list):
+            raise InvalidInputError(f"metric document: {key!r} must be a list")
+    try:
+        dist = np.asarray(data["dist"], dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError("metric document: 'dist' must be a matrix of numbers") from None
     return FiniteMetricSpace(
         tuple(str(p) for p in data["points"]),
-        np.asarray(data["dist"], dtype=float),
+        dist,
         data.get("resolution_floor"),
     )
 

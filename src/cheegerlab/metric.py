@@ -46,6 +46,8 @@ class FiniteMetricSpace:
             raise InvalidInputError(f"distance matrix must be {n}x{n}")
         if n == 0:
             raise InvalidInputError("empty metric space")
+        if not np.isfinite(d).all():
+            raise InvalidInputError("distances must be finite")
         if (d.diagonal() != 0).any():
             raise InvalidInputError("dist(x,x) must be 0")
         if not (d == d.T).all():

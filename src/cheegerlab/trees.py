@@ -28,6 +28,7 @@ from .graphs import (
     BoundEndpoint,
     CheegerBound,
     Graph,
+    _connected_bitsets,
     boundary,
     interior_cheeger_bruteforce,
     normalize_edge,
@@ -432,40 +433,15 @@ class LemmaSuiteReport:
 
 def _connected_sets(g: Graph, allowed: list[str], max_size: int, budget: int):
     """Enumerate the connected vertex sets of the induced subgraph on
-    ``allowed`` with at most ``max_size`` elements, each exactly once.
-
-    Classic exclusive-neighborhood extension: sets are anchored at their
-    lowest-ranked vertex and grown only through vertices not already adjacent
-    to the current set, which makes the enumeration duplicate-free and
-    deterministic.
-    """
+    ``allowed`` with at most ``max_size`` elements, each exactly once, as
+    tuples of names in ``allowed`` order."""
     rank = {v: i for i, v in enumerate(allowed)}
-    adj = g.adjacency
-    produced = 0
-
-    def rec(sub: tuple[str, ...], covered: frozenset[str], ext: tuple[str, ...], rv: int):
-        nonlocal produced
-        produced += 1
+    adj = [sum(1 << rank[u] for u in g.adjacency[v] if u in rank) for v in allowed]
+    sets = _connected_bitsets(adj, [0] * len(allowed), max_size)
+    for produced, (sub, _) in enumerate(sets, 1):
         if produced > budget:
             raise BudgetExceededError(produced, budget, what="connected sets")
-        yield sub
-        if len(sub) == max_size:
-            return
-        work = list(ext)
-        while work:
-            w = work.pop(0)
-            fresh = tuple(
-                u for u in sorted(adj[w])
-                if u in rank and rank[u] > rv and u not in covered
-            )
-            new_covered = covered | {u for u in adj[w] if u in rank}
-            yield from rec(sub + (w,), new_covered, tuple(work) + fresh, rv)
-
-    for v in allowed:
-        rv = rank[v]
-        nbrs = {u for u in adj[v] if u in rank}
-        ext0 = tuple(u for u in sorted(nbrs) if rank[u] > rv)
-        yield from rec((v,), frozenset({v}) | nbrs, ext0, rv)
+        yield tuple(v for i, v in enumerate(allowed) if sub >> i & 1)
 
 
 def lemma_suite(

@@ -57,18 +57,23 @@ def oracle_adjacency(edges):
 def oracle_min_ratio(vertices, edges, candidates, max_size):
     """Minimum |boundary|/|set| over all non-empty subsets of ``candidates``
     with at most max_size elements, via plain itertools enumeration."""
+    return oracle_min_ratio_witness(vertices, edges, candidates, max_size)[0]
+
+
+def oracle_min_ratio_witness(vertices, edges, candidates, max_size):
+    """(minimum ratio, lexicographically smallest sorted minimizing tuple)
+    over the same subsets as :func:`oracle_min_ratio`."""
     adj = oracle_adjacency(edges)
     best = None
     for k in range(1, max_size + 1):
         for combo in combinations(sorted(candidates), k):
-            s = set(combo)
             bd = set()
-            for v in s:
+            for v in combo:
                 bd |= adj.get(v, set())
-            bd -= s
-            ratio = Fraction(len(bd), len(s))
-            if best is None or ratio < best:
-                best = ratio
+            bd -= set(combo)
+            key = (Fraction(len(bd), len(combo)), combo)
+            if best is None or key < best:
+                best = key
     return best
 
 

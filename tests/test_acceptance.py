@@ -289,7 +289,7 @@ def test_criterion_8_decomposition_squeeze():
     report = cl.validate(spec)
     assert report.valid and report.strong
 
-    bound = cl.decomposition_bound(spec)
+    bound = cl.decomposition_bound(spec, report)
     assert bound.lower.value > 0
     window = cl.interior_cheeger_bruteforce(
         spec.ambient, cl.auto_max_size(len(cl.admissible_vertices(spec.ambient)))

@@ -1,6 +1,10 @@
 """Decomposition formulas, validation with recomputed shields/components,
 certificate re-verification, grafting and window scans."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -135,7 +139,7 @@ def test_graft_decomposition_validates_strong():
 
 def test_graft_decomposition_bound_value():
     spec = graft_spec()
-    bound = cl.decomposition_bound(spec)
+    bound = cl.decomposition_bound(spec, cl.validate(spec))
     mu = spec.ambient.mu
     assert bound.lower.value == cl.bound_strong(mu, 0, Fraction(1, 7))
     assert bound.lower.kind == "decomposition-theorem"
@@ -178,6 +182,51 @@ def test_shared_edge_intersection_rejected():
     report = cl.validate(spec)
     assert not report.valid
     assert any("share the edge" in v for v in report.violations)
+
+
+def test_decomposition_bound_rejects_an_invalid_report():
+    g = cl.path_window(4, truncated=False)
+    spec = DecompositionSpec(
+        ambient=g,
+        pieces={"left": frozenset({"1", "2", "3"}), "right": frozenset({"2", "3", "4"})},
+        s1=frozenset({"left"}), s2=frozenset({"right"}),
+        radius=0, rate=Fraction(1, 2), certificates={},
+    )
+    with pytest.raises(InvalidInputError, match="does not validate"):
+        cl.decomposition_bound(spec, cl.validate(spec))
+
+
+def test_decomposition_bound_rejects_a_report_of_another_spec():
+    g = cl.path_window(4, truncated=False)
+    spec = DecompositionSpec(
+        ambient=g,
+        pieces={"left": frozenset({"1", "2", "3"}), "right": frozenset({"3", "4"})},
+        s1=frozenset({"left"}), s2=frozenset({"right"}),
+        radius=0, rate=Fraction(1, 2), certificates={},
+    )
+    twin = dataclasses.replace(spec, rate=Fraction(1))
+    with pytest.raises(InvalidInputError, match="another decomposition"):
+        cl.decomposition_bound(twin, cl.validate(spec))
+
+
+def test_shared_edge_violation_is_the_same_under_every_hash_seed():
+    # pieces 1234 and 2345 of a 6-path share the edges 2-3 and 3-4; the
+    # smallest is reported whatever order the edge set iterates in
+    script = (
+        "import cheegerlab as cl; from fractions import Fraction\n"
+        "spec = cl.DecompositionSpec(ambient=cl.path_window(6, truncated=False),\n"
+        "    pieces={'A': frozenset('1234'), 'B': frozenset('2345')},\n"
+        "    s1=frozenset({'A'}), s2=frozenset({'B'}), radius=0, rate=Fraction(1, 2),\n"
+        "    certificates={})\n"
+        "print([v for v in cl.validate(spec).violations if 'share the edge' in v])\n"
+    )
+    for seed in range(1, 7):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "share the edge 2--3;" in proc.stdout, (seed, proc.stdout)
 
 
 def test_second_class_needs_contact():
@@ -277,6 +326,6 @@ def test_tree_windows_hold_a_floor():
 
 def test_grafted_windows_respect_strong_bound():
     spec = graft_spec(rows=5, depth=3)
-    bound = cl.decomposition_bound(spec)
+    bound = cl.decomposition_bound(spec, cl.validate(spec))
     report = cl.converse_scan([spec.ambient], ambient_lower=bound.lower.value)
     assert report.lower_respected

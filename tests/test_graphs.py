@@ -1,7 +1,9 @@
 """Graph core: boundaries, ratios, the brute-force oracle, discrete calculus,
 certificates and the quasi-isometry checker."""
 
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from cheegerlab import (
     InvalidSupportError,
 )
 
-from conftest import oracle_boundary, oracle_min_ratio
+from conftest import oracle_boundary, oracle_min_ratio, oracle_min_ratio_witness
 
 
 def p5():
@@ -210,6 +212,71 @@ def test_interior_witness_is_lexicographically_smallest():
     assert bound.upper.value == Fraction(1, 2)
     # {3,4,5,6} and no other set attains 2/4; smaller-ratio sets don't exist
     assert bound.upper.witness["set"] == ("3", "4", "5", "6")
+
+
+def test_interior_witness_can_be_a_union_of_far_apart_sets():
+    # {a, z} and {b, c} each have ratio 1/2 and lie at distance 4 (via x-f-y);
+    # their union ties them and is the lexicographically smallest minimizer
+    g = Graph.from_edges(
+        [("a", "z"), ("a", "x"), ("x", "z"), ("b", "c"), ("b", "y"), ("c", "y"),
+         ("f", "x"), ("f", "y")],
+        frontier=["f"],
+    )
+    bound = cl.interior_cheeger_bruteforce(g, 4)
+    assert bound.upper.value == Fraction(1, 2)
+    assert bound.upper.witness["set"] == ("a", "b", "c", "z")
+    assert bound.upper.witness["boundary_size"] == 2
+
+
+@pytest.mark.parametrize(
+    "edges, vertices, frontier, cap, value, witness",
+    [
+        # the components {a, c} and {b} of ratio 0; {a, c} fills all but one
+        # place of the cap
+        ([("a", "c")], "abc", "", 3, 0, "abc"),
+        # {a, d} and {b, c} tie at 1 and lie at distance 5; the single tied
+        # set {a, b, c, e} sorts before {a, d} but after their union
+        ([("d", "a"), ("a", "y"), ("y", "e"), ("e", "z"), ("z", "b"), ("b", "c"),
+          ("y", "F1"), ("z", "F2"), ("d", "p"), ("p", "F3"), ("c", "q"), ("q", "F4")],
+         "", ["F1", "F2", "F3", "F4"], 4, 1, "abcd"),
+    ],
+)
+def test_interior_union_witness_search(edges, vertices, frontier, cap, value, witness):
+    g = Graph.from_edges(edges, vertices or None, frontier, require_connected=False)
+    bound = cl.interior_cheeger_bruteforce(g, cap)
+    assert (bound.upper.value, bound.upper.witness["set"]) == (value, tuple(witness))
+    adm = cl.admissible_vertices(g)
+    assert oracle_min_ratio_witness(g.vertices, g.edges, adm, cap) == (value, tuple(witness))
+
+
+def test_interior_dense_window_with_many_tied_sets():
+    # a hub joined to K_20, with the frontier next to the hub: the automatic
+    # cap is 6 and all 38,760 six-sets of the clique tie at 15/6; none of
+    # them can share the cap with another, so no union search runs
+    clique = [f"k{i:02d}" for i in range(20)]
+    g = Graph.from_edges(
+        [*combinations(clique, 2), *(("hub", v) for v in clique), ("f", "hub")],
+        frontier=["f"],
+    )
+    budget = 2**16
+    cap = cl.window_max_size(g, budget=budget)
+    start = time.perf_counter()
+    bound = cl.interior_cheeger_bruteforce(g, cap, budget)
+    assert time.perf_counter() - start < 10
+    assert cap == 6
+    assert bound.upper.value == Fraction(15, 6)
+    assert bound.upper.witness["set"] == tuple(clique[:6])
+
+
+def test_interior_union_search_with_many_far_apart_ties():
+    # every subset of an edgeless 22-vertex window ties at 0, so the 22
+    # singletons have about four million unions within the cap; the first
+    # singleton is already the lexicographically smallest of them
+    g = Graph(tuple(f"v{i:02d}" for i in range(22)), frozenset())
+    start = time.perf_counter()
+    bound = cl.interior_cheeger_bruteforce(g, 22)
+    assert time.perf_counter() - start < 2
+    assert (bound.upper.value, bound.upper.witness["set"]) == (0, ("v00",))
 
 
 def test_interior_budget_and_window_errors():

@@ -213,6 +213,26 @@ def test_cli_bad_generator_parameter_exits_invalid():
     assert "cantor:abc" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (["net", "--eps", "0.5"], '{"points": ["a", "b"], "dist": "x"}'),
+        (["net", "--eps", "0.5"], '{"points": "ab", "dist": [[0, 1], [1, 0]]}'),
+        (["net", "--eps", "0.5"], '{"points": ["a", "b"], "dist": [[0, 1], [1]]}'),
+        (["delta", "--in", "two_point:inf"], None),
+    ],
+)
+def test_cli_malformed_metric_input_exits_invalid(tmp_path, argv, document):
+    if document is not None:
+        (tmp_path / "m.json").write_text(document)
+        argv = [*argv, "--in", str(tmp_path / "m.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cheegerlab.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_decomp_invalid_spec_exits_falsified(workdir, tmp_path):
     spec = io.load_decomposition(workdir / "graft.json")
     victim = sorted(spec.s1)[0]
@@ -267,7 +287,7 @@ def test_cli_decomp_matches_library(workdir):
     spec = io.load_decomposition(workdir / "graft.json")
     assert report["results"]["strong"] is True
     assert report["results"]["bound"]["lower"]["value"] == str(
-        cl.decomposition_bound(spec).lower.value
+        cl.decomposition_bound(spec, cl.validate(spec)).lower.value
     )
 
 

@@ -56,6 +56,12 @@ def test_rejects_zero_offdiagonal():
         FiniteMetricSpace(("a", "b"), d)
 
 
+def test_rejects_non_finite_distances():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="finite"):
+            FiniteMetricSpace(("a", "b"), np.array([[0.0, bad], [bad, 0.0]]))
+
+
 # -- greedy separated sets ----------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from cheegerlab import Graph
 from cheegerlab.cli import main as cli_main
 from cheegerlab.trees import _connected_sets
 
-from conftest import oracle_min_ratio
+from conftest import oracle_min_ratio_witness
 
 
 def random_graph(seed, nmin=5, nmax=10, extra_factor=1.0):
@@ -55,20 +55,21 @@ def test_connected_set_enumeration_on_dense_graphs(seed):
     assert set(ours) == naive
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(50))
 def test_interior_bruteforce_against_oracle_on_random_windows(seed):
     rng = np.random.default_rng(seed)
-    g0 = random_graph(seed, nmin=6, nmax=11)
-    # mark a random leaf-ish vertex set as frontier, keep the window analyzable
-    frontier = {g0.vertices[int(rng.integers(0, len(g0.vertices)))]}
+    g0 = random_graph(seed, nmin=5, nmax=13, extra_factor=[1.0, 0.0, 0.3][seed % 3])
+    # mark 1, 2 or 0 random vertices as frontier, keep the window analyzable
+    frontier = {g0.vertices[int(i)] for i in rng.integers(0, len(g0.vertices), size=(1 + seed) % 3)}
     g = Graph(g0.vertices, g0.edges, frozenset(frontier))
+    if not cl.admissible_vertices(g):
+        g = g0
     adm = sorted(cl.admissible_vertices(g))
-    if not adm:
-        return
-    max_size = min(4, len(adm))
+    max_size = min(1 + seed % 6, len(adm))
     bound = cl.interior_cheeger_bruteforce(g, max_size)
-    expected = oracle_min_ratio(g.vertices, g.edges, adm, max_size)
-    assert bound.upper.value == expected
+    # the witness is the lexicographically smallest minimizing set
+    expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, max_size)
+    assert (bound.upper.value, bound.upper.witness["set"]) == expected
     witness = set(bound.upper.witness["set"])
     assert cl.cheeger_ratio(g, witness) == bound.upper.value
     assert all(v in adm for v in witness)
