@@ -148,6 +148,8 @@ def _cmd_cheeger(args) -> tuple[dict, int]:
 def _cmd_certify(args) -> tuple[dict, int]:
     g, src = _graph_input(args.infile)
     raw = io.read_json(args.function)
+    if not isinstance(raw, dict):
+        raise InvalidInputError("function document must map vertices to rationals")
     f = {str(v): io.parse_fraction(x) for v, x in raw.items()}
     res = certificate_lower_bound(g, f)
     report = _base_report(
@@ -283,7 +285,10 @@ def _cmd_net(args) -> tuple[dict, int]:
 
 def _cmd_perfect(args) -> tuple[dict, int]:
     space, src = _load_metric_input(args.infile)
-    grid = [float(x) for x in args.grid.split(",")] if args.grid else []
+    try:
+        grid = [float(x) for x in args.grid.split(",")] if args.grid else []
+    except ValueError:
+        raise InvalidInputError(f"bad --grid {args.grid!r}: need comma-separated numbers") from None
     floor = args.floor if args.floor is not None else (space.resolution_floor or 0.0)
     if floor <= 0:
         raise InvalidInputError("no resolution floor known; pass --floor explicitly")
@@ -487,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
         InvalidSupportError,
         InvalidHorizonError,
         EmptyWindowError,
-        FileNotFoundError,
+        OSError,
         CheegerLabError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

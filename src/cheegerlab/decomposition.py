@@ -11,12 +11,14 @@ data; declared numbers are never trusted.
 
 from __future__ import annotations
 
+import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import ConstructionError, InvalidInputError
+from .errors import BudgetExceededError, ConstructionError, InvalidInputError
 from .graphs import (
     BoundEndpoint,
     CheegerBound,
@@ -41,13 +43,25 @@ from .trees import (
 # ---------------------------------------------------------------------------
 
 
-def bound_general(mu: int, radius: int, rate: Fraction | int) -> Fraction:
-    """Ambient lower bound r^2 (mu-1) / ((mu^{R+1}-1)(mu+r)^2 + 2 r mu (mu-1))."""
-    rate = Fraction(rate)
+def _check_bound_args(mu: int, radius: int, rate: Fraction) -> None:
+    """Domain of both formulas, plus a size check made before mu^(R+1) is
+    computed: either bound's reduced denominator exceeds mu^R, so when mu^R
+    has more digits than ``sys.get_int_max_str_digits()`` (0: no limit) the
+    exact bound could not be rendered."""
     if mu < 2:
         raise InvalidInputError("the formula needs mu >= 2")
     if radius < 0 or rate <= 0:
         raise InvalidInputError("need R >= 0 and r > 0")
+    limit = sys.get_int_max_str_digits()
+    digits = radius * math.log10(mu)  # mu^R has floor(digits) + 1 digits
+    if limit and digits >= limit + 1:
+        raise BudgetExceededError(int(digits) + 1, limit, what="digits in the exact bound")
+
+
+def bound_general(mu: int, radius: int, rate: Fraction | int) -> Fraction:
+    """Ambient lower bound r^2 (mu-1) / ((mu^{R+1}-1)(mu+r)^2 + 2 r mu (mu-1))."""
+    rate = Fraction(rate)
+    _check_bound_args(mu, radius, rate)
     num = rate**2 * (mu - 1)
     den = (mu ** (radius + 1) - 1) * (mu + rate) ** 2 + 2 * rate * mu * (mu - 1)
     return num / den
@@ -57,10 +71,7 @@ def bound_strong(mu: int, radius: int, rate: Fraction | int) -> Fraction:
     """Strong-decomposition bound r (mu-1) / ((mu^{R+1}-1)(mu+r) + mu (mu-1));
     never below the general bound at the same parameters."""
     rate = Fraction(rate)
-    if mu < 2:
-        raise InvalidInputError("the formula needs mu >= 2")
-    if radius < 0 or rate <= 0:
-        raise InvalidInputError("need R >= 0 and r > 0")
+    _check_bound_args(mu, radius, rate)
     num = rate * (mu - 1)
     den = (mu ** (radius + 1) - 1) * (mu + rate) + mu * (mu - 1)
     value = num / den
@@ -137,6 +148,8 @@ def _induced(g: Graph, verts: frozenset[str]) -> Graph:
 def _tree_from_graph(g: Graph, root: str, live: frozenset[str]) -> RootedTree:
     if len(g.edges) != len(g.vertices) - 1 or not g.is_connected:
         raise InvalidInputError("piece is not a tree")
+    if root not in g.index:
+        raise InvalidInputError(f"root {root!r} is not a vertex of the piece")
     children: dict[str, tuple[str, ...]] = {}
     parent: dict[str, str] = {}
     seen = {root}
@@ -300,6 +313,10 @@ def decomposition_bound(spec: DecompositionSpec, report: ValidationReport) -> Ch
         if report.strong
         else bound_general(mu, spec.radius, spec.rate)
     )
+    limit = sys.get_int_max_str_digits()
+    if limit and value.denominator >= 10**limit:
+        digits = int(value.denominator.bit_length() * math.log10(2)) + 1
+        raise BudgetExceededError(digits, limit, what="digits in the exact bound")
     endpoint = BoundEndpoint(
         value,
         "decomposition-theorem",

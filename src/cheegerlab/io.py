@@ -36,7 +36,9 @@ def write_canonical(path: str | Path, payload: Any) -> None:
 def read_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    # ValueError covers bad JSON, bad UTF-8 and integer literals past the
+    # int-to-str digit limit; RecursionError covers too deep nesting
+    except (ValueError, RecursionError) as exc:
         raise InvalidInputError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -51,7 +53,7 @@ def fraction_str(x: Fraction) -> str:
 def parse_fraction(text: str | int) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"bad rational {text!r}: {exc}") from None
 
 
@@ -115,6 +117,9 @@ def metric_from_payload(data: dict) -> FiniteMetricSpace:
         dist = np.asarray(data["dist"], dtype=float)
     except (TypeError, ValueError):
         raise InvalidInputError("metric document: 'dist' must be a matrix of numbers") from None
+    floor = data.get("resolution_floor")
+    if floor is not None and (not isinstance(floor, (int, float)) or isinstance(floor, bool)):
+        raise InvalidInputError("metric document: 'resolution_floor' must be a number")
     return FiniteMetricSpace(
         tuple(str(p) for p in data["points"]),
         dist,
@@ -157,6 +162,8 @@ def tree_from_payload(data: dict) -> RootedTree:
         if name in children:
             raise InvalidInputError(f"duplicate tree vertex {name!r}")
         kids = node.get("children", [])
+        if not isinstance(kids, list):
+            raise InvalidInputError(f"tree vertex {name!r}: 'children' must be a list")
         children[name] = ()
         names = tuple(walk(k) for k in kids)
         children[name] = names
@@ -164,7 +171,10 @@ def tree_from_payload(data: dict) -> RootedTree:
             live.append(name)
         return name
 
-    root = walk(data)
+    try:
+        root = walk(data)
+    except RecursionError:
+        raise InvalidInputError("tree document is nested too deeply") from None
     return RootedTree(root, children, frozenset(live))
 
 
@@ -233,6 +243,14 @@ def certificate_payload(cert: PieceCertificate) -> dict:
 
 
 def certificate_from_payload(data: dict) -> PieceCertificate:
+    if not isinstance(data, dict):
+        raise InvalidInputError("certificate document must be an object")
+    if not isinstance(data.get("root"), (str, type(None))):
+        raise InvalidInputError("certificate document: 'root' must be a string")
+    if not isinstance(data.get("live", []), list):
+        raise InvalidInputError("certificate document: 'live' must be a list")
+    if not isinstance(data.get("f", {}), dict):
+        raise InvalidInputError("certificate document: 'f' must map vertices to rationals")
     return PieceCertificate(
         kind=str(data.get("kind", "")),
         root=data.get("root"),
@@ -273,9 +291,22 @@ def save_decomposition(path: str | Path, spec: DecompositionSpec) -> None:
 def load_decomposition(path: str | Path) -> DecompositionSpec:
     path = Path(path)
     data = read_json(path)
+    if not isinstance(data, dict):
+        raise InvalidInputError("decomposition document must be an object")
     for field_name in ("ambient", "pieces", "S1", "S2", "R", "r"):
         if field_name not in data:
             raise InvalidInputError(f"decomposition document misses {field_name!r}")
+    pieces = data["pieces"]
+    if not isinstance(pieces, dict) or not all(isinstance(v, list) for v in pieces.values()):
+        raise InvalidInputError("decomposition document: 'pieces' must map ids to vertex lists")
+    for key in ("S1", "S2"):
+        if not isinstance(data[key], list):
+            raise InvalidInputError(f"decomposition document: {key!r} must be a list")
+    radius = data["R"]
+    if not isinstance(radius, int) or isinstance(radius, bool) or radius < 0:
+        raise InvalidInputError("decomposition document: 'R' must be a non-negative integer")
+    if not isinstance(data.get("certificates", {}), dict):
+        raise InvalidInputError("decomposition document: 'certificates' must be an object")
     ambient = load_graph(path.parent / str(data["ambient"]))
     certs = {
         str(key): certificate_from_payload(read_json(path.parent / str(ref)))
@@ -285,11 +316,11 @@ def load_decomposition(path: str | Path) -> DecompositionSpec:
         ambient=ambient,
         pieces={
             str(name): frozenset(str(v) for v in verts)
-            for name, verts in data["pieces"].items()
+            for name, verts in pieces.items()
         },
         s1=frozenset(str(s) for s in data["S1"]),
         s2=frozenset(str(s) for s in data["S2"]),
-        radius=int(data["R"]),
+        radius=radius,
         rate=parse_fraction(data["r"]),
         certificates=certs,
     )

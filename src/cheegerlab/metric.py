@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -173,17 +173,40 @@ class PerfectnessCertificate:
     checked_eps: int = 0
 
 
-def _eps_candidates(
-    space: FiniteMetricSpace, eps0: float, floor: float, grid: Iterable[float]
-) -> np.ndarray:
-    if not (0 < floor <= eps0):
-        raise InvalidInputError("need 0 < resolution_floor <= eps0")
-    grid = np.asarray(sorted(set(float(e) for e in grid)), dtype=float)
-    if grid.size and (grid[0] < floor or grid[-1] > eps0):
+def _perfectness_scan(
+    space: FiniteMetricSpace, constant: float, form: str, eps0: float, floor: float,
+    grid: Iterable[float], ball_table: Callable[..., np.ndarray],
+) -> PerfectnessCertificate:
+    """Check ``table[x, c - 1] > eps / constant`` for every checked eps and
+    every point x, where c = #B(x, eps) and ``table = ball_table(dist, order,
+    rows)`` from each row's stable sort order and sorted distances.
+
+    Points at distance exactly eps are all in the closed ball, so it is the
+    first c points of x's order.  The witness is the failure at the smallest
+    eps, and among those the one at the lowest point index.
+    """
+    if not (0 < floor <= eps0 < np.inf):
+        raise InvalidInputError("need 0 < resolution_floor <= eps0 < inf")
+    grid = np.asarray([float(e) for e in grid], dtype=float)
+    if not ((grid >= floor) & (grid <= eps0)).all():
         raise InvalidInputError("grid values must lie within [resolution_floor, eps0]")
     upper = space.dist[np.triu_indices(len(space.points), k=1)]
     realized = upper[(upper >= floor) & (upper <= eps0)]
-    return np.unique(np.concatenate([grid, realized, [floor, eps0]]))
+    eps_list = np.unique(np.concatenate([grid, realized, [floor, eps0]]))
+    order = np.argsort(space.dist, axis=1, kind="stable")
+    rows = np.take_along_axis(space.dist, order, axis=1)
+    table = ball_table(space.dist, order, rows)
+    limit, witness = len(eps_list), None
+    for x, row in enumerate(rows):
+        eps = eps_list[:limit]  # a later point's failure counts only at an earlier scale
+        last = np.searchsorted(row, eps, side="right") - 1  # the ball is row[:last + 1]
+        bad = np.flatnonzero(~(table[x, last] > eps / constant))
+        if bad.size:
+            limit = int(bad[0])
+            witness = (space.points[x], float(eps[limit]))
+    return PerfectnessCertificate(
+        constant, form, eps0, floor, witness is None, witness, len(eps_list)
+    )
 
 
 def uniformly_perfect_check(
@@ -195,22 +218,18 @@ def uniformly_perfect_check(
 ) -> PerfectnessCertificate:
     """One-point form: every annulus (eps/S, eps] around every point is
     non-empty, for every checked eps in [resolution_floor, eps0]."""
-    if s <= 1:
-        raise InvalidInputError("need S > 1")
-    eps_list = _eps_candidates(space, eps0, resolution_floor, grid)
-    d = space.dist
-    for eps in eps_list:
-        # d in (eps/S, eps]; self-distance 0 never qualifies
-        ok = ((d > eps / s) & (d <= eps)).any(axis=1)
-        bad = np.nonzero(~ok)[0]
-        if bad.size:
-            return PerfectnessCertificate(
-                s, "one-point", eps0, resolution_floor, False,
-                witness=(space.points[int(bad[0])], float(eps)),
-                checked_eps=len(eps_list),
-            )
-    return PerfectnessCertificate(
-        s, "one-point", eps0, resolution_floor, True, checked_eps=len(eps_list)
+    if not 1 < s < np.inf:
+        raise InvalidInputError("need a finite S > 1")
+    # the annulus is non-empty iff the ball's farthest point lies beyond eps/S
+    return _perfectness_scan(
+        space, s, "one-point", eps0, resolution_floor, grid, lambda d, order, rows: rows
+    )
+
+
+def _ball_diameters(d: np.ndarray, order: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """[x, k] = the largest distance among the k + 1 nearest points to x."""
+    return np.array(
+        [np.maximum.accumulate(np.tril(d[ids][:, ids]).max(axis=1)) for ids in order]
     )
 
 
@@ -223,31 +242,10 @@ def two_point_perfectness_check(
 ) -> PerfectnessCertificate:
     """Two-point form: within distance eps of every point there are two points
     more than eps/R apart, for every checked eps in [resolution_floor, eps0]."""
-    if r_const <= 1:
-        raise InvalidInputError("need R > 1")
-    eps_list = _eps_candidates(space, eps0, resolution_floor, grid)
-    n = len(space.points)
-    order = np.argsort(space.dist, axis=1, kind="stable")
-    # widest[x][k] = max pairwise distance among the k nearest points to x
-    # (the nearest point is x itself); balls grow only at realized distances
-    widest = np.zeros((n, n + 1))
-    for x in range(n):
-        ids = order[x]
-        best = 0.0
-        for k in range(1, n):
-            best = max(best, float(space.dist[ids[k], ids[:k]].max()))
-            widest[x, k + 1] = best
-    for eps in eps_list:
-        counts = (space.dist <= eps).sum(axis=1)
-        for x in range(n):
-            if not widest[x, counts[x]] > eps / r_const:
-                return PerfectnessCertificate(
-                    r_const, "two-point", eps0, resolution_floor, False,
-                    witness=(space.points[x], float(eps)),
-                    checked_eps=len(eps_list),
-                )
-    return PerfectnessCertificate(
-        r_const, "two-point", eps0, resolution_floor, True, checked_eps=len(eps_list)
+    if not 1 < r_const < np.inf:
+        raise InvalidInputError("need a finite R > 1")
+    return _perfectness_scan(
+        space, r_const, "two-point", eps0, resolution_floor, grid, _ball_diameters
     )
 
 

@@ -253,6 +253,35 @@ def test_unknown_vertex_in_second_class_piece_is_invalid_input():
         cl.validate(bad)
 
 
+def test_tree_certificate_rooted_outside_its_piece_is_a_violation():
+    spec = cl.graft_decomposition(cl.grid_window(3, 3), cl.homogeneous_tree(3, 2).graph, "v")
+    victim = sorted(spec.s1)[0]
+    certs = {**spec.certificates, victim: PieceCertificate("tree-theorem", root="zz")}
+    report = cl.validate(dataclasses.replace(spec, certificates=certs))
+    assert not report.valid
+    assert any("root 'zz' is not a vertex of the piece" in v for v in report.violations)
+
+
+def test_bound_too_large_to_render_exceeds_the_budget():
+    # either bound's reduced denominator exceeds mu^R; here mu^R has 84,510 digits
+    for bound in (cl.bound_general, cl.bound_strong):
+        with pytest.raises(cl.BudgetExceededError, match="digits in the exact bound"):
+            bound(7, 100_000, 1)
+    # near the limit the exact value decides: R = 5086 renders, R = 5087 does not
+    spec = cl.graft_decomposition(cl.grid_window(4, 4), cl.homogeneous_tree(3, 2).graph, "v")
+    assert spec.ambient.mu == 7
+    limit = sys.get_int_max_str_digits()
+    for radius, renders in ((5086, True), (5087, False)):
+        near = dataclasses.replace(spec, radius=radius)
+        report = cl.validate(near)
+        if renders:
+            value = cl.decomposition_bound(near, report).lower.value
+            assert len(str(value.denominator)) <= limit
+        else:
+            with pytest.raises(cl.BudgetExceededError):
+                cl.decomposition_bound(near, report)
+
+
 def test_frontier_crossing_component_reported_unverified():
     base = cl.grid_window(5, 5)
     att = cl.homogeneous_tree(3, 2).graph

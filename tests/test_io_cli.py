@@ -233,6 +233,72 @@ def test_cli_malformed_metric_input_exits_invalid(tmp_path, argv, document):
     assert "Traceback" not in proc.stderr
 
 
+def _deep_tree_text(depth):
+    text = f'{{"name": "v{depth}", "live": true}}'
+    for i in range(depth - 1, -1, -1):
+        text = f'{{"name": "v{i}", "children": [{text}]}}'
+    return text
+
+
+def _decomposition_with(workdir, **fields):
+    """The graft decomposition document with some fields replaced, written
+    next to the files it references."""
+    doc = json.loads((workdir / "graft.json").read_text())
+    doc.update(fields)
+    (workdir / "bad.json").write_text(json.dumps(doc))
+    return ["decomp", "--spec", str(workdir / "bad.json")]
+
+
+def _with_certificate(workdir, cert):
+    (workdir / "badcert.json").write_text(json.dumps(cert))
+    doc = json.loads((workdir / "graft.json").read_text())
+    key = sorted(doc["certificates"])[0]
+    return _decomposition_with(workdir, certificates={**doc["certificates"], key: "badcert.json"})
+
+
+def _write(workdir, name, content):
+    path = workdir / name
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda w: ["tree", "--in", str(w)],
+        lambda w: ["delta", "--in", str(w)],
+        lambda w: ["tree", "--in", _write(w, "ff.json", b"\xff\xfe")],
+        lambda w: ["tree", "--in", _write(w, "deep.json", _deep_tree_text(950))],
+        lambda w: ["tree", "--in", _write(w, "kids.json", '{"name": "r", "children": 5}')],
+        lambda w: _decomposition_with(w, pieces=[]),
+        lambda w: _decomposition_with(w, R="a"),
+        lambda w: _decomposition_with(w, R=1.5),
+        lambda w: _decomposition_with(w, R=True),
+        lambda w: _decomposition_with(w, R=-1),
+        lambda w: _decomposition_with(w, r=[1]),
+        lambda w: _with_certificate(w, {"kind": "function", "f": [1, 2]}),
+        lambda w: _with_certificate(w, {"kind": "tree-theorem", "root": 5}),
+        lambda w: ["certify", "--in", str(w / "p9.json"), "--function", _write(w, "f.json", "[1]")],
+        lambda w: ["perfect", "--in", "cantor:3", "--s", "3", "--eps0", "1", "--grid", "a,b"],
+        lambda w: ["perfect", "--in", _write(
+            w, "m.json", '{"points": ["a", "b"], "dist": [[0, 1], [1, 0]], "resolution_floor": "x"}'
+        ), "--s", "3", "--eps0", "1"],
+    ],
+    ids=[
+        "tree-dir", "delta-dir", "not-utf8", "nested-950", "children-int", "pieces-list",
+        "R-str", "R-float", "R-bool", "R-negative", "r-list", "cert-f-list", "cert-root-int",
+        "function-list", "grid-words", "floor-str",
+    ],
+)
+def test_cli_unreadable_or_mistyped_documents_exit_invalid(workdir, make_argv):
+    assert cli_main(make_argv(workdir)) == 2
+
+
+def test_cli_decomp_bound_too_large_to_render_exits_budget(workdir, capsys):
+    assert cli_main(_decomposition_with(workdir, R=100_000)) == 3
+    assert "digits in the exact bound" in capsys.readouterr().err
+
+
 def test_cli_decomp_invalid_spec_exits_falsified(workdir, tmp_path):
     spec = io.load_decomposition(workdir / "graft.json")
     victim = sorted(spec.s1)[0]

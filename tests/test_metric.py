@@ -11,16 +11,32 @@ import cheegerlab as cl
 from cheegerlab import FiniteMetricSpace, InvalidInputError
 
 
-def annulus_oracle(space, s, eps0, floor):
-    """Literal double-loop annulus check over realized scales in range."""
+def oracle_scales(space, eps0, floor, grid=()):
     pts = space.points
-    upper = sorted(
+    return sorted(
         {space.d(a, b) for a in pts for b in pts if floor <= space.d(a, b) <= eps0}
-        | {floor, eps0}
+        | {floor, eps0, *grid}
     )
-    for eps in upper:
+
+
+def annulus_oracle(space, s, eps0, floor, grid=()):
+    """Literal double-loop annulus check over realized and grid scales in range."""
+    pts = space.points
+    for eps in oracle_scales(space, eps0, floor, grid):
         for x in pts:
             if not any(eps / s < space.d(x, y) <= eps for y in pts):
+                return False, (x, eps)
+    return True, None
+
+
+def two_point_oracle(space, r_const, eps0, floor, grid=()):
+    """Literal loops over scales and points: the closed ball B(x, eps) holds
+    two points more than eps/R apart."""
+    pts = space.points
+    for eps in oracle_scales(space, eps0, floor, grid):
+        for x in pts:
+            ball = [y for y in pts if space.d(x, y) <= eps]
+            if not any(space.d(a, b) > eps / r_const for a in ball for b in ball):
                 return False, (x, eps)
     return True, None
 
@@ -140,6 +156,40 @@ def test_cantor_matches_literal_oracle_at_small_depth():
     assert bad_cert.witness == bad_witness
 
 
+def l1_space(points):
+    pts = np.asarray(points, dtype=float)
+    d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=-1)
+    return FiniteMetricSpace(tuple(f"p{i}" for i in range(len(pts))), d)
+
+
+@pytest.mark.parametrize("make, floor", [
+    (lambda: cl.line_space([0, 1, 2, 4, 5, 6, 8, 9, 10, 16, 17, 18, 20, 21, 22, 24, 25, 26]), 1.0),
+    (lambda: cl.line_space([0, 1, 3, 4, 9, 10, 12, 13, 27, 28, 30, 31, 36, 37, 39, 40]), 1.0),
+    (lambda: l1_space([(0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (3, 1), (4, 5)]), 1.0),
+    # p1's ball at eps = 6 has diameter 6, though its farthest point is within 4 of the rest
+    (lambda: l1_space([(0, 2), (2, 0), (2, 2), (3, 3), (4, 0), (4, 2)]), 2.0),
+    (lambda: cl.two_point(1.0), 0.25),
+    (lambda: cl.cantor_sample(5), 2 * 3.0**-5),
+])
+@pytest.mark.parametrize("grid_steps", [(), (0.5, 1.5, 2.5)])
+def test_both_forms_match_literal_oracles_on_ties(make, floor, grid_steps):
+    # integer distances and exact Cantor gaps make eps/const land on distances
+    space = make()
+    eps0 = space.diameter
+    grid = [floor * step for step in grid_steps if floor * step >= floor]
+    failures = 0
+    for const in (1.01, 1.5, 2.0, 3.0, 3.01, 4.0, 9.1):
+        for check, oracle in (
+            (cl.uniformly_perfect_check, annulus_oracle),
+            (cl.two_point_perfectness_check, two_point_oracle),
+        ):
+            cert = check(space, const, eps0, floor, grid)
+            assert (cert.holds, cert.witness) == oracle(space, const, eps0, floor, grid)
+            assert cert.checked_eps == len(oracle_scales(space, eps0, floor, grid))
+            failures += not cert.holds
+    assert failures >= 2
+
+
 def test_two_point_space_fails_with_witness():
     space = cl.two_point(1.0)
     cert = cl.uniformly_perfect_check(space, 2.0, 1.0, 0.25)
@@ -183,6 +233,12 @@ def test_invalid_range_rejected():
         cl.uniformly_perfect_check(space, 2.0, 1.0, 0.5, grid=[2.0])
     with pytest.raises(InvalidInputError):
         cl.uniformly_perfect_check(space, 1.0, 1.0, 0.5)
+    # non-finite constants, ranges and grid values cannot reach a report
+    for check in (cl.uniformly_perfect_check, cl.two_point_perfectness_check):
+        for const, eps0, grid in ((np.nan, 1.0, ()), (np.inf, 1.0, ()), (2.0, np.inf, ()),
+                                  (2.0, np.nan, ()), (2.0, 1.0, [np.nan])):
+            with pytest.raises(InvalidInputError):
+                check(space, const, eps0, 0.5, grid=grid)
 
 
 # -- two-point form and conversions ------------------------------------------------------

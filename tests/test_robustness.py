@@ -1,15 +1,18 @@
 """Randomized cross-checks beyond the per-module suites: every combinatorial
 engine against a naive enumeration on instances it was not tuned for."""
 
+import contextlib
 import json
 from fractions import Fraction
+from io import StringIO
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cheegerlab as cl
-from cheegerlab import Graph
+from cheegerlab import Graph, io
 from cheegerlab.cli import main as cli_main
 from cheegerlab.trees import _connected_sets
 
@@ -147,3 +150,82 @@ def test_delta_oracle_on_random_metric_spaces(seed):
                     gp = lambda a, b: 0.5 * (space.d(a, o) + space.d(b, o) - space.d(a, b))
                     best = max(best, min(gp(x, z), gp(z, y)) - gp(x, y))
     assert rep.delta == pytest.approx(best, abs=1e-12)
+
+
+# -- CLI fuzzing: one corrupted field in an otherwise valid document ---------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**7) | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    """Valid documents of each kind the CLI reads, with the commands reading them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    io.save_graph(root / "g.json", cl.path_window(6))
+    io.save_metric(root / "m.json", cl.cantor_sample(2))
+    io.save_tree(root / "t.json", cl.homogeneous_tree(2, 3))
+    graft = cl.graft_decomposition(cl.grid_window(3, 3), cl.homogeneous_tree(3, 1).graph, "v")
+    io.save_decomposition(root / "d.json", graft)  # also writes d.ambient.json, d.cert*.json
+    function = {v: str(i % 3) for i, v in enumerate(cl.path_window(6).vertices)}
+    io.write_canonical(root / "f.json", function)
+    g, m, t, d, f = (str(root / f"{stem}.json") for stem in "gmtdf")
+    commands = {
+        "g.json": [["cheeger", "--in", g, "--max-size", "3"], ["delta", "--in", g]],
+        "m.json": [["perfect", "--in", m, "--s", "3", "--eps0", "1"],
+                   ["net", "--in", m, "--eps", "0.3"], ["delta", "--in", m]],
+        "t.json": [["tree", "--in", t, "--max-size", "3"], ["endspace", "--in", t]],
+        "d.json": [["decomp", "--spec", d]],
+        "d.ambient.json": [["decomp", "--spec", d]],
+        "d.cert0.json": [["decomp", "--spec", d]],
+        "f.json": [["certify", "--in", g, "--function", f]],
+    }
+    return root, commands
+
+
+def _field_paths(doc, prefix=()):
+    """The key path of the document itself and of every field nested in it."""
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _field_paths(value, (*prefix, key))
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_exit_codes_on_one_corrupted_field(fuzz_documents, data):
+    root, commands = fuzz_documents
+    name = data.draw(st.sampled_from(sorted(commands)))
+    path = root / name
+    original = path.read_bytes()
+    doc = json.loads(original)
+    field = data.draw(st.sampled_from(list(_field_paths(doc))))
+    value = data.draw(JSON_VALUES)
+    if field:
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+    else:
+        doc = value
+    path.write_text(json.dumps(doc))
+    try:
+        for argv in commands[name]:
+            with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+                try:
+                    code = cli_main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+            assert code in (0, 2, 3, 4), (argv, doc)
+    finally:
+        path.write_bytes(original)
