@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConstructionError, InvalidInputError
+from .errors import ConstructionError, EmptyWindowError, InvalidInputError
 from .graphs import (
     BoundEndpoint,
     CheegerBound,
@@ -278,23 +278,16 @@ def level_certificate(lg: LeveledGraph) -> CertificateResult:
     """
     if lg.k_max - lg.k0 < 2:
         raise InvalidInputError("need at least 3 levels for an interior")
-    c2: Fraction | None = None
-    worst: str | None = None
-    for v in lg.graph.vertices:
-        k = lg.level[v]
-        if not lg.k0 < k < lg.k_max:
-            continue
-        ups = downs = 0
-        for w in lg.graph.adjacency[v]:
-            step = lg.level[w] - k
-            if step == 1:
-                ups += 1
-            elif step == -1:
-                downs += 1
-        val = Fraction(ups - downs, lg.graph.degree(v))
-        if c2 is None or val < c2:
-            c2, worst = val, v
-    assert c2 is not None
+    interior = tuple(v for v in lg.graph.vertices if lg.k0 < lg.level[v] < lg.k_max)
+    if not interior:
+        raise EmptyWindowError("no vertex lies strictly between the extreme levels")
+
+    def drift(v: str) -> Fraction:
+        steps = [lg.level[w] - lg.level[v] for w in lg.graph.adjacency[v]]
+        return Fraction(steps.count(1) - steps.count(-1), lg.graph.degree(v))
+
+    worst = min(interior, key=drift)  # the first minimizer in vertex order
+    c2 = drift(worst)
     c1 = Fraction(1)
     if c2 <= 0:
         return CertificateResult(False, None, c1, c2, violating_vertex=worst)
@@ -304,9 +297,6 @@ def level_certificate(lg: LeveledGraph) -> CertificateResult:
         "certificate",
         witness={"function": "level", "c1": c1, "c2": c2},
         horizon_certified=True,
-    )
-    interior = tuple(
-        v for v in lg.graph.vertices if lg.k0 < lg.level[v] < lg.k_max
     )
     return CertificateResult(True, CheegerBound(lower=endpoint), c1, c2,
                              verified_region=interior)

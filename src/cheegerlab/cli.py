@@ -12,6 +12,7 @@ in the report).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -109,9 +110,9 @@ def _graph_input(token: str) -> tuple[Any, dict]:
 
 def _emit(report: dict, args, started: float) -> None:
     blob = io.canonical_json_bytes(report)
-    sys.stdout.write(blob.decode())
     if args.report:
         Path(args.report).write_bytes(blob)
+    sys.stdout.write(blob.decode())
     print(f"[{report['command']}] wall-time {time.time() - started:.3f}s", file=sys.stderr)
 
 
@@ -382,6 +383,18 @@ def _cmd_scan(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float options: reports carry every parameter as JSON,
+    which has no nan or inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cheegerlab",
@@ -392,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for any sampling (default 0)")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="worker count; results are independent of it",
+        help="accepted and ignored: the library is single-threaded",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -430,26 +443,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("approx", "truncated hyperbolic approximation")
     p.add_argument("--in", dest="infile", required=True, help="metric file or generator")
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--k0", type=int, default=None)
     p.add_argument("--s", type=int, default=1, help="relevel coarsening exponent")
-    p.add_argument("--delta-cap", type=float, default=3.0)
+    p.add_argument("--delta-cap", type=_finite_float, default=3.0)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_approx)
 
     p = add_parser("net", "epsilon-net graph of a metric space")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_net)
 
     p = add_parser("perfect", "uniform-perfectness check over a scale range")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--s", type=float, default=None, help="one-point constant S > 1")
-    p.add_argument("--two-point-r", type=float, default=None, help="two-point constant R > 1")
-    p.add_argument("--eps0", type=float, required=True)
-    p.add_argument("--floor", type=float, default=None)
+    p.add_argument("--s", type=_finite_float, default=None, help="one-point constant S > 1")
+    p.add_argument(
+        "--two-point-r", type=_finite_float, default=None, help="two-point constant R > 1"
+    )
+    p.add_argument("--eps0", type=_finite_float, required=True)
+    p.add_argument("--floor", type=_finite_float, default=None)
     p.add_argument("--grid", default=None, help="comma-separated extra scales")
     p.set_defaults(handler=_cmd_perfect)
 
@@ -481,6 +496,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = args.handler(args)
+        _emit(report, args, started)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -497,7 +513,6 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(report, args, started)
     return code
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -150,18 +149,11 @@ def _tree_from_graph(g: Graph, root: str, live: frozenset[str]) -> RootedTree:
         raise InvalidInputError("piece is not a tree")
     if root not in g.index:
         raise InvalidInputError(f"root {root!r} is not a vertex of the piece")
-    children: dict[str, tuple[str, ...]] = {}
-    parent: dict[str, str] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        kids = sorted(y for y in g.adjacency[x] if y != parent.get(x))
-        children[x] = tuple(kids)
-        for y in kids:
-            parent[y] = x
-            seen.add(y)
-            queue.append(y)
+    depth = g.bfs_distances([root])
+    children = {
+        x: tuple(sorted(y for y in g.adjacency[x] if depth[y] == depth[x] + 1))
+        for x in g.vertices
+    }
     return RootedTree(root, children, live)
 
 
@@ -242,7 +234,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
     for s in sorted(spec.s1):
         certified_union |= spec.pieces.get(s, frozenset())
 
-    for s in sorted(spec.s1):
+    for s in sorted(spec.s1 & ids):  # a label naming no piece is reported above
         cert = spec.certificates.get(s)
         if cert is None:
             violations.append(f"first-class piece {s!r} has no certificate")

@@ -14,7 +14,6 @@ discipline.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -23,11 +22,10 @@ from operator import or_
 from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .errors import (
     BudgetExceededError,
+    ConstructionError,
     EmptyWindowError,
     InvalidInputError,
     InvalidSupportError,
@@ -145,38 +143,48 @@ class Graph:
             out.append(frozenset(comp))
         return out
 
+    @cached_property
+    def _index_adjacency(self) -> list[list[int]]:
+        idx = self.index
+        return [[idx[w] for w in self.adjacency[v]] for v in self.vertices]
+
+    def _bfs(self, sources: Iterable[int]) -> list[int]:
+        """Multi-source BFS over vertex indices, level by level; -1 marks an
+        unreachable vertex."""
+        nbrs = self._index_adjacency
+        dist = [-1] * len(nbrs)
+        level = []
+        for s in sources:
+            if dist[s] < 0:
+                dist[s] = 0
+                level.append(s)
+        d = 0
+        while level:
+            d += 1
+            nxt = []
+            for x in level:
+                for y in nbrs[x]:
+                    if dist[y] < 0:
+                        dist[y] = d
+                        nxt.append(y)
+            level = nxt
+        return dist
+
     def bfs_distances(self, sources: Iterable[str]) -> dict[str, int]:
         """Multi-source BFS distances to every reachable vertex."""
-        dist: dict[str, int] = {}
-        queue: deque[str] = deque()
-        for s in sources:
-            if s not in self.adjacency:
-                raise InvalidInputError(f"unknown vertex {s!r}")
-            if s not in dist:
-                dist[s] = 0
-                queue.append(s)
-        while queue:
-            x = queue.popleft()
-            d = dist[x] + 1
-            for y in self.adjacency[x]:
-                if y not in dist:
-                    dist[y] = d
-                    queue.append(y)
-        return dist
+        try:
+            idx = [self.index[s] for s in sources]
+        except KeyError as exc:
+            raise InvalidInputError(f"unknown vertex {exc.args[0]!r}") from None
+        return {v: d for v, d in zip(self.vertices, self._bfs(idx)) if d >= 0}
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """All-pairs BFS distances as int32 (requires connectivity)."""
-        n = len(self.vertices)
-        ii, jj = [], []
-        for u, v in self.edges:
-            ii.extend((self.index[u], self.index[v]))
-            jj.extend((self.index[v], self.index[u]))
-        adj = csr_matrix((np.ones(len(ii), dtype=np.int8), (ii, jj)), shape=(n, n))
-        dmat = shortest_path(adj, method="D", unweighted=True)
-        if np.isinf(dmat).any():
+        if not self.is_connected:
             raise InvalidInputError("distance matrix requested on a disconnected graph")
-        return dmat.astype(np.int32)
+        n = len(self.vertices)
+        return np.array([self._bfs((i,)) for i in range(n)], dtype=np.int32).reshape(n, n)
 
     def distance(self, u: str, v: str) -> int:
         return int(self.distance_matrix[self.index[u], self.index[v]])
@@ -520,8 +528,8 @@ def certificate_lower_bound(g: Graph, f: Mapping[str, Fraction]) -> CertificateR
     c2, worst_vertex = min((laplacian(g, f, x), x) for x in interior)
     if c2 <= 0:
         return CertificateResult(False, None, c1, c2, violating_vertex=worst_vertex)
-    # c2 > 0 forces some neighbor value to differ, hence c1 > 0.
-    assert c1 > 0, "positive Laplacian with zero gradient is impossible"
+    if c1 == 0:  # c2 > 0 forces some neighbor value to differ, hence c1 > 0
+        raise ConstructionError("positive Laplacian with zero gradient", witness=worst_vertex)
     value = c2 / (g.mu * c1)
     endpoint = BoundEndpoint(
         value,

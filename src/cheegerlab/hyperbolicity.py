@@ -132,7 +132,7 @@ def delta_four_point(
         work = dmat
     pair_w = work[ii, jj]
     wi, wj = work[ii], work[jj]  # (m, n) row gathers, sliced as views per block
-    best_val = None
+    best_val = -1  # every block value is >= 0, so the first block replaces it
     best_at = (0, 0)
     # Pairs q = (k, l), l > k, are contiguous in triu order, so for a fixed k
     # every operand is a slice: d(i_p, k) + d(j_p, l) and d(i_p, l) + d(j_p, k).
@@ -157,10 +157,9 @@ def delta_four_point(
             at = int(vals.argmax())  # first maximizer in row-major block order
             val = vals.flat[at]
             pq = (a + at // width, start + at % width)
-            if best_val is None or val > best_val or (val == best_val and pq < best_at):
+            if val > best_val or (val == best_val and pq < best_at):
                 best_val, best_at = val, pq
         start = end
-    assert best_val is not None
     p, q = best_at
     i, j, k, l = int(ii[p]), int(jj[p]), int(ii[q]), int(jj[q])
     delta = Fraction(int(best_val), 2) if integral else float(best_val) / 2.0

@@ -137,8 +137,8 @@ def epsilon_net(space: FiniteMetricSpace, eps: float) -> Graph:
 
     The distance-2*eps tie is an edge (closed condition).
     """
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise InvalidInputError("eps must be positive and finite")
     names = greedy_separated(space, eps)
     idx = space.index
     edges = []

@@ -245,16 +245,13 @@ def pseudo_regularity_index(t: RootedTree) -> PseudoRegularityResult:
         if ok:
             return PseudoRegularityResult(k, d)
     # defect: exhibit the longest single-descendant chain off a non-root vertex
-    best: tuple[int, int, str] | None = None
-    for a in t.vertices:
-        if a in tinf and a != t.root:
-            run = len(_single_child_chain(t, a)) - 1
-            key = (-run, depth[a], a)
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    defect_vertex = best[2]
-    run = -best[0]
+    # the live ray to a horizon leaf puts a non-root vertex in tinf (horizon >= 1)
+    neg_run, _, defect_vertex = min(
+        (1 - len(_single_child_chain(t, a)), depth[a], a)
+        for a in t.vertices
+        if a in tinf and a != t.root
+    )
+    run = -neg_run
     chain = _single_child_chain(t, defect_vertex)
     family = tuple(
         ChainWitness(k, tuple(chain[:k]), Fraction(2, k)) for k in range(1, run + 1)

@@ -142,6 +142,16 @@ def test_level_certificate_needs_three_levels():
         cl.level_certificate(lg)
 
 
+def test_level_certificate_rejects_an_empty_interior():
+    # k_max - k0 = 2 but no vertex sits on level 1
+    lg = cl.LeveledGraph(
+        cl.Graph.from_edges([("a", "b")]), cl.two_point(1.0), 1 / 6, 0, 2,
+        {"a": 0, "b": 2}, {"a": "p", "b": "q"}, {"a": 1.0, "b": 1 / 36},
+    )
+    with pytest.raises(cl.EmptyWindowError):
+        cl.level_certificate(lg)
+
+
 def test_two_point_certificate_pinches():
     lg = cl.build_truncated(cl.two_point(1.0), 1 / 6, 4)
     cert = cl.level_certificate(lg)

@@ -164,6 +164,13 @@ def test_dropping_a_piece_from_s1_breaks_validation():
     assert any("copy" in v or "base" in v for v in report.violations)
 
 
+def test_first_class_label_naming_no_piece_is_a_violation():
+    spec = graft_spec(rows=3, depth=2)
+    report = cl.validate(dataclasses.replace(spec, pieces={}))
+    assert not report.valid
+    assert "class labels must partition the piece ids with S1 non-empty" in report.violations
+
+
 def test_shared_edge_intersection_rejected():
     g = cl.path_window(4, truncated=False)
     pieces = {

@@ -1,10 +1,13 @@
 """Graph core: boundaries, ratios, the brute-force oracle, discrete calculus,
 certificates and the quasi-isometry checker."""
 
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +20,7 @@ from cheegerlab import (
     InvalidSupportError,
 )
 
-from conftest import oracle_boundary, oracle_min_ratio, oracle_min_ratio_witness
+from conftest import bfs_dist, oracle_boundary, oracle_min_ratio, oracle_min_ratio_witness
 
 
 def p5():
@@ -46,6 +49,62 @@ def test_rejects_disconnected_by_default():
         Graph.from_edges([("a", "b"), ("c", "d")])
     g = Graph.from_edges([("a", "b"), ("c", "d")], require_connected=False)
     assert not g.is_connected
+
+
+def _random_connected_graph(seed, n):
+    rng = np.random.default_rng(seed)
+    edges = {(f"n{int(rng.integers(0, i))}", f"n{i}") for i in range(1, n)}
+    for _ in range(n):
+        i, j = sorted(rng.integers(0, n, size=2).tolist())
+        if i != j:
+            edges.add((f"n{i}", f"n{j}"))
+    return Graph.from_edges(edges)
+
+
+BFS_GRAPHS = {
+    "tree12": lambda: cl.random_tree(12, 0).graph,
+    "tree60": lambda: cl.random_tree(60, 1).graph,
+    "grid5x7": lambda: cl.grid_window(5, 7),
+    "grid9x9": lambda: cl.grid_window(9, 9),
+    "random15": lambda: _random_connected_graph(0, 15),
+    "random40": lambda: _random_connected_graph(1, 40),
+    "graft": lambda: cl.graft(cl.grid_window(3, 4), cl.homogeneous_tree(3, 2).graph, "v").graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BFS_GRAPHS))
+def test_bfs_and_distance_matrix_match_oracle(name):
+    g = BFS_GRAPHS[name]()
+    rows = {v: bfs_dist(g.edges, v) for v in g.vertices}
+    dmat = g.distance_matrix
+    assert dmat.dtype == np.int32
+    assert dmat.tolist() == [[rows[u][v] for v in g.vertices] for u in g.vertices]
+    rng = np.random.default_rng(len(g.vertices))
+    for k in (1, 2, 5):
+        sources = [g.vertices[int(i)] for i in rng.integers(0, len(g.vertices), size=k)]
+        expected = {v: min(rows[s][v] for s in sources) for v in g.vertices}
+        assert g.bfs_distances(sources) == expected
+    if g.frontier:
+        assert g.bfs_distances(g.frontier) == {
+            v: min(rows[s][v] for s in g.frontier) for v in g.vertices
+        }
+
+
+def test_bfs_on_disconnected_graph_and_unknown_source():
+    g = Graph.from_edges([("a", "b"), ("c", "d"), ("d", "e")], require_connected=False)
+    with pytest.raises(InvalidInputError, match="disconnected"):
+        g.distance_matrix
+    assert g.bfs_distances(["a"]) == {"a": 0, "b": 1}
+    assert g.bfs_distances(["b", "e"]) == {"a": 1, "b": 0, "c": 2, "d": 1, "e": 0}
+    with pytest.raises(InvalidInputError, match="unknown vertex"):
+        g.bfs_distances(["a", "z"])
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, cheegerlab.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_components_of_graph_and_of_vertex_subset():

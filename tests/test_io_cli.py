@@ -233,6 +233,35 @@ def test_cli_malformed_metric_input_exits_invalid(tmp_path, argv, document):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approx", "--in", "cantor:4", "--k-max", "4", "--r"],
+        ["approx", "--in", "cantor:4", "--r", "0.111111", "--k-max", "4", "--delta-cap"],
+        ["net", "--in", "cantor:3", "--eps"],
+        ["perfect", "--in", "cantor:4", "--eps0", "1.0", "--s"],
+        ["perfect", "--in", "cantor:4", "--eps0", "1.0", "--two-point-r"],
+        ["perfect", "--in", "cantor:4", "--s", "3", "--eps0"],
+        ["perfect", "--in", "cantor:4", "--s", "3", "--eps0", "1.0", "--floor"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-1]}",
+)
+def test_cli_non_finite_float_options_exit_invalid(argv, value):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cheegerlab.cli", *argv, value], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_unwritable_report_path_exits_invalid(tmp_path, capsys):
+    assert cli_main(["delta", "--in", "two_point:1.0", "--report", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # the report is written to --report before it goes to stdout
+    assert "error:" in err
+
+
 def _deep_tree_text(depth):
     text = f'{{"name": "v{depth}", "live": true}}'
     for i in range(depth - 1, -1, -1):

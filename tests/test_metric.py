@@ -125,6 +125,12 @@ def test_net_singleton_when_eps_dominates():
     assert len(g.vertices) == 1 and not g.edges
 
 
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_net_rejects_eps_outside_zero_to_infinity(eps):
+    with pytest.raises(InvalidInputError):
+        cl.epsilon_net(cl.line_space([0, 1]), eps)
+
+
 def test_net_uniform_sample_includes_distance_ties():
     # kept points sit exactly eps apart, so second neighbors at 2*eps are edges
     space = cl.interval_sample(17)

@@ -1,11 +1,13 @@
 """Randomized cross-checks beyond the per-module suites: every combinatorial
 engine against a naive enumeration on instances it was not tuned for."""
 
+import ast
 import contextlib
 import json
 from fractions import Fraction
 from io import StringIO
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,3 +231,14 @@ def test_cli_exit_codes_on_one_corrupted_field(fuzz_documents, data):
             assert code in (0, 2, 3, 4), (argv, doc)
     finally:
         path.write_bytes(original)
+
+
+def test_library_has_no_assert_statements():
+    """Invariants must survive ``python -O``, which strips every assert."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cl.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
