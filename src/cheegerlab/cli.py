@@ -87,19 +87,34 @@ def _bound_payload(bound: CheegerBound) -> dict:
     return {"lower": endpoint(bound.lower), "upper": endpoint(bound.upper)}
 
 
-_GENERATORS = {"cantor": (cantor_sample, int), "interval": (interval_sample, int),
-               "two_point": (two_point, float)}
+#: Generator specs refuse above this many points, before allocating: at 2^11
+#: points the n x n float matrix and its O(n^3) triangle check take about
+#: 130 MB and a minute.
+MAX_GENERATOR_POINTS = 2**11
+
+# kind -> (constructor, parameter parser, point count of the parameter); a
+# cantor depth past 64 is over the cap whatever it is, so 2^depth is not formed
+_GENERATORS = {
+    "cantor": (cantor_sample, int, lambda depth: 2 ** min(depth, 64)),
+    "interval": (interval_sample, int, lambda n: n),
+    "two_point": (two_point, float, lambda d: 2),
+}
 
 
 def _load_metric_input(token: str) -> tuple[Any, dict]:
     """A metric input is either a file path or a generator spec name:params."""
     kind, _, rest = token.partition(":")
     if kind in _GENERATORS and rest:
-        make, parse = _GENERATORS[kind]
+        make, parse, points = _GENERATORS[kind]
         try:
             value = parse(rest)
         except ValueError:
             raise InvalidInputError(f"bad {kind} parameter {rest!r} in {token!r}") from None
+        count = points(value)
+        if count > MAX_GENERATOR_POINTS:
+            raise BudgetExceededError(
+                count, MAX_GENERATOR_POINTS, what=f"generator points for {token!r}"
+            )
         return make(value), {"generator": token}
     return io.load_metric(token), {"path": token, "sha256": io.sha256_file(token)}
 

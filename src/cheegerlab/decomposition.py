@@ -138,12 +138,6 @@ class ValidationReport:
     scans: dict[str, PieceScan]
 
 
-def _induced(g: Graph, verts: frozenset[str]) -> Graph:
-    edges = frozenset(e for e in g.edges if e[0] in verts and e[1] in verts)
-    order = tuple(v for v in g.vertices if v in verts)
-    return Graph(order, edges, frozenset(g.frontier & verts))
-
-
 def _tree_from_graph(g: Graph, root: str, live: frozenset[str]) -> RootedTree:
     if len(g.edges) != len(g.vertices) - 1 or not g.is_connected:
         raise InvalidInputError("piece is not a tree")
@@ -239,7 +233,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         if cert is None:
             violations.append(f"first-class piece {s!r} has no certificate")
             continue
-        ok, value, reason = _verify_certificate(_induced(g, spec.pieces[s]), cert, spec.rate)
+        ok, value, reason = _verify_certificate(g.induced(spec.pieces[s]), cert, spec.rate)
         if value is not None:
             verified[s] = value
         if not ok:
@@ -248,7 +242,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
     strong = True
     for s in sorted(spec.s2):
         verts = spec.pieces.get(s, frozenset())
-        piece = _induced(g, verts)
+        piece = g.induced(verts)
         contact = sorted(verts & certified_union)
         if not contact:
             violations.append(f"second-class piece {s!r} does not meet the certified union")
@@ -272,7 +266,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
                         f"component {key!r} (starting {min(comp)!r}) has no certificate"
                     )
                 continue
-            ok, value, reason = _verify_certificate(_induced(g, frozenset(comp)), cert, spec.rate)
+            ok, value, reason = _verify_certificate(g.induced(comp), cert, spec.rate)
             if value is not None:
                 verified[key] = value
             if not ok:

@@ -143,6 +143,58 @@ class Graph:
             out.append(frozenset(comp))
         return out
 
+    def induced(self, verts: Iterable[str]) -> "Graph":
+        """Subgraph induced on ``verts``, in this graph's vertex order, keeping
+        their frontier marks; the graph itself (with its cached distances)
+        when ``verts`` covers it."""
+        keep = frozenset(verts)
+        if keep >= self.index.keys():
+            return self
+        edges = frozenset(e for e in self.edges if e[0] in keep and e[1] in keep)
+        order = tuple(v for v in self.vertices if v in keep)
+        return Graph(order, edges, self.frontier & keep)
+
+    def blocks(self) -> list[tuple[int, ...]]:
+        """Biconnected blocks as sorted vertex-index tuples, in sorted order.
+
+        One iterative Tarjan pass, O(n + m): the DFS parent u of v closes a
+        block when nothing below v reaches above u (low[v] >= disc[u]).  Every
+        edge lies in exactly one block, so a bridge is a 2-vertex block and an
+        isolated vertex lies in none."""
+        nbrs = self._index_adjacency
+        disc = [-1] * len(nbrs)
+        low = [0] * len(nbrs)
+        clock = 0
+        out = []
+        for root in range(len(nbrs)):
+            if disc[root] >= 0:
+                continue
+            disc[root] = low[root] = clock
+            clock += 1
+            stack = [root]  # vertices not yet assigned to a closed block
+            walk = [(root, iter(nbrs[root]))]  # the DFS path with unread neighbours
+            while walk:
+                v, rest = walk[-1]
+                for w in rest:
+                    if disc[w] < 0:
+                        disc[w] = low[w] = clock
+                        clock += 1
+                        stack.append(w)
+                        walk.append((w, iter(nbrs[w])))
+                        break
+                    low[v] = min(low[v], disc[w])
+                else:
+                    walk.pop()
+                    if walk:
+                        u = walk[-1][0]
+                        low[u] = min(low[u], low[v])
+                        if low[v] >= disc[u]:
+                            block = [u]
+                            while block[-1] != v:
+                                block.append(stack.pop())
+                            out.append(tuple(sorted(block)))
+        return sorted(out)
+
     @cached_property
     def _index_adjacency(self) -> list[list[int]]:
         idx = self.index

@@ -7,6 +7,21 @@ for the three pairings of {x,y,z,o} into two pairs, twice the contribution is
 (largest pairing sum) - (second largest).  Quadruples with repeated points
 contribute 0, so scanning unordered pairs-of-pairs loses nothing; the scan is
 blocked through numpy and exact (integer distances for graphs).
+
+On a graph the exhaustive constant is the maximum over its biconnected blocks
+(Cohen, Coudert & Lancin, "On computing the Gromov hyperbolicity", ACM JEA 20,
+2015).  A block is isometric in G, since a geodesic that left it would pass a
+cut vertex twice.  Let a cut vertex c split G into sides A and B that meet
+only in c.  If x lies in A - c and y, z, w in B, then every path from x to
+them passes c, so each pairing sum drops by d(x, c) when c replaces x, and
+the quadruple's value is that of (c, y, z, w).  If x, y lie in A and z, w in
+B, then d(x,z) + d(y,w) = d(x,w) + d(y,z) = d(x,c) + d(y,c) + d(z,c) + d(w,c)
+>= d(x,y) + d(z,w), so the two largest sums tie and the value is 0.  Applying
+these two steps at cut vertices until none separates the four points, every
+quadruple's value is 0 or that of a quadruple in one block.  Blocks with
+fewer than 4 vertices contribute 0; a graph whose blocks are all cliques is
+0-hyperbolic (Howorka, J. Combin. Theory Ser. B 27, 1979), and trees are the
+case where every block is one edge.
 """
 
 from __future__ import annotations
@@ -20,7 +35,8 @@ from .errors import BudgetExceededError, InvalidHorizonError, InvalidInputError
 from .graphs import Graph
 from .metric import FiniteMetricSpace
 
-#: Exhaustive scans refuse above this many ordered quadruples (n^4).
+#: Exhaustive scans refuse above this many ordered quadruples: b^4 for the
+#: largest biconnected block of a graph, n^4 for a metric space.
 DEFAULT_DELTA_BUDGET = 2**31
 
 #: Elements per block of the exhaustive scan; bounds its temporaries.
@@ -82,48 +98,16 @@ def _pairing_values(dmat, ii, jj, kk, ll):
     return top - (s1 + s2 + s3 - top - low)  # largest minus second largest
 
 
-def delta_four_point(
-    space: Graph | FiniteMetricSpace,
-    mode: str = "exhaustive",
-    budget: int = DEFAULT_DELTA_BUDGET,
-    seed: int = 0,
-    samples: int = 100_000,
-) -> DeltaReport:
-    """Sharp hyperbolicity constant by exhaustive quadruple scan, or a seeded
-    sampled lower bound when the instance is too large.
+def _scan(dmat: np.ndarray):
+    """Exhaustive scan of one distance matrix: twice its sharp four-point
+    constant, and the first maximizing quadruple of indices.
 
-    The exhaustive witness is the first maximizer over pairs of vertex pairs
-    (p, q), p <= q, in lexicographic order of their ``triu_indices`` ranks."""
-    dmat, names, integral = _distance_matrix(space)
-    n = len(names)
-    if mode not in ("exhaustive", "sampled"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
-
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        qs = rng.integers(0, n, size=(4, samples))
-        vals = _pairing_values(dmat, qs[0], qs[1], qs[2], qs[3])
-        at = int(vals.argmax())
-        best = vals[at]
-        i, j, k, l = (int(qs[t, at]) for t in range(4))
-        delta = Fraction(int(best), 2) if integral else float(best) / 2.0
-        return DeltaReport(
-            delta, _role_order(dmat, names, i, j, k, l), "sampled",
-            lower_bound_only=True, seed=seed, sample_count=samples,
-        )
-
-    if n**4 > budget:
-        raise BudgetExceededError(
-            n**4, budget, what="ordered quadruples; rerun in sampled mode"
-        )
-    if n < 2:
-        return DeltaReport(
-            Fraction(0) if integral else 0.0,
-            (names[0],) * 4, "exhaustive", lower_bound_only=False,
-        )
-
+    The witness is the first maximizer over pairs of index pairs (p, q),
+    p <= q, in lexicographic order of their ``triu_indices`` ranks.  Integer
+    matrices are scanned exactly."""
+    n = len(dmat)
     ii, jj = np.triu_indices(n, k=1)
-    if integral:
+    if np.issubdtype(dmat.dtype, np.integer):
         # pairing sums reach twice the diameter; the narrowest safe integer
         # type keeps the scan's memory traffic low
         top_d = dmat.max()
@@ -132,7 +116,7 @@ def delta_four_point(
         work = dmat
     pair_w = work[ii, jj]
     wi, wj = work[ii], work[jj]  # (m, n) row gathers, sliced as views per block
-    best_val = -1  # every block value is >= 0, so the first block replaces it
+    best_val = 0  # quadruples with a repeated point give 0
     best_at = (0, 0)
     # Pairs q = (k, l), l > k, are contiguous in triu order, so for a fixed k
     # every operand is a slice: d(i_p, k) + d(j_p, l) and d(i_p, l) + d(j_p, k).
@@ -160,10 +144,78 @@ def delta_four_point(
             if val > best_val or (val == best_val and pq < best_at):
                 best_val, best_at = val, pq
         start = end
+    if best_val <= 0:
+        return best_val, (0, 0, 0, 0)
     p, q = best_at
-    i, j, k, l = int(ii[p]), int(jj[p]), int(ii[q]), int(jj[q])
+    return best_val, (int(ii[p]), int(jj[p]), int(ii[q]), int(jj[q]))
+
+
+def delta_four_point(
+    space: Graph | FiniteMetricSpace,
+    mode: str = "exhaustive",
+    budget: int = DEFAULT_DELTA_BUDGET,
+    seed: int = 0,
+    samples: int = 100_000,
+) -> DeltaReport:
+    """Sharp hyperbolicity constant by exhaustive quadruple scan, or a seeded
+    sampled lower bound when the instance is too large.
+
+    On a graph the exhaustive scan runs block by block, and ``budget`` bounds
+    b^4 for the largest biconnected block b; it is checked before any
+    distance is computed.  A metric space is scanned whole, against n^4.
+
+    Witness rule: blocks are taken in order of their sorted parent-index
+    tuples, and the witness comes from the first block attaining the maximum.
+    Within that block (or the whole metric space) it is the first maximizer
+    over pairs of vertex pairs (p, q), p <= q, in lexicographic order of their
+    ``triu_indices`` ranks, with vertices in parent order.  When the constant
+    is 0 the witness is the first vertex four times."""
+    if mode not in ("exhaustive", "sampled"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if isinstance(space, Graph) and not space.vertices:
+        raise InvalidInputError("four-point constant requested on an empty graph")
+
+    if mode == "sampled":
+        dmat, names, integral = _distance_matrix(space)
+        rng = np.random.default_rng(seed)
+        qs = rng.integers(0, len(names), size=(4, samples))
+        vals = _pairing_values(dmat, qs[0], qs[1], qs[2], qs[3])
+        at = int(vals.argmax())
+        best = vals[at]
+        i, j, k, l = (int(qs[t, at]) for t in range(4))
+        delta = Fraction(int(best), 2) if integral else float(best) / 2.0
+        return DeltaReport(
+            delta, _role_order(dmat, names, i, j, k, l), "sampled",
+            lower_bound_only=True, seed=seed, sample_count=samples,
+        )
+
+    if isinstance(space, Graph):
+        if not space.is_connected:
+            raise InvalidInputError("four-point constant requested on a disconnected graph")
+        blocks = space.blocks()
+        largest = max(map(len, blocks), default=len(space.vertices))
+        where = f"the largest biconnected block ({largest} vertices)"
+        names, integral = space.vertices, True
+        # each block is isometric in the graph, so its own BFS gives its
+        # distances; blocks below 4 vertices hold no 4 distinct points.  The
+        # generator defers every BFS past the budget check below.
+        parts = (space.induced(names[i] for i in block) for block in blocks if len(block) >= 4)
+    else:
+        _, names, integral = _distance_matrix(space)
+        largest, where = len(names), f"a {len(names)}-point space"
+        parts = (space,)
+    if largest**4 > budget:
+        raise BudgetExceededError(
+            largest**4, budget, what=f"ordered quadruples in {where}; rerun in sampled mode"
+        )
+
+    best_val, witness = 0, (names[0],) * 4
+    for part in parts:
+        dmat, part_names, _ = _distance_matrix(part)
+        val, (i, j, k, l) = _scan(dmat)
+        if val > best_val:
+            best_val, witness = val, _role_order(dmat, part_names, i, j, k, l)
     delta = Fraction(int(best_val), 2) if integral else float(best_val) / 2.0
-    witness = _role_order(dmat, names, i, j, k, l) if best_val > 0 else (names[0],) * 4
     return DeltaReport(delta, witness, "exhaustive", lower_bound_only=False)
 
 

@@ -77,6 +77,29 @@ def oracle_min_ratio_witness(vertices, edges, candidates, max_size):
     return best
 
 
+def oracle_blocks(vertices, edges):
+    """Biconnected blocks as vertex sets: two edges share a block iff no
+    single vertex x leaves them in different components of G - x (an edge at
+    x sides with its other endpoint)."""
+    edges = [tuple(e) for e in edges]
+    sides = []
+    for x in vertices:
+        rest = [e for e in edges if x not in e]
+        comp = {}
+        for v in vertices:
+            if v != x and v not in comp:
+                for w in bfs_dist(rest, v):
+                    comp[w] = v
+                comp[v] = v
+        sides.append(
+            [comp[e[0]] if e[0] != x else comp[e[1]] for e in edges]
+        )
+    classes = {}
+    for k, e in enumerate(edges):
+        classes.setdefault(tuple(side[k] for side in sides), set()).update(e)
+    return {frozenset(c) for c in classes.values()}
+
+
 def oracle_delta(vertices, edges):
     """Sharp four-point constant by four nested loops over ordered tuples."""
     dist = {v: bfs_dist(edges, v) for v in vertices}

@@ -20,7 +20,7 @@ from cheegerlab import (
     InvalidSupportError,
 )
 
-from conftest import bfs_dist, oracle_boundary, oracle_min_ratio, oracle_min_ratio_witness
+from conftest import bfs_dist, oracle_blocks, oracle_boundary, oracle_min_ratio, oracle_min_ratio_witness
 
 
 def p5():
@@ -122,6 +122,28 @@ def test_components_of_graph_and_of_vertex_subset():
     assert cl.path_window(5).components() == [frozenset("12345")]
     with pytest.raises(InvalidInputError):
         g.components({"a", "q"})
+
+
+@pytest.mark.parametrize("name", sorted(BFS_GRAPHS))
+def test_blocks_match_oracle(name):
+    g = BFS_GRAPHS[name]()
+    blocks = g.blocks()
+    assert blocks == sorted(blocks) and all(list(b) == sorted(b) for b in blocks)
+    found = [frozenset(g.vertices[i] for i in b) for b in blocks]
+    assert len(found) == len(set(found))
+    assert set(found) == oracle_blocks(g.vertices, g.edges)
+
+
+def test_blocks_of_small_and_disconnected_graphs():
+    assert Graph(("a",), frozenset()).blocks() == []
+    # a triangle and a pendant edge at c, a separate edge, an isolated z
+    g = Graph.from_edges(
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("x", "y")],
+        vertices=["a", "b", "c", "d", "x", "y", "z"],
+        require_connected=False,
+    )
+    assert g.blocks() == [(0, 1, 2), (2, 3), (4, 5)]
+    assert cl.cycle_graph(6).blocks() == [tuple(range(6))]
 
 
 def test_rejects_frontier_outside_vertices():

@@ -1,6 +1,8 @@
 """Gromov products, the exact four-point constant against a nested-loop
 oracle, sampled mode, and the finite-horizon pole defect."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from cheegerlab import (
     hyperbolicity,
 )
 
-from conftest import oracle_delta
+from conftest import oracle_blocks, oracle_delta
 
 
 def random_connected_graph(seed, nmin=4, nmax=9):
@@ -29,6 +31,38 @@ def random_connected_graph(seed, nmin=4, nmax=9):
             a, b = names[int(min(i, j))], names[int(max(i, j))]
             edges.add((a, b))
     return Graph.from_edges(edges)
+
+
+def glued_graph(seed):
+    """Random connected pieces of 2-4 vertices, each glued to the graph built
+    so far at one vertex, which becomes a cut vertex."""
+    rng = np.random.default_rng(seed)
+    names = ["n0"]
+    edges = set()
+    for _ in range(int(rng.integers(2, 5))):
+        size = int(rng.integers(2, 5))
+        members = [names[int(rng.integers(0, len(names)))]]
+        members += [f"n{len(names) + i}" for i in range(size - 1)]
+        names += members[1:]
+        edges |= {(members[int(rng.integers(0, i))], members[i]) for i in range(1, size)}
+        for _ in range(int(rng.integers(0, size + 1))):
+            i, j = rng.integers(0, size, size=2)
+            if i != j:
+                edges.add((members[int(i)], members[int(j)]))
+    return Graph.from_edges(edges)
+
+
+def check_block_delta(g):
+    """Block-by-block delta against the scan of the whole distance matrix,
+    the nested-loop oracle on small graphs, and its own witness."""
+    rep = cl.delta_four_point(g)
+    whole, _ = hyperbolicity._scan(g.distance_matrix)
+    assert rep.delta == Fraction(int(whole), 2)
+    if len(g.vertices) <= 8:
+        assert rep.delta == oracle_delta(g.vertices, g.edges)
+    assert cl.evaluate_witness(g, rep.witness) == rep.delta
+    assert any(set(rep.witness) <= {g.vertices[i] for i in b} for b in g.blocks())
+    return rep
 
 
 # -- gromov product ----------------------------------------------------------------
@@ -100,16 +134,18 @@ def test_exhaustive_matches_nested_loop_oracle(seed):
     "graph, witness",
     [
         (cl.cycle_graph(13), ("0", "6", "3", "9")),
-        (random_connected_graph(28, nmin=13, nmax=17), ("n0", "n7", "n13", "n9")),
+        (random_connected_graph(28, nmin=13, nmax=17), ("n0", "n7", "n4", "n9")),
     ],
     ids=["cycle13", "random15"],
 )
 def test_exhaustive_scan_over_several_chunks(monkeypatch, graph, witness):
-    # 78 and 105 vertex pairs: more than one block of pairs, and with small
-    # chunk sizes every block also splits into row chunks.  Both graphs have
-    # several maximizing quadruples, so the first-maximizer rule is exercised
-    # across chunk borders; the witnesses are those of the original
-    # 64-row chunked scan.
+    # The scanned blocks have 78 and 45 vertex pairs (cycle13 is one block;
+    # random15's largest block has 10 of its 15 vertices): more than one run
+    # of pairs, and with small chunk sizes every run also splits into row
+    # chunks.  Both graphs have several maximizing quadruples, so the
+    # first-maximizer rule is exercised across chunk borders.  random15's
+    # whole-graph scan found ('n0', 'n7', 'n13', 'n9'); n13 hangs off the cut
+    # vertex n4, so inside the block the same pairing is witnessed by n4.
     expected = oracle_delta(graph.vertices, graph.edges)
     assert expected > 0
     for chunk in (1, 7, 64, hyperbolicity._CHUNK_ELEMS):
@@ -118,6 +154,38 @@ def test_exhaustive_scan_over_several_chunks(monkeypatch, graph, witness):
         assert rep.delta == expected
         assert rep.witness == witness
         assert cl.evaluate_witness(graph, rep.witness) == rep.delta
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_block_delta_on_graphs_with_cut_vertices(seed):
+    g = glued_graph(seed)
+    blocks = {frozenset(g.vertices[i] for i in b) for b in g.blocks()}
+    assert len(blocks) >= 2 and blocks == oracle_blocks(g.vertices, g.edges)
+    check_block_delta(g)
+
+
+@pytest.mark.parametrize(
+    "base, att",
+    [
+        (cl.grid_window(3, 3, truncated=False), cl.homogeneous_tree(3, 2).graph),
+        (cl.cycle_graph(5), cl.cycle_graph(4)),
+    ],
+    ids=["grid3-t3", "cycle5-cycle4"],
+)
+def test_block_delta_on_grafts(base, att):
+    # each attachment copy meets the rest of the graft at one cut vertex
+    g = cl.graft(base, att, att.vertices[0]).graph
+    expected = max(cl.delta_four_point(base).delta, cl.delta_four_point(att).delta)
+    assert check_block_delta(g).delta == expected
+
+
+@pytest.mark.parametrize("depth, k_max, s", [(5, 3, 1), (6, 4, 1), (6, 4, 2)])
+def test_block_delta_on_leveled_cantor_graphs(depth, k_max, s):
+    lg = cl.build_truncated(cl.cantor_sample(depth), 1 / 9, k_max)
+    if s > 1:
+        lg = cl.relevel(lg, s)
+    assert check_block_delta(lg.graph).delta == Fraction(1, 2)
 
 
 def test_delta_on_metric_space():
@@ -136,6 +204,31 @@ def test_budget_error_instructs_sampling():
     g = cl.grid_window(6, 6, truncated=False)
     with pytest.raises(BudgetExceededError, match="sampled"):
         cl.delta_four_point(g, budget=1000)
+
+
+def test_budget_is_checked_before_any_distance_work():
+    g = cl.cycle_graph(300)  # one block: 300^4 exceeds the default budget
+    with pytest.raises(BudgetExceededError, match=r"largest biconnected block \(300 vertices\)"):
+        cl.delta_four_point(g)
+    assert "distance_matrix" not in g.__dict__
+
+
+def test_budget_bounds_the_largest_block():
+    g = cl.path_window(3000, truncated=False)  # 3000^4 is far past the budget; blocks are edges
+    rep = cl.delta_four_point(g)
+    assert rep.delta == 0 and rep.mode == "exhaustive"
+    assert rep.witness == (g.vertices[0],) * 4
+    with pytest.raises(BudgetExceededError, match=r"\(2 vertices\)"):
+        cl.delta_four_point(g, budget=15)
+
+
+def test_disconnected_or_empty_graph_is_invalid():
+    g = Graph.from_edges([("a", "b"), ("c", "d")], require_connected=False)
+    with pytest.raises(InvalidInputError, match="disconnected"):
+        cl.delta_four_point(g)
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(InvalidInputError, match="empty graph"):
+            cl.delta_four_point(Graph((), frozenset()), mode=mode)
 
 
 def test_sampled_mode_is_a_lower_bound():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import cheegerlab as cl
-from cheegerlab import io
+from cheegerlab import cli, io
 from cheegerlab.cli import main as cli_main
 
 
@@ -211,6 +211,26 @@ def test_cli_bad_generator_parameter_exits_invalid():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "cantor:abc" in proc.stderr
+
+
+def test_generator_point_budget_is_checked_before_allocating(monkeypatch, capsys):
+    def refuse(value):
+        raise AssertionError(f"generator called with {value!r} past the point budget")
+
+    for kind in ("cantor", "interval"):
+        monkeypatch.setitem(cli._GENERATORS, kind, (refuse, *cli._GENERATORS[kind][1:]))
+    assert cli_main(["delta", "--in", "cantor:40"]) == 3
+    assert cli_main(["net", "--in", "interval:1000000", "--eps", "0.1"]) == 3
+    assert "interval:1000000" in capsys.readouterr().err
+    monkeypatch.undo()
+
+    monkeypatch.setattr(cli, "MAX_GENERATOR_POINTS", 16)
+    assert cli_main(["delta", "--in", "cantor:4"]) == 0  # 16 points
+    assert cli_main(["delta", "--in", "cantor:5"]) == 3
+    assert cli_main(["net", "--in", "interval:16", "--eps", "0.5"]) == 0
+    assert cli_main(["net", "--in", "interval:17", "--eps", "0.5"]) == 3
+    assert cli_main(["delta", "--in", "two_point:1.0"]) == 0
+    assert cli_main(["delta", "--in", "cantor:-1"]) == 2  # under the cap, invalid depth
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cheegerlab as cl
-from cheegerlab import Graph, io
+from cheegerlab import Graph, cli, io
 from cheegerlab.cli import main as cli_main
 from cheegerlab.trees import _connected_sets
 
@@ -231,6 +231,28 @@ def test_cli_exit_codes_on_one_corrupted_field(fuzz_documents, data):
             assert code in (0, 2, 3, 4), (argv, doc)
     finally:
         path.write_bytes(original)
+
+
+GENERATOR_PARAMETERS = st.one_of(
+    st.integers(-3, 10**7).map(str), st.floats().map(repr), st.text(max_size=6)
+)
+GENERATOR_COMMANDS = {
+    "delta": [],
+    "net": ["--eps", "0.3"],
+    "perfect": ["--s", "3", "--eps0", "1"],
+}
+
+
+@given(st.sampled_from(["cantor", "interval", "two_point"]), GENERATOR_PARAMETERS,
+       st.sampled_from(sorted(GENERATOR_COMMANDS)))
+@settings(max_examples=80, deadline=None)
+def test_cli_exit_codes_on_generator_specs(kind, parameter, command):
+    argv = [command, "--in", f"{kind}:{parameter}", *GENERATOR_COMMANDS[command]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "MAX_GENERATOR_POINTS", 32)  # keeps every accepted spec tiny
+        with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+            code = cli_main(argv)
+    assert code in (0, 2, 3, 4), argv
 
 
 def test_library_has_no_assert_statements():
