@@ -386,7 +386,11 @@ def _connected_bitsets(adj: list[int], carry: list[int], max_size: int):
     """Yield ``(set, acc)`` once for each connected set of at most ``max_size``
     vertices; vertex i is bit i, ``adj[i]`` its neighbours, ``acc`` the OR of
     ``carry`` over the set.  Exclusive-neighbourhood extension (ESU; Wernicke,
-    IEEE/ACM TCBB 2006) on an explicit stack, twice as fast as recursion."""
+    IEEE/ACM TCBB 2006) on an explicit stack, twice as fast as recursion.
+
+    A true value sent back for a set skips its supersets in the enumeration
+    tree (every later set grown from it); a plain ``for`` loop sends None and
+    gets every connected set."""
     for v in range(len(adj)):
         above = -(2 << v)  # every bit position greater than v
         stack = [(0, 0, 1 << v, 0, 0)]  # (set, its neighbours, extension, acc, size)
@@ -399,7 +403,8 @@ def _connected_bitsets(adj: list[int], carry: list[int], max_size: int):
             w = low.bit_length() - 1
             sub |= low
             acc |= carry[w]
-            yield sub, acc
+            if (yield sub, acc):
+                continue
             grown = ext | (adj[w] & above & ~nbrs)
             if size + 1 < max_size and grown:
                 stack.append((sub, nbrs | adj[w], grown, acc, size + 1))
@@ -428,6 +433,16 @@ def interior_cheeger_bruteforce(
     Only sets connected in G^2 (distance <= 2 joins) are scanned: a set's
     G^2-components lie at distance >= 3, so its ratio is a mediant of theirs,
     and the minimizers are the unions of far-apart G^2-connected ones.
+
+    The scan is a branch and bound.  Let S be a scanned set, b = |dS|,
+    s = |S|, m = ``max_size``, and S' any superset with |S'| <= m.  A vertex
+    of dS that S' leaves out is next to S, so it stays in dS'; hence
+    |dS'| >= b - (|S'| - s) and |dS'|/|S'| >= (b + s)/|S'| - 1 >= (b + s)/m - 1.
+    The supersets grown from S are skipped when that bound is strictly above
+    the best ratio so far.  The best ratio only falls, so a final minimizer's
+    subsets never meet a bound above it: ties are never pruned, and every
+    minimizer is still scanned.  ``budget`` bounds the count of all subsets
+    up to the cap, checked before any work, whatever the pruning then saves.
     """
     adm = sorted(admissible_vertices(g))
     if not adm:
@@ -450,10 +465,18 @@ def interior_cheeger_bruteforce(
     ]
 
     # ratio best_b/best_s (first above all), its lex-smallest minimizer, the least
-    # size of one, and the minimizers below the cap
+    # size of one, and the minimizers below the cap; ``prune`` skips the
+    # supersets of a set whose bound (b + s)/max_size - 1 exceeds the best
     best_b, best_s, lex_min, least, tied = 1, 0, 0, 0, []
-    for sub, acc in _connected_bitsets(square, [closed[v] for v in adm], max_size):
+    sets = _connected_bitsets(square, [closed[v] for v in adm], max_size)
+    prune = None
+    while True:
+        try:
+            sub, acc = sets.send(prune)
+        except StopIteration:
+            break
         b, s = (acc & ~sub).bit_count(), sub.bit_count()
+        prune = (b + s - max_size) * best_s > best_b * max_size
         if b * best_s < best_b * s:
             best_b, best_s, lex_min, least, tied = b, s, sub, s, []
         elif b * best_s > best_b * s:

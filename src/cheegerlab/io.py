@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -202,22 +203,52 @@ def leveled_payload(lg: LeveledGraph) -> dict:
     }
 
 
+def _integer(x: Any, what: str) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise InvalidInputError(f"leveled document: {what} must be an integer")
+    return x
+
+
+def _finite(x: Any, what: str) -> float:
+    if not isinstance(x, (int, float)) or isinstance(x, bool) or not math.isfinite(x):
+        raise InvalidInputError(f"leveled document: {what} must be a finite number")
+    return float(x)
+
+
 def leveled_from_payload(data: dict) -> LeveledGraph:
+    if not isinstance(data, dict):
+        raise InvalidInputError("leveled document must be an object")
+    for key in ("graph", "space", "r", "k0", "k_max", "level", "center", "radius"):
+        if key not in data:
+            raise InvalidInputError(f"leveled document misses {key!r}")
     graph = graph_from_payload(data["graph"])
     space = metric_from_payload(data["space"])
-    lg = LeveledGraph(
+    for key in ("level", "center", "radius"):
+        if not isinstance(data[key], dict) or set(data[key]) != set(graph.vertices):
+            raise InvalidInputError(
+                f"leveled document: {key!r} must map exactly the graph's vertices"
+            )
+    k0 = _integer(data["k0"], "'k0'")
+    k_max = _integer(data["k_max"], "'k_max'")
+    level = {v: _integer(k, f"the level of {v!r}") for v, k in data["level"].items()}
+    if any(not k0 <= k <= k_max for k in level.values()):
+        raise InvalidInputError("leveled document: levels must lie in [k0, k_max]")
+    points = set(space.points)
+    for v, p in data["center"].items():
+        if not isinstance(p, str) or p not in points:
+            raise InvalidInputError(
+                f"leveled document: the center of {v!r} names no point of the space"
+            )
+    return LeveledGraph(
         graph,
         space,
-        float(data["r"]),
-        int(data["k0"]),
-        int(data["k_max"]),
-        {str(v): int(k) for v, k in data["level"].items()},
-        {str(v): str(p) for v, p in data["center"].items()},
-        {str(v): float(x) for v, x in data["radius"].items()},
+        _finite(data["r"], "'r'"),
+        k0,
+        k_max,
+        level,
+        dict(data["center"]),
+        {v: _finite(x, f"the radius of {v!r}") for v, x in data["radius"].items()},
     )
-    if set(lg.level) != set(graph.vertices):
-        raise InvalidInputError("level map must cover exactly the vertices")
-    return lg
 
 
 def save_leveled(path: str | Path, lg: LeveledGraph) -> None:

@@ -18,6 +18,7 @@ from cheegerlab import (
     Graph,
     InvalidInputError,
     InvalidSupportError,
+    graphs,
 )
 
 from conftest import bfs_dist, oracle_blocks, oracle_boundary, oracle_min_ratio, oracle_min_ratio_witness
@@ -358,6 +359,129 @@ def test_interior_union_search_with_many_far_apart_ties():
     bound = cl.interior_cheeger_bruteforce(g, 22)
     assert time.perf_counter() - start < 2
     assert (bound.upper.value, bound.upper.witness["set"]) == (0, ("v00",))
+
+
+@pytest.fixture
+def oracle_counts(monkeypatch):
+    """Count the sets the window oracle draws from the subset enumerator and
+    how many of them it sends back a skip for."""
+    counts = {"drawn": 0, "pruned": 0}
+    enumerate_sets = graphs._connected_bitsets
+
+    def counting(*args):
+        inner = enumerate_sets(*args)
+        prune = None
+        while True:
+            try:
+                item = inner.send(prune)
+            except StopIteration:
+                return
+            counts["drawn"] += 1
+            prune = yield item
+            counts["pruned"] += bool(prune)
+
+    monkeypatch.setattr(graphs, "_connected_bitsets", counting)
+    return counts
+
+
+PRUNED_WINDOWS = {
+    "grid8": lambda: cl.grid_window(8, 8),
+    "grid9": lambda: cl.grid_window(9, 9),
+    "T3d6": lambda: cl.homogeneous_tree(3, 6).graph,
+}
+
+
+@pytest.mark.parametrize(
+    "name, cap", [*(("grid8", cap) for cap in range(2, 7)), ("grid9", 4), ("grid9", 5), ("T3d6", 5)]
+)
+def test_pruned_oracle_matches_literal_oracle(oracle_counts, name, cap):
+    g = PRUNED_WINDOWS[name]()
+    bound = cl.interior_cheeger_bruteforce(g, cap)
+    adm = cl.admissible_vertices(g)
+    expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, cap)
+    assert (bound.upper.value, bound.upper.witness["set"]) == expected
+    assert oracle_counts["pruned"] > 0
+
+
+def random_window(seed):
+    """One to three identical copies, with vertex names shuffled across them,
+    of a vertex 0 joining a random tree on 1..t to a clique (where many sets
+    tie), plus up to two random edges.  The frontier hangs off each copy's
+    vertex 0, so the copies lie far apart and tied minimizers can unite."""
+    rng = np.random.default_rng(seed)
+    copies, t, q = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 9))
+    n = 1 + t + q
+    edges = {(int(rng.integers(0, i)), i) for i in range(1, t + 1)}
+    edges |= {*combinations(range(t + 1, n), 2), (0, int(rng.integers(t + 1, n)))}
+    edges |= {tuple(sorted(rng.choice(n, 2, replace=False).tolist()))
+              for _ in range(int(rng.integers(0, 3)))}
+    names = [f"v{k:02d}" for k in rng.permutation(copies * n)]
+    pairs = [(names[c * n + i], names[c * n + j]) for c in range(copies) for i, j in edges]
+    pairs += [(names[c * n], f"f{c}") for c in range(copies)]
+    frontier = [f"f{c}" for c in range(copies)]
+    return Graph.from_edges(pairs, [*names, *frontier], frontier, require_connected=False)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_pruned_oracle_on_random_windows_below_the_admissible_count(seed, cap_seed):
+    g = random_window(seed)
+    adm = cl.admissible_vertices(g)
+    # caps below the admissible count that the literal oracle can check quickly
+    caps = [m for m in range(1, len(adm)) if m == 1 or graphs.subset_count(len(adm), m) <= 20_000]
+    cap = caps[cap_seed % len(caps)]
+    bound = cl.interior_cheeger_bruteforce(g, cap)
+    expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, cap)
+    assert (bound.upper.value, bound.upper.witness["set"]) == expected
+
+
+@pytest.mark.parametrize("seed, cap", [(1, 4), (128, 3), (282, 4)])
+def test_pruned_oracle_keeps_union_witnesses(oracle_counts, seed, cap):
+    g = random_window(seed)
+    adm = cl.admissible_vertices(g)
+    bound = cl.interior_cheeger_bruteforce(g, cap)
+    witness = set(bound.upper.witness["set"])
+    assert oracle_counts["pruned"] > 0
+    assert sum(1 for part in g.components() if part & witness) > 1
+    expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, cap)
+    assert (bound.upper.value, bound.upper.witness["set"]) == expected
+
+
+def test_pruned_oracle_keeps_ties_at_the_cap():
+    # the lex-smallest minimizer fills the cap and grows from a set whose
+    # superset bound equals the best ratio, so pruning on ties would lose it
+    g = random_window(203)
+    adm = cl.admissible_vertices(g)
+    bound = cl.interior_cheeger_bruteforce(g, 8)
+    assert (bound.upper.value, len(bound.upper.witness["set"])) == (Fraction(1, 4), 8)
+    assert (bound.upper.value, bound.upper.witness["set"]) == oracle_min_ratio_witness(
+        g.vertices, g.edges, adm, 8
+    )
+
+
+def test_oracle_work_on_grid9_at_cap9(oracle_counts):
+    # without pruning the enumerator yields all 1,899,059 sets connected in G^2
+    bound = cl.interior_cheeger_bruteforce(cl.grid_window(9, 9), 9)
+    assert oracle_counts["drawn"] <= 250_000
+    assert bound.upper.value == Fraction(11, 9)
+    assert bound.upper.witness["set"] == (
+        "g2.2", "g2.3", "g2.4", "g3.2", "g3.3", "g3.4", "g3.5", "g4.3", "g4.4"
+    )
+
+
+def test_converse_scan_over_grids_keeps_values_and_witnesses():
+    report = cl.converse_scan([cl.grid_window(k, k) for k in range(5, 10)])
+    assert report.values == (4, 2, Fraction(4, 3), 1, Fraction(11, 9))
+    def square(rows, cols):
+        return tuple(f"g{r}.{c}" for r in rows for c in cols)
+
+    assert report.witnesses == (
+        ("g2.2",),
+        square((2, 3), (2, 3)),
+        square((2, 3, 4), (2, 3, 4)),
+        square((2, 3, 4), (2, 3, 4, 5)) + square((5,), (2, 3, 4)),
+        ("g2.2", "g2.3", "g2.4", "g3.2", "g3.3", "g3.4", "g3.5", "g4.3", "g4.4"),
+    )
 
 
 def test_interior_budget_and_window_errors():

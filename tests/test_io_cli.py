@@ -76,6 +76,53 @@ def test_leveled_round_trip(tmp_path):
     assert back.graph.edges == lg.graph.edges
 
 
+def _first_vertex(field, value):
+    """Mutation setting ``field`` of the first vertex (in sorted order) to ``value``."""
+    def mutate(doc):
+        doc[field][min(doc[field])] = value
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda doc: doc.pop("radius"), id="radius-missing"),
+        pytest.param(lambda doc: doc.update(graph=[]), id="graph-not-object"),
+        pytest.param(lambda doc: doc["space"].pop("dist"), id="space-without-dist"),
+        pytest.param(lambda doc: doc.update(r="abc"), id="r-string"),
+        pytest.param(lambda doc: doc.update(r=float("inf")), id="r-infinite"),
+        pytest.param(lambda doc: doc.update(r=True), id="r-bool"),
+        pytest.param(lambda doc: doc.update(k0=None), id="k0-null"),
+        pytest.param(lambda doc: doc.update(k0=0.5), id="k0-float"),
+        pytest.param(lambda doc: doc.update(k_max="2"), id="k_max-string"),
+        pytest.param(lambda doc: doc.update(level=[]), id="level-list"),
+        pytest.param(_first_vertex("level", "1"), id="level-string"),
+        pytest.param(_first_vertex("level", 99), id="level-above-k_max"),
+        pytest.param(lambda doc: doc["level"].pop(min(doc["level"])), id="level-misses-vertex"),
+        pytest.param(lambda doc: doc.update(center="x"), id="center-string"),
+        pytest.param(_first_vertex("center", 1.5), id="center-float"),
+        pytest.param(_first_vertex("center", "no-such-point"), id="center-unknown-point"),
+        pytest.param(lambda doc: doc["center"].update(extra="0"), id="center-extra-vertex"),
+        pytest.param(lambda doc: doc.update(radius=[1.0]), id="radius-list"),
+        pytest.param(_first_vertex("radius", "abc"), id="radius-string"),
+        pytest.param(_first_vertex("radius", float("nan")), id="radius-nan"),
+    ],
+)
+def test_leveled_loader_type_checks_fields(mutate):
+    doc = io.leveled_payload(cl.build_truncated(cl.cantor_sample(3), 1 / 9, 2))
+    mutate(doc)
+    with pytest.raises(cl.InvalidInputError):
+        io.leveled_from_payload(doc)
+
+
+def test_leveled_loader_rejects_non_object_documents(tmp_path):
+    path = tmp_path / "lg.json"
+    for text in ("[]", '"lg"', "3", "null", '{"r": Infinity}'):
+        path.write_text(text)
+        with pytest.raises(cl.InvalidInputError):
+            io.load_leveled(path)
+
+
 def test_decomposition_round_trip(tmp_path):
     spec = cl.graft_decomposition(
         cl.grid_window(3, 3), cl.homogeneous_tree(3, 2).graph, "v"
