@@ -27,15 +27,7 @@ from .approximation import (
     structural_checks,
 )
 from .decomposition import converse_scan, decomposition_bound, graft, graft_decomposition, validate
-from .errors import (
-    BudgetExceededError,
-    CheegerLabError,
-    ConstructionError,
-    EmptyWindowError,
-    InvalidHorizonError,
-    InvalidInputError,
-    InvalidSupportError,
-)
+from .errors import BudgetExceededError, CheegerLabError, ConstructionError, InvalidInputError
 from .graphs import (
     DEFAULT_SUBSET_BUDGET,
     CheegerBound,
@@ -255,7 +247,7 @@ def _cmd_endspace(args) -> tuple[dict, int]:
 def _cmd_approx(args) -> tuple[dict, int]:
     space, src = _load_metric_input(args.infile)
     lg = build_truncated(space, args.r, args.k_max, k0=args.k0)
-    if args.s and args.s > 1:
+    if args.s != 1:
         lg = relevel(lg, args.s)
     checks = structural_checks(lg, delta_cap=args.delta_cap)
     cert = level_certificate(lg) if lg.k_max - lg.k0 >= 2 else None
@@ -305,8 +297,8 @@ def _cmd_perfect(args) -> tuple[dict, int]:
         grid = [float(x) for x in args.grid.split(",")] if args.grid else []
     except ValueError:
         raise InvalidInputError(f"bad --grid {args.grid!r}: need comma-separated numbers") from None
-    floor = args.floor if args.floor is not None else (space.resolution_floor or 0.0)
-    if floor <= 0:
+    floor = args.floor if args.floor is not None else space.resolution_floor
+    if floor is None:
         raise InvalidInputError("no resolution floor known; pass --floor explicitly")
     if args.two_point_r is not None:
         cert = two_point_perfectness_check(space, args.two_point_r, args.eps0, floor, grid)
@@ -461,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
     p.add_argument("--k0", type=int, default=None)
-    p.add_argument("--s", type=int, default=1, help="relevel coarsening exponent")
+    p.add_argument("--s", type=int, default=1, help="relevel coarsening exponent (>= 1)")
     p.add_argument("--delta-cap", type=_finite_float, default=3.0)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_approx)
@@ -518,14 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"construction invariant falsified: {exc} (witness: {exc.witness})", file=sys.stderr)
         return EXIT_FALSIFIED
-    except (
-        InvalidInputError,
-        InvalidSupportError,
-        InvalidHorizonError,
-        EmptyWindowError,
-        OSError,
-        CheegerLabError,
-    ) as exc:
+    except (CheegerLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     return code

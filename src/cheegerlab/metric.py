@@ -29,7 +29,8 @@ class FiniteMetricSpace:
 
     ``resolution_floor`` is optional metadata set by constructions that know
     the scale below which the sample stops resolving its source (end spaces,
-    regular samples); it is advisory and does not affect the metric.
+    regular samples); it is advisory and does not affect the metric.  When
+    given it must be a finite positive number, since reports carry it as JSON.
     """
 
     points: tuple[str, ...]
@@ -46,6 +47,8 @@ class FiniteMetricSpace:
             raise InvalidInputError(f"distance matrix must be {n}x{n}")
         if n == 0:
             raise InvalidInputError("empty metric space")
+        if self.resolution_floor is not None and not 0 < self.resolution_floor < np.inf:
+            raise InvalidInputError("resolution_floor must be a finite positive number")
         if not np.isfinite(d).all():
             raise InvalidInputError("distances must be finite")
         if (d.diagonal() != 0).any():

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -106,10 +106,6 @@ class RootedTree:
     @cached_property
     def horizon(self) -> int:
         return max(self._depth.values())
-
-    @cached_property
-    def leaves(self) -> frozenset[str]:
-        return frozenset(v for v in self.vertices if not self.children[v])
 
     def sphere(self, t: int) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self._depth[v] == t)
@@ -499,29 +495,26 @@ def lemma_suite(
 
 
 def end_space(t: RootedTree) -> FiniteMetricSpace:
-    """Ultrametric on the live leaves: d(F, G) = exp(-depth of the branching
-    point).  Resolution floor exp(-horizon); diameter at most 1."""
+    """Visual ultrametric on the live leaves: d(F, G) = exp(-a(F, G)), where
+    the Gromov product a(F, G) is the depth of the branching point of F and G.
+    Resolution floor exp(-horizon); diameter at most 1.
+
+    Every live leaf sits at the horizon, so a(F, G) counts the shared
+    ancestors below the root.  The shared root paths of x, z and of z, y are
+    both prefixes of z's, so x and y share the shorter: a(x, y) >=
+    min(a(x, z), a(z, y)), and d is an ultrametric by construction.
+    """
     leaves = [v for v in t.vertices if v in t.live]
     if not leaves:
         raise EmptyWindowError("no live leaves: the end space is empty")
-    paths = {f: t.root_path(f) for f in leaves}
-    n = len(leaves)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            pi, pj = paths[leaves[i]], paths[leaves[j]]
-            split = 0
-            for a, b in zip(pi, pj):
-                if a != b:
-                    break
-                split += 1
-            d[i, j] = d[j, i] = math.exp(-(split - 1))
-    space = FiniteMetricSpace(tuple(leaves), d, resolution_floor=math.exp(-t.horizon))
-    dm = space.dist
-    for x in range(n):  # ultrametric: d(x,y) <= max(d(x,z), d(z,y)) for all triples
-        if not (dm[x][:, None] <= np.maximum(dm[x][None, :], dm)).all():
-            raise InvalidInputError("end space failed the ultrametric inequality")
-    return space
+    rank = {v: i for i, v in enumerate(t.vertices)}
+    ancestors = np.array([[rank[a] for a in t.root_path(f)[1:]] for f in leaves])
+    branch = np.zeros((len(leaves), len(leaves)), dtype=np.intp)
+    for level in ancestors.T:  # one n x n comparison per depth: O(n^2) memory
+        branch += level[:, None] == level[None, :]
+    # math.exp, not np.exp, for the same floats as exp(-a); a = horizon only on the diagonal
+    exps = np.array([math.exp(-a) for a in range(t.horizon)] + [0.0])
+    return FiniteMetricSpace(tuple(leaves), exps[branch], resolution_floor=math.exp(-t.horizon))
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +526,24 @@ def _tree_from_children(root: str, kids: dict[str, list[str]], live: Iterable[st
     return RootedTree(root, {v: tuple(c) for v, c in kids.items()}, frozenset(live))
 
 
+def _layered_tree(depth: int, fan: Callable[[int], int], sep: str) -> RootedTree:
+    """Grow a tree from the root "v" one level at a time: fan(t) is called
+    once per vertex on level t, in level order, and that vertex gets as many
+    children, named by appending the child's digit ("v" + sep + digit for the
+    root's children).  The horizon leaves are live."""
+    kids: dict[str, tuple[str, ...]] = {}
+    frontier = ["v"]
+    for level in range(depth):
+        nxt: list[str] = []
+        for name in frontier:
+            stem = name + sep if level == 0 else name
+            kids[name] = tuple(f"{stem}{i}" for i in range(fan(level)))
+            nxt.extend(kids[name])
+        frontier = nxt
+    kids.update((v, ()) for v in frontier)
+    return RootedTree("v", kids, frozenset(frontier))
+
+
 def homogeneous_tree(k: int, depth: int) -> RootedTree:
     """Window of the k-regular tree: the root has k children, every other
     internal vertex k-1; all horizon leaves live."""
@@ -540,19 +551,7 @@ def homogeneous_tree(k: int, depth: int) -> RootedTree:
         raise InvalidInputError("need 2 <= k <= 10")
     if depth < 1:
         raise InvalidInputError("need depth >= 1")
-    kids: dict[str, list[str]] = {"v": []}
-    frontier: list[str] = ["v"]
-    for level in range(depth):
-        nxt: list[str] = []
-        for name in frontier:
-            fan = k if name == "v" else k - 1
-            for i in range(fan):
-                child = f"{name}{i}" if name != "v" else f"v{i}"
-                kids[name].append(child)
-                kids[child] = []
-                nxt.append(child)
-        frontier = nxt
-    return _tree_from_children("v", kids, frontier)
+    return _layered_tree(depth, lambda level: k if level == 0 else k - 1, "")
 
 
 def full_branching_tree(b: int, depth: int) -> RootedTree:
@@ -561,18 +560,7 @@ def full_branching_tree(b: int, depth: int) -> RootedTree:
         raise InvalidInputError("need 1 <= b <= 10")
     if depth < 1:
         raise InvalidInputError("need depth >= 1")
-    kids: dict[str, list[str]] = {"v": []}
-    frontier = ["v"]
-    for _ in range(depth):
-        nxt = []
-        for name in frontier:
-            for i in range(b):
-                child = f"{name}.{i}" if name == "v" else f"{name}{i}"
-                kids[name].append(child)
-                kids[child] = []
-                nxt.append(child)
-        frontier = nxt
-    return _tree_from_children("v", kids, frontier)
+    return _layered_tree(depth, lambda level: b, ".")
 
 
 def even_branching_tree(depth: int) -> RootedTree:
@@ -580,19 +568,7 @@ def even_branching_tree(depth: int) -> RootedTree:
     minimal pseudo-regularity constant is 2."""
     if depth < 2:
         raise InvalidInputError("need depth >= 2")
-    kids: dict[str, list[str]] = {"v": []}
-    frontier = ["v"]
-    for level in range(depth):
-        nxt = []
-        fan = 2 if level % 2 == 0 else 1
-        for name in frontier:
-            for i in range(fan):
-                child = f"{name}.{i}" if name == "v" else f"{name}{i}"
-                kids[name].append(child)
-                kids[child] = []
-                nxt.append(child)
-        frontier = nxt
-    return _tree_from_children("v", kids, frontier)
+    return _layered_tree(depth, lambda level: 2 if level % 2 == 0 else 1, ".")
 
 
 def comb_tree(depth: int, tooth: int) -> RootedTree:
@@ -651,19 +627,9 @@ def random_branching_tree(
     if depth < 1 or min_children < 1 or max_children < min_children:
         raise InvalidInputError("bad branching parameters")
     rng = np.random.default_rng(seed)
-    kids: dict[str, list[str]] = {"v": []}
-    frontier = ["v"]
-    for _ in range(depth):
-        nxt = []
-        for name in frontier:
-            fan = int(rng.integers(min_children, max_children + 1))
-            for i in range(fan):
-                child = f"{name}.{i}" if name == "v" else f"{name}{i}"
-                kids[name].append(child)
-                kids[child] = []
-                nxt.append(child)
-        frontier = nxt
-    return _tree_from_children("v", kids, frontier)
+    return _layered_tree(
+        depth, lambda level: int(rng.integers(min_children, max_children + 1)), "."
+    )
 
 
 def random_tree(n: int, seed: int) -> RootedTree:
@@ -674,17 +640,11 @@ def random_tree(n: int, seed: int) -> RootedTree:
     rng = np.random.default_rng(seed)
     names = [f"r{i}" for i in range(n)]
     kids: dict[str, list[str]] = {names[0]: []}
+    depth = [0] * n
     for i in range(1, n):
-        p = names[int(rng.integers(0, i))]
-        kids[p].append(names[i])
+        p = int(rng.integers(0, i))
+        kids[names[p]].append(names[i])
         kids[names[i]] = []
-    depth = {names[0]: 0}
-    stack = [names[0]]
-    while stack:
-        x = stack.pop()
-        for c in kids[x]:
-            depth[c] = depth[x] + 1
-            stack.append(c)
-    horizon = max(depth.values())
-    live = [v for v in names if not kids[v] and depth[v] == horizon]
-    return _tree_from_children(names[0], kids, live)
+        depth[i] = depth[p] + 1
+    horizon = max(depth)
+    return _tree_from_children(names[0], kids, [v for v, dv in zip(names, depth) if dv == horizon])

@@ -11,6 +11,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 
@@ -113,6 +114,26 @@ def oracle_delta(vertices, edges):
                     if val > best:
                         best = val
     return best
+
+
+def oracle_random_branching(depth, seed, min_children=2, max_children=3):
+    """(children, live) of the seeded branching tree, level by level: one
+    ``default_rng(seed).integers`` draw per vertex, in frontier order, picks
+    its child count; children append a digit ("v." + digit under the root)."""
+    rng = np.random.default_rng(seed)
+    children = {}
+    frontier = ["v"]
+    for _ in range(depth):
+        nxt = []
+        for name in frontier:
+            count = int(rng.integers(min_children, max_children + 1))
+            kids = [(name + "." if name == "v" else name) + str(i) for i in range(count)]
+            children[name] = tuple(kids)
+            nxt += kids
+        frontier = nxt
+    for name in frontier:
+        children[name] = ()
+    return children, set(frontier)
 
 
 @pytest.fixture

@@ -442,6 +442,32 @@ def test_cli_net_and_approx_outputs(workdir, tmp_path):
     assert lg.k_max == 2
 
 
+@pytest.mark.parametrize("floor", ["Infinity", "NaN"])
+def test_cli_approx_rejects_a_floor_that_is_not_finite_and_positive(tmp_path, floor):
+    doc = tmp_path / "m.json"
+    doc.write_text(
+        '{"points": ["a", "b"], "dist": [[0, 1], [1, 0]], "resolution_floor": %s}' % floor
+    )
+    argv = ["approx", "--in", str(doc), "--r", "0.1", "--k-max", "2",
+            "--out", str(tmp_path / "lg.json")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cheegerlab.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "resolution_floor" in proc.stderr
+
+
+@pytest.mark.parametrize("s", ["0", "-5"])
+def test_cli_approx_rejects_s_below_one(workdir, capsys, s):
+    code, blob = run_cli(
+        ["approx", "--in", "cantor:4", "--r", str(1 / 9), "--k-max", "2", "--s", s], workdir
+    )
+    assert code == 2
+    assert blob == b""
+    assert "s >= 1" in capsys.readouterr().err
+
+
 def test_cli_decomp_matches_library(workdir):
     code, blob = run_cli(["decomp", "--spec", str(workdir / "graft.json")], workdir)
     assert code == 0

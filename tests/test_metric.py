@@ -78,6 +78,14 @@ def test_rejects_non_finite_distances():
             FiniteMetricSpace(("a", "b"), np.array([[0.0, bad], [bad, 0.0]]))
 
 
+@pytest.mark.parametrize("floor", [np.inf, np.nan, 0.0, -1.0])
+def test_rejects_resolution_floor_that_is_not_finite_and_positive(floor):
+    d = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="resolution_floor"):
+        FiniteMetricSpace(("a", "b"), d, floor)
+    assert FiniteMetricSpace(("a", "b"), d, 0.5).resolution_floor == 0.5
+
+
 # -- greedy separated sets ----------------------------------------------------------
 
 

@@ -5,12 +5,13 @@ end spaces."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cheegerlab as cl
 from cheegerlab import EmptyWindowError, InvalidInputError
 
-from conftest import oracle_min_ratio
+from conftest import bfs_dist, oracle_min_ratio, oracle_random_branching
 
 
 # -- construction and invariants -----------------------------------------------
@@ -43,6 +44,62 @@ def test_generator_sphere_sizes():
     assert [len(t.sphere(k)) for k in range(5)] == [1, 3, 6, 12, 24]
     t5 = cl.homogeneous_tree(5, 3)
     assert [len(t5.sphere(k)) for k in range(4)] == [1, 5, 20, 80]
+
+
+def test_homogeneous_tree_literal():
+    t = cl.homogeneous_tree(3, 2)
+    assert t.vertices == ("v", "v0", "v1", "v2", "v20", "v21", "v10", "v11", "v00", "v01")
+    assert t.children == {
+        "v": ("v0", "v1", "v2"),
+        "v0": ("v00", "v01"), "v1": ("v10", "v11"), "v2": ("v20", "v21"),
+        "v00": (), "v01": (), "v10": (), "v11": (), "v20": (), "v21": (),
+    }
+    assert t.live == {"v00", "v01", "v10", "v11", "v20", "v21"}
+
+
+def test_full_branching_tree_literal():
+    t = cl.full_branching_tree(2, 2)
+    assert t.vertices == ("v", "v.0", "v.1", "v.10", "v.11", "v.00", "v.01")
+    assert t.children == {
+        "v": ("v.0", "v.1"), "v.0": ("v.00", "v.01"), "v.1": ("v.10", "v.11"),
+        "v.00": (), "v.01": (), "v.10": (), "v.11": (),
+    }
+    assert t.live == {"v.00", "v.01", "v.10", "v.11"}
+
+
+def test_even_branching_tree_literal():
+    t = cl.even_branching_tree(3)
+    assert t.vertices == (
+        "v", "v.0", "v.1", "v.10", "v.100", "v.101", "v.00", "v.000", "v.001"
+    )
+    assert t.children == {
+        "v": ("v.0", "v.1"), "v.0": ("v.00",), "v.1": ("v.10",),
+        "v.00": ("v.000", "v.001"), "v.10": ("v.100", "v.101"),
+        "v.000": (), "v.001": (), "v.100": (), "v.101": (),
+    }
+    assert t.live == {"v.000", "v.001", "v.100", "v.101"}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 9])
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("children", [(2, 3), (1, 3)])
+def test_random_branching_tree_matches_seeded_oracle(seed, depth, children):
+    t = cl.random_branching_tree(depth, seed, *children)
+    kids, live = oracle_random_branching(depth, seed, *children)
+    assert t.children == kids
+    assert t.live == live
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 60, 200])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_random_tree_depths_and_live_leaves(n, seed):
+    t = cl.random_tree(n, seed)
+    rng = np.random.default_rng(seed)
+    parents = {f"r{i}": f"r{int(rng.integers(0, i))}" for i in range(1, n)}
+    assert t.parent == parents
+    depth = bfs_dist(parents.items(), "r0")
+    assert t.depth == depth
+    assert t.live == {v for v, d in depth.items() if d == max(depth.values())}
 
 
 def test_graph_frontier_is_live_set():
@@ -377,6 +434,55 @@ def test_end_space_ultrametric_exhaustive():
         for y in range(n):
             for z in range(n):
                 assert d[x, y] <= max(d[x, z], d[z, y])
+
+
+def _literal_end_distances(t):
+    """d(F, G) = exp(-(length of the common root-path prefix - 1)), pair by pair."""
+    parent = {c: p for p, cs in t.children.items() for c in cs}
+
+    def path(x):
+        out = [x]
+        while out[-1] in parent:
+            out.append(parent[out[-1]])
+        return out[::-1]
+
+    leaves = [v for v in t.vertices if v in t.live]
+    dist = {}
+    for f in leaves:
+        for g in leaves:
+            common = 0
+            for a, b in zip(path(f), path(g)):
+                if a != b:
+                    break
+                common += 1
+            dist[f, g] = 0.0 if f == g else math.exp(-(common - 1))
+    return leaves, dist
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cl.homogeneous_tree(3, 4),
+    lambda: cl.homogeneous_tree(4, 3),
+    lambda: cl.even_branching_tree(7),
+    lambda: cl.random_branching_tree(4, seed=2),
+    lambda: cl.random_branching_tree(4, seed=7, min_children=1),
+    lambda: cl.comb_tree(6, 2),
+    lambda: cl.grafted_dead_branches(cl.homogeneous_tree(3, 4), 2),
+    lambda: cl.grafted_dead_branches(cl.random_branching_tree(3, seed=4), 1),
+    lambda: cl.tree_from_parents(
+        "v", {"a": "v", "b": "v", "c": "a", "d": "a", "e": "c", "f": "c", "g": "d", "i": "b",
+              "h": "i"},
+        live=["e", "f", "g", "h"],
+    ),
+])
+def test_end_space_distances_equal_literal_branch_depths(make):
+    t = make()
+    leaves, dist = _literal_end_distances(t)
+    space = cl.end_space(t)
+    assert list(space.points) == leaves
+    assert space.resolution_floor == math.exp(-t.horizon)
+    for i, f in enumerate(leaves):
+        for j, g in enumerate(leaves):
+            assert space.dist[i, j] == dist[f, g], (f, g)
 
 
 # -- perfectness equivalence -----------------------------------------------------------------------
