@@ -23,7 +23,7 @@ from .graphs import (
     CheegerBound,
     CertificateResult,
     Graph,
-    normalize_edge,
+    edges_where,
 )
 from .hyperbolicity import DeltaReport, delta_four_point, gromov_product
 from .metric import FiniteMetricSpace, greedy_separated, strongly_bounded_geometry_profile
@@ -57,8 +57,10 @@ class LeveledGraph:
     @property
     def base(self) -> str:
         """The unique vertex of the lowest level."""
-        (name,) = [v for v, k in self.level.items() if k == self.k0]
-        return name
+        names = [v for v, k in self.level.items() if k == self.k0]
+        if len(names) != 1:
+            raise InvalidInputError(f"level {self.k0} has {len(names)} vertices")
+        return names[0]
 
     def level_vertices(self, k: int) -> tuple[str, ...]:
         return tuple(v for v in self.graph.vertices if self.level[v] == k)
@@ -104,25 +106,14 @@ def build_truncated(
 
     d = space.dist
     idx = space.index
-    levels: dict[int, list[str]] = {}
-    for k in range(k0, k_max + 1):
-        levels[k] = list(greedy_separated(space, r**k))
+    levels = {k: greedy_separated(space, r**k) for k in range(k0, k_max + 1)}
     if len(levels[k0]) != 1:
-        raise ConstructionError(
-            "base level is not a single vertex", witness=tuple(levels[k0])
-        )
+        raise ConstructionError("base level is not a single vertex", witness=levels[k0])
 
-    names: list[str] = []
-    level_map: dict[str, int] = {}
-    center: dict[str, str] = {}
-    radius: dict[str, float] = {}
-    for k in range(k0, k_max + 1):
-        for p in levels[k]:
-            v = _vertex_name(k, p)
-            names.append(v)
-            level_map[v] = k
-            center[v] = p
-            radius[v] = 2 * r**k
+    names = {k: [_vertex_name(k, p) for p in levels[k]] for k in levels}
+    level_map = {v: k for k in levels for v in names[k]}
+    center = {v: p for k in levels for v, p in zip(names[k], levels[k])}
+    radius = {v: 2 * r**k for k in levels for v in names[k]}
 
     edges: set[tuple[str, str]] = set()
     for k in range(k0, k_max + 1):
@@ -130,32 +121,15 @@ def build_truncated(
         rad = 2 * r**k
         inside = d[:, pts] <= rad  # closed balls, one column per vertex
         hits = inside.T.astype(np.int32) @ inside.astype(np.int32)
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if hits[a, b] > 0:
-                    edges.add(
-                        normalize_edge(
-                            _vertex_name(k, levels[k][a]), _vertex_name(k, levels[k][b])
-                        )
-                    )
+        edges |= edges_where(np.triu(hits > 0, 1), names[k], names[k])
         if k < k_max:
             up = [idx[p] for p in levels[k + 1]]
-            rad_up = 2 * r ** (k + 1)
-            in_up = d[:, up] < rad_up  # open balls for containment
+            in_up = d[:, up] < 2 * r ** (k + 1)  # open balls for containment
             out_lo = ~(d[:, pts] < rad)
             misses = out_lo.T.astype(np.int32) @ in_up.astype(np.int32)
-            for a in range(len(pts)):
-                for b in range(len(up)):
-                    if misses[a, b] == 0:
-                        edges.add(
-                            normalize_edge(
-                                _vertex_name(k, levels[k][a]),
-                                _vertex_name(k + 1, levels[k + 1][b]),
-                            )
-                        )
+            edges |= edges_where(misses == 0, names[k], names[k + 1])
 
-    frontier = frozenset(_vertex_name(k_max, p) for p in levels[k_max])
-    graph = Graph(tuple(names), frozenset(edges), frontier)
+    graph = Graph(tuple(level_map), frozenset(edges), frozenset(names[k_max]))
     built = LeveledGraph(graph, space, r, k0, k_max, level_map, center, radius)
     skips, no_upper = _level_violations(built)
     problems = skips + no_upper

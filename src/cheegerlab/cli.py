@@ -348,20 +348,25 @@ def _cmd_decomp(args) -> tuple[dict, int]:
 def _cmd_graft(args) -> tuple[dict, int]:
     base, bsrc = _graph_input(args.base)
     att, asrc = _graph_input(args.attachment)
-    result = graft(base, att, args.port)
-    if args.out:
-        io.save_graph(args.out, result.graph)
     if args.decomposition:
-        io.save_decomposition(args.decomposition, graft_decomposition(base, att, args.port))
+        spec = graft_decomposition(base, att, args.port)
+        graph, pieces = spec.ambient, spec.pieces
+    else:
+        result = graft(base, att, args.port)
+        graph, pieces = result.graph, result.pieces
+    if args.out:
+        io.save_graph(args.out, graph)
+    if args.decomposition:
+        io.save_decomposition(args.decomposition, spec)
     report = _base_report(
         "graft", {"base": bsrc, "attachment": asrc},
         {"port": args.port, "out": args.out, "decomposition": args.decomposition},
     )
     report["results"] = {
-        "vertices": len(result.graph.vertices),
-        "edges": len(result.graph.edges),
-        "max_degree": result.graph.mu,
-        "pieces": len(result.pieces),
+        "vertices": len(graph.vertices),
+        "edges": len(graph.edges),
+        "max_degree": graph.mu,
+        "pieces": len(pieces),
     }
     return report, EXIT_OK
 

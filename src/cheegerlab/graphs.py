@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 from operator import or_
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,12 @@ Rational = Fraction | int
 def normalize_edge(u: str, v: str) -> tuple[str, str]:
     """Canonical (sorted) form of an undirected edge."""
     return (u, v) if u <= v else (v, u)
+
+
+def edges_where(mask: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> set[tuple[str, str]]:
+    """Canonical edges {rows[i], cols[j]} for the true entries (i, j) of a
+    boolean relation matrix."""
+    return {normalize_edge(rows[i], cols[j]) for i, j in zip(*np.nonzero(mask))}
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,8 @@ class Graph:
         keep = frozenset(verts)
         if keep >= self.index.keys():
             return self
-        edges = frozenset(e for e in self.edges if e[0] in keep and e[1] in keep)
         order = tuple(v for v in self.vertices if v in keep)
+        edges = frozenset((u, w) for u in order for w in self.adjacency[u] if u < w and w in keep)
         return Graph(order, edges, self.frontier & keep)
 
     def blocks(self) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .graphs import Graph, normalize_edge
+from .graphs import Graph, edges_where
 
 TRIANGLE_TOL = 1e-9
 
@@ -127,12 +127,14 @@ def greedy_separated(space: FiniteMetricSpace, r: float) -> tuple[str, ...]:
     """
     if r <= 0:
         raise InvalidInputError("separation radius must be positive")
-    kept: list[int] = []
-    d = space.dist
-    for i in range(len(space.points)):
-        if all(d[i, j] >= r for j in kept):
-            kept.append(i)
-    return tuple(space.points[i] for i in kept)
+    # by symmetry, a point is blocked iff some kept point lies strictly within r of it
+    kept: list[str] = []
+    blocked = np.zeros(len(space.points), dtype=bool)
+    for i, p in enumerate(space.points):
+        if not blocked[i]:
+            kept.append(p)
+            blocked |= space.dist[i] < r
+    return tuple(kept)
 
 
 def epsilon_net(space: FiniteMetricSpace, eps: float) -> Graph:
@@ -143,14 +145,9 @@ def epsilon_net(space: FiniteMetricSpace, eps: float) -> Graph:
     if not 0 < eps < np.inf:
         raise InvalidInputError("eps must be positive and finite")
     names = greedy_separated(space, eps)
-    idx = space.index
-    edges = []
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            dd = space.dist[idx[names[a]], idx[names[b]]]
-            if 0 < dd <= 2 * eps:
-                edges.append(normalize_edge(names[a], names[b]))
-    return Graph(tuple(names), frozenset(edges), frozenset())
+    ids = [space.index[p] for p in names]
+    near = np.triu(space.dist[np.ix_(ids, ids)] <= 2 * eps, 1)
+    return Graph(names, frozenset(edges_where(near, names, names)), frozenset())
 
 
 # ---------------------------------------------------------------------------

@@ -497,7 +497,8 @@ def lemma_suite(
 def end_space(t: RootedTree) -> FiniteMetricSpace:
     """Visual ultrametric on the live leaves: d(F, G) = exp(-a(F, G)), where
     the Gromov product a(F, G) is the depth of the branching point of F and G.
-    Resolution floor exp(-horizon); diameter at most 1.
+    Resolution floor exp(-horizon), so the horizon must stay below 746, where
+    exp underflows to 0 in binary64; diameter at most 1.
 
     Every live leaf sits at the horizon, so a(F, G) counts the shared
     ancestors below the root.  The shared root paths of x, z and of z, y are
@@ -507,6 +508,11 @@ def end_space(t: RootedTree) -> FiniteMetricSpace:
     leaves = [v for v in t.vertices if v in t.live]
     if not leaves:
         raise EmptyWindowError("no live leaves: the end space is empty")
+    if math.exp(-t.horizon) == 0.0:
+        raise InvalidInputError(
+            f"horizon {t.horizon} is too deep for an end space: exp(-{t.horizon}) "
+            "underflows to 0 in binary64"
+        )
     rank = {v: i for i, v in enumerate(t.vertices)}
     ancestors = np.array([[rank[a] for a in t.root_path(f)[1:]] for f in leaves])
     branch = np.zeros((len(leaves), len(leaves)), dtype=np.intp)

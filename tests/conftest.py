@@ -136,6 +136,51 @@ def oracle_random_branching(depth, seed, min_children=2, max_children=3):
     return children, set(frontier)
 
 
+def oracle_greedy_separated(points, dist, r):
+    """Greedy r-separated subset in input order: a point is kept iff it lies
+    at distance >= r from every point kept before it."""
+    kept = []
+    for i in range(len(points)):
+        if all(dist[i][j] >= r for j in kept):
+            kept.append(i)
+    return tuple(points[i] for i in kept)
+
+
+def oracle_net_edges(points, dist, eps):
+    """Edges of the eps-net: pairs of greedy eps-separated points at distance
+    <= 2*eps, one pair at a time."""
+    at = {p: i for i, p in enumerate(points)}
+    kept = oracle_greedy_separated(points, dist, eps)
+    return {
+        tuple(sorted((a, b)))
+        for a, b in combinations(kept, 2)
+        if dist[at[a]][at[b]] <= 2 * eps
+    }
+
+
+def oracle_approximation_edges(points, dist, r, k0, k_max):
+    """Edges of the truncated approximation, one vertex pair at a time, on
+    the greedy r^k-separated levels: horizontal iff some x lies in both
+    closed balls of radius 2 r^k, radial iff every x in the upper open ball
+    lies in the lower open ball."""
+    at = {p: i for i, p in enumerate(points)}
+    levels = {k: oracle_greedy_separated(points, dist, r**k) for k in range(k0, k_max + 1)}
+    edges = set()
+    for k in range(k0, k_max + 1):
+        rad = 2 * r**k
+        for a, b in combinations(levels[k], 2):
+            if any(dist[at[a]][x] <= rad and dist[at[b]][x] <= rad for x in range(len(points))):
+                edges.add(tuple(sorted((f"L{k}:{a}", f"L{k}:{b}"))))
+        if k == k_max:
+            continue
+        rad_up = 2 * r ** (k + 1)
+        for a in levels[k]:
+            for b in levels[k + 1]:
+                if all(dist[at[a]][x] < rad for x in range(len(points)) if dist[at[b]][x] < rad_up):
+                    edges.add(tuple(sorted((f"L{k}:{a}", f"L{k + 1}:{b}"))))
+    return edges
+
+
 @pytest.fixture
 def rng_seeds():
     return list(range(10))

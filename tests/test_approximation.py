@@ -8,7 +8,9 @@ import pytest
 
 import cheegerlab as cl
 from cheegerlab import FiniteMetricSpace, InvalidInputError
-from cheegerlab.io import canonical_json_bytes, leveled_payload
+from cheegerlab.io import canonical_json_bytes, leveled_from_payload, leveled_payload
+
+from conftest import oracle_approximation_edges
 
 
 def singleton():
@@ -66,6 +68,21 @@ def test_cantor_level_sizes_and_determinism():
     again = cl.build_truncated(cl.cantor_sample(6), 1 / 9, 3)
     assert canonical_json_bytes(leveled_payload(lg)) == canonical_json_bytes(
         leveled_payload(again)
+    )
+
+
+@pytest.mark.parametrize("make,r,k_max", [
+    pytest.param(lambda: cl.cantor_sample(5), 1 / 9, 3, id="cantor5"),
+    pytest.param(lambda: cl.cantor_sample(4), 1 / 6, 3, id="cantor4-r6"),
+    pytest.param(lambda: cl.interval_sample(17), 1 / 6, 2, id="interval17"),
+    pytest.param(lambda: cl.interval_sample(9), 1 / 9, 2, id="interval9-r9"),
+    pytest.param(lambda: cl.end_space(cl.homogeneous_tree(3, 4)), math.exp(-2), 2, id="ends-T3d4"),
+])
+def test_build_matches_literal_edge_oracle(make, r, k_max):
+    space = make()
+    lg = cl.build_truncated(space, r, k_max)
+    assert lg.graph.edges == oracle_approximation_edges(
+        space.points, space.dist.tolist(), r, lg.k0, k_max
     )
 
 
@@ -229,3 +246,12 @@ def test_boundary_identification_rejects_same_center():
     lg = cl.build_truncated(cl.two_point(1.0), 1 / 6, 2)
     with pytest.raises(InvalidInputError):
         cl.boundary_identification_check(lg, pairs=[("L2:p", "L2:p")])
+
+
+def test_loaded_document_with_two_base_vertices_is_invalid_input():
+    doc = leveled_payload(cl.build_truncated(cl.cantor_sample(3), 1 / 9, 2))
+    k0 = doc["k0"]
+    doc["level"][min(v for v, k in doc["level"].items() if k == k0 + 1)] = k0
+    lg = leveled_from_payload(doc)
+    with pytest.raises(InvalidInputError, match=f"level {k0} has 2 vertices"):
+        cl.boundary_identification_check(lg)

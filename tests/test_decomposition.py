@@ -74,7 +74,7 @@ def test_formula_preconditions():
 def test_graft_vertex_count():
     base = cl.grid_window(5, 5)
     att = cl.homogeneous_tree(3, 4).graph
-    result = cl.graft(base, att, "v", verify_limit=0)
+    result = cl.graft(base, att, "v")
     assert len(result.graph.vertices) == 25 + 25 * (len(att.vertices) - 1)
     assert result.graph.mu == base.mu + 3
 
@@ -88,14 +88,16 @@ def test_graft_single_vertex_base_is_attachment():
 
 
 def test_graft_preserves_base_distances():
-    base = cl.grid_window(4, 4)
     att = cl.homogeneous_tree(3, 2).graph
-    result = cl.graft(base, att, "v")  # within the verification limit
-    db = base.distance_matrix
-    dr = result.graph.distance_matrix
-    for i, u in enumerate(base.vertices):
-        for j, w in enumerate(base.vertices):
-            assert db[i, j] == dr[result.graph.index[u], result.graph.index[w]]
+    for rows in (4, 6):  # 160 and 360 vertices
+        base = cl.grid_window(rows, rows)
+        result = cl.graft(base, att, "v")
+        db = base.distance_matrix
+        dr = result.graph.distance_matrix
+        for i, u in enumerate(base.vertices):
+            for j, w in enumerate(base.vertices):
+                assert db[i, j] == dr[result.graph.index[u], result.graph.index[w]]
+    assert len(result.graph.vertices) == 360
 
 
 def test_graft_delta_monotone():

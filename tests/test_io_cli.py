@@ -494,6 +494,33 @@ def test_cli_graft_writes_artifacts(workdir, tmp_path):
     assert cl.validate(io.load_decomposition(dec)).valid
 
 
+def test_cli_graft_results_and_out_do_not_depend_on_decomposition(workdir, tmp_path):
+    io.save_graph(workdir / "base.json", cl.grid_window(3, 3))
+    io.save_graph(workdir / "att.json", cl.homogeneous_tree(3, 2).graph)
+    io.save_graph(workdir / "cycle.json", cl.cycle_graph(4))
+    runs = []
+    for extra in ([], ["--decomposition", str(tmp_path / "dec.json")]):
+        out = tmp_path / f"big{len(extra)}.json"
+        code, blob = run_cli(
+            ["graft", "--base", str(workdir / "base.json"), "--attachment",
+             str(workdir / "att.json"), "--port", "v", "--out", str(out), *extra],
+            workdir,
+        )
+        assert code == 0
+        runs.append((json.loads(blob)["results"], out.read_bytes()))
+    assert runs[0] == runs[1]
+    # a non-tree attachment is refused before anything is written
+    out = tmp_path / "cycle-big.json"
+    code, _ = run_cli(
+        ["graft", "--base", str(workdir / "base.json"), "--attachment",
+         str(workdir / "cycle.json"), "--port", "0", "--out", str(out),
+         "--decomposition", str(tmp_path / "cycle-dec.json")],
+        workdir,
+    )
+    assert code == 2
+    assert not out.exists()
+
+
 def test_cli_scan_reports_decay(workdir):
     code, blob = run_cli(
         ["scan", "--in", str(workdir / "p9.json"), "--in", str(workdir / "p13.json"),

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import cheegerlab as cl
 from cheegerlab import FiniteMetricSpace, InvalidInputError
 
+from conftest import oracle_greedy_separated, oracle_net_edges
+
 
 def oracle_scales(space, eps0, floor, grid=()):
     pts = space.points
@@ -116,7 +118,43 @@ def test_greedy_output_is_separated_and_maximal(seed):
         assert min(space.d(p, a) for a in kept) < r
 
 
+ORACLE_SPACES = [
+    pytest.param(lambda: cl.interval_sample(17), id="interval17"),
+    pytest.param(lambda: cl.cantor_sample(5), id="cantor5"),
+    pytest.param(lambda: cl.end_space(cl.homogeneous_tree(3, 4)), id="ends-T3d4"),
+    pytest.param(lambda: cl.line_space([0, 0.5, 1.1, 3, 3.5, 4.5]), id="line"),
+]
+
+
+def oracle_radii(space):
+    """A fixed grid plus every distance from the first point, so that some
+    pairs sit exactly at the radius."""
+    return sorted({1 / 16, 1 / 8, 0.25, 1 / 3, 0.5, 1.0} | {d for d in space.dist[0].tolist() if d > 0})
+
+
+@pytest.mark.parametrize("make", ORACLE_SPACES)
+def test_greedy_matches_literal_oracle(make):
+    space = make()
+    dist = space.dist.tolist()
+    for r in oracle_radii(space):
+        assert cl.greedy_separated(space, r) == oracle_greedy_separated(space.points, dist, r), r
+    # a point exactly r from the kept ones is kept
+    assert cl.greedy_separated(cl.interval_sample(17), 1 / 8) == tuple(f"i{i}" for i in range(0, 17, 2))
+
+
 # -- epsilon nets ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", ORACLE_SPACES)
+def test_net_matches_literal_oracle(make):
+    space = make()
+    dist = space.dist.tolist()
+    for eps in oracle_radii(space):
+        g = cl.epsilon_net(space, eps)
+        assert g.vertices == oracle_greedy_separated(space.points, dist, eps)
+        assert g.edges == oracle_net_edges(space.points, dist, eps), eps
+    # kept points 1/8 apart: the pair at exactly 2*eps is an edge
+    assert ("i0", "i4") in cl.epsilon_net(cl.interval_sample(17), 1 / 8).edges
 
 
 def test_net_line_example():

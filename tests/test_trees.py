@@ -485,6 +485,12 @@ def test_end_space_distances_equal_literal_branch_depths(make):
             assert space.dist[i, j] == dist[f, g], (f, g)
 
 
+def test_end_space_horizon_limit_of_binary64():
+    assert cl.end_space(cl.growing_chain(745)).resolution_floor == 5e-324
+    with pytest.raises(InvalidInputError, match="horizon 746 .*underflows"):
+        cl.end_space(cl.growing_chain(746))
+
+
 # -- perfectness equivalence -----------------------------------------------------------------------
 
 
