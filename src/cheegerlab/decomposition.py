@@ -191,12 +191,13 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         violations.append("need R >= 0 and r > 0")
 
     covered = set()
+    vertex_set = set(g.vertices)
     for name, verts in spec.pieces.items():
-        if not verts <= set(g.vertices):
-            bad = sorted(verts - set(g.vertices))[0]
+        if not verts <= vertex_set:
+            bad = sorted(verts - vertex_set)[0]
             violations.append(f"piece {name!r} contains unknown vertex {bad!r}")
         covered |= verts
-    missing = set(g.vertices) - covered
+    missing = vertex_set - covered
     if missing:
         violations.append(f"cover misses vertex {sorted(missing)[0]!r}")
 
@@ -219,9 +220,9 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
                     f"pieces {a!r} and {b!r} share the edge {u}--{v}; "
                     "intersections must be vertex sets"
                 )
-            if not spec.pieces[a] - spec.pieces[b]:
+            if spec.pieces[a] <= spec.pieces[b]:
                 violations.append(f"piece {a!r} is contained in {b!r}")
-            if not spec.pieces[b] - spec.pieces[a]:
+            if spec.pieces[b] <= spec.pieces[a]:
                 violations.append(f"piece {b!r} is contained in {a!r}")
 
     certified_union: set[str] = set()

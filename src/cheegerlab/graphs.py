@@ -156,7 +156,7 @@ class Graph:
         keep = frozenset(verts)
         if keep >= self.index.keys():
             return self
-        order = tuple(v for v in self.vertices if v in keep)
+        order = tuple(sorted(keep & self.index.keys(), key=self.index.__getitem__))
         edges = frozenset((u, w) for u in order for w in self.adjacency[u] if u < w and w in keep)
         return Graph(order, edges, self.frontier & keep)
 

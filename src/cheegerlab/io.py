@@ -233,6 +233,9 @@ def leveled_from_payload(data: dict) -> LeveledGraph:
     level = {v: _integer(k, f"the level of {v!r}") for v, k in data["level"].items()}
     if any(not k0 <= k <= k_max for k in level.values()):
         raise InvalidInputError("leveled document: levels must lie in [k0, k_max]")
+    r = _finite(data["r"], "'r'")
+    if not 0 < r < 1:
+        raise InvalidInputError("leveled document: 'r' must lie in (0, 1)")
     points = set(space.points)
     for v, p in data["center"].items():
         if not isinstance(p, str) or p not in points:
@@ -242,7 +245,7 @@ def leveled_from_payload(data: dict) -> LeveledGraph:
     return LeveledGraph(
         graph,
         space,
-        _finite(data["r"], "'r'"),
+        r,
         k0,
         k_max,
         level,

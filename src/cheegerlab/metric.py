@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -175,15 +175,20 @@ class PerfectnessCertificate:
 
 def _perfectness_scan(
     space: FiniteMetricSpace, constant: float, form: str, eps0: float, floor: float,
-    grid: Iterable[float], ball_table: Callable[..., np.ndarray],
+    grid: Iterable[float],
 ) -> PerfectnessCertificate:
-    """Check ``table[x, c - 1] > eps / constant`` for every checked eps and
-    every point x, where c = #B(x, eps) and ``table = ball_table(dist, order,
-    rows)`` from each row's stable sort order and sorted distances.
+    """Check that the closed ball B(x, eps) reaches beyond eps / constant, by
+    its radius (one-point form) or its diameter (two-point form), for every
+    checked eps and every point x.
 
     Points at distance exactly eps are all in the closed ball, so it is the
-    first c points of x's order.  The witness is the failure at the smallest
-    eps, and among those the one at the lowest point index.
+    first c = #B(x, eps) points of x's stable sort order, and x comes first.
+    The diameter is at least the radius (column 0 of ``_ball_diameters``'s
+    submatrix holds the very floats of x's row), so the two-point form measures
+    diameters only at the scales the radius leaves undecided, and only up to
+    the largest such ball.
+    The witness is the failure at the smallest eps, and among those the one at
+    the lowest point index.
     """
     if not (0 < floor <= eps0 < np.inf):
         raise InvalidInputError("need 0 < resolution_floor <= eps0 < inf")
@@ -195,12 +200,14 @@ def _perfectness_scan(
     eps_list = np.unique(np.concatenate([grid, realized, [floor, eps0]]))
     order = np.argsort(space.dist, axis=1, kind="stable")
     rows = np.take_along_axis(space.dist, order, axis=1)
-    table = ball_table(space.dist, order, rows)
     limit, witness = len(eps_list), None
     for x, row in enumerate(rows):
         eps = eps_list[:limit]  # a later point's failure counts only at an earlier scale
         last = np.searchsorted(row, eps, side="right") - 1  # the ball is row[:last + 1]
-        bad = np.flatnonzero(~(table[x, last] > eps / constant))
+        bad = np.flatnonzero(~(row[last] > eps / constant))
+        if bad.size and form == "two-point":
+            diam = _ball_diameters(space.dist, order[x, : last[bad].max() + 1])
+            bad = bad[~(diam[last[bad]] > eps[bad] / constant)]
         if bad.size:
             limit = int(bad[0])
             witness = (space.points[x], float(eps[limit]))
@@ -221,16 +228,12 @@ def uniformly_perfect_check(
     if not 1 < s < np.inf:
         raise InvalidInputError("need a finite S > 1")
     # the annulus is non-empty iff the ball's farthest point lies beyond eps/S
-    return _perfectness_scan(
-        space, s, "one-point", eps0, resolution_floor, grid, lambda d, order, rows: rows
-    )
+    return _perfectness_scan(space, s, "one-point", eps0, resolution_floor, grid)
 
 
-def _ball_diameters(d: np.ndarray, order: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """[x, k] = the largest distance among the k + 1 nearest points to x."""
-    return np.array(
-        [np.maximum.accumulate(np.tril(d[ids][:, ids]).max(axis=1)) for ids in order]
-    )
+def _ball_diameters(d: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """[k] = the largest distance among the points ids[:k + 1]."""
+    return np.maximum.accumulate(np.tril(d[ids][:, ids]).max(axis=1))
 
 
 def two_point_perfectness_check(
@@ -244,9 +247,7 @@ def two_point_perfectness_check(
     more than eps/R apart, for every checked eps in [resolution_floor, eps0]."""
     if not 1 < r_const < np.inf:
         raise InvalidInputError("need a finite R > 1")
-    return _perfectness_scan(
-        space, r_const, "two-point", eps0, resolution_floor, grid, _ball_diameters
-    )
+    return _perfectness_scan(space, r_const, "two-point", eps0, resolution_floor, grid)
 
 
 def rescale_eps0(s: float, eps0: float, eps0_new: float) -> float:

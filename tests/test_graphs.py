@@ -126,6 +126,21 @@ def test_components_of_graph_and_of_vertex_subset():
 
 
 @pytest.mark.parametrize("name", sorted(BFS_GRAPHS))
+def test_induced_matches_literal_filter(name):
+    g = BFS_GRAPHS[name]()
+    # the same vertices listed backwards, so the vertex order is not sorted order
+    back = Graph(g.vertices[::-1], g.edges, g.frontier)
+    rng = np.random.default_rng(len(g.vertices))
+    for graph in (g, back):
+        for _ in range(4):
+            keep = {v for v in graph.vertices if rng.random() < 0.6} | {"no-such-vertex"}
+            sub = graph.induced(keep)
+            assert sub.vertices == tuple(v for v in graph.vertices if v in keep)
+            assert sub.edges == frozenset(e for e in graph.edges if set(e) <= keep)
+            assert sub.frontier == graph.frontier & keep
+
+
+@pytest.mark.parametrize("name", sorted(BFS_GRAPHS))
 def test_blocks_match_oracle(name):
     g = BFS_GRAPHS[name]()
     blocks = g.blocks()

@@ -92,6 +92,11 @@ def _first_vertex(field, value):
         pytest.param(lambda doc: doc.update(r="abc"), id="r-string"),
         pytest.param(lambda doc: doc.update(r=float("inf")), id="r-infinite"),
         pytest.param(lambda doc: doc.update(r=True), id="r-bool"),
+        # boundary_identification_check divides by log(1/r)
+        pytest.param(lambda doc: doc.update(r=1.0), id="r-one"),
+        pytest.param(lambda doc: doc.update(r=0.0), id="r-zero"),
+        pytest.param(lambda doc: doc.update(r=-0.5), id="r-negative"),
+        pytest.param(lambda doc: doc.update(r=1.5), id="r-above-one"),
         pytest.param(lambda doc: doc.update(k0=None), id="k0-null"),
         pytest.param(lambda doc: doc.update(k0=0.5), id="k0-float"),
         pytest.param(lambda doc: doc.update(k_max="2"), id="k_max-string"),

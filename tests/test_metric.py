@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cheegerlab as cl
-from cheegerlab import FiniteMetricSpace, InvalidInputError
+from cheegerlab import FiniteMetricSpace, InvalidInputError, metric
+from cheegerlab.cli import main as cli_main
 
 from conftest import oracle_greedy_separated, oracle_net_edges
 
@@ -240,6 +241,61 @@ def test_both_forms_match_literal_oracles_on_ties(make, floor, grid_steps):
             assert cert.checked_eps == len(oracle_scales(space, eps0, floor, grid))
             failures += not cert.holds
     assert failures >= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=2, max_size=9,
+             unique=True),
+    st.sampled_from([1.5, 2.0, 3.0, 4.0]),
+    st.integers(1, 4),
+    st.lists(st.integers(1, 12), max_size=3),
+)
+def test_both_forms_match_literal_oracles_on_random_integer_spaces(points, const, floor, grid):
+    # integer l1 distances with integer floors, grids and constants: eps and
+    # eps/const land on realized distances, so ties at both ends are common
+    space = l1_space(points)
+    eps0 = max(space.diameter, floor)
+    grid = [float(e) for e in grid if floor <= e <= eps0]
+    for check, oracle in (
+        (cl.uniformly_perfect_check, annulus_oracle),
+        (cl.two_point_perfectness_check, two_point_oracle),
+    ):
+        cert = check(space, const, eps0, floor, grid)
+        assert (cert.holds, cert.witness) == oracle(space, const, eps0, floor, grid)
+        assert cert.checked_eps == len(oracle_scales(space, eps0, floor, grid))
+
+
+def _count_diameter_prefixes(monkeypatch):
+    calls = []
+    measure = metric._ball_diameters
+
+    def counting(d, ids):
+        calls.append(len(ids))
+        return measure(d, ids)
+
+    monkeypatch.setattr(metric, "_ball_diameters", counting)
+    return calls
+
+
+def test_two_point_form_measures_no_diameter_the_radius_decides(monkeypatch, tmp_path):
+    calls = _count_diameter_prefixes(monkeypatch)
+    report = tmp_path / "r.json"
+    argv = ["perfect", "--in", "cantor:8", "--two-point-r", "10", "--eps0", "1.0"]
+    assert cli_main([*argv, "--report", str(report)]) == 0
+    assert calls == []
+
+
+def test_two_point_form_measures_the_diameter_the_radius_leaves_open(monkeypatch):
+    # at eps = 6 every ball is the whole space, of diameter 6; p1's radius is
+    # only 4 = eps/1.5, so its one-point annulus is empty but its ball passes
+    calls = _count_diameter_prefixes(monkeypatch)
+    space = l1_space([(0, 2), (2, 0), (2, 2), (3, 3), (4, 0), (4, 2)])
+    one = cl.uniformly_perfect_check(space, 1.5, 6.0, 6.0)
+    assert (one.holds, one.witness) == (False, ("p1", 6.0))
+    assert calls == []
+    assert cl.two_point_perfectness_check(space, 1.5, 6.0, 6.0).holds
+    assert calls and max(calls) <= len(space.points)
 
 
 def test_two_point_space_fails_with_witness():
