@@ -99,7 +99,14 @@ def build_truncated(
         raise InvalidInputError("empty space")
     if k0 is None:
         k0 = _k0_for(space, r)
-    elif space.diameter > 0 and not space.diameter < r**k0:
+    for k in (k0, k_max):  # r^k is monotone in k, so the ends bound every level
+        try:
+            ball = 2 * r**k
+        except OverflowError:
+            ball = math.inf
+        if not 0 < ball < math.inf:
+            raise InvalidInputError(f"level {k}: the radius 2*r^k is not a finite positive float")
+    if space.diameter > 0 and not space.diameter < r**k0:
         raise InvalidInputError(f"k0={k0} does not dominate the diameter")
     if k_max < k0:
         raise InvalidInputError(f"need k_max >= k0 = {k0}")

@@ -294,7 +294,7 @@ def _check_subset(g: Graph, subset: Iterable[str]) -> frozenset[str]:
     a = frozenset(subset)
     if not a:
         raise InvalidInputError("the set A must be non-empty")
-    unknown = a - set(g.vertices)
+    unknown = a.difference(g.index)
     if unknown:
         raise InvalidInputError(f"A contains non-vertices: {sorted(unknown)}")
     return a

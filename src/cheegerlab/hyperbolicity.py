@@ -53,8 +53,8 @@ def _distance_matrix(space: Graph | FiniteMetricSpace) -> tuple[np.ndarray, tupl
 
 def gromov_product(space: Graph | FiniteMetricSpace, x: str, y: str, o: str) -> Fraction | float:
     """(x|y)_o = (d(x,o) + d(y,o) - d(x,y)) / 2; exact Fraction on graphs."""
-    dmat, names, integral = _distance_matrix(space)
-    idx = {v: i for i, v in enumerate(names)}
+    dmat, _, integral = _distance_matrix(space)
+    idx = space.index
     try:
         i, j, k = idx[x], idx[y], idx[o]
     except KeyError as exc:

@@ -3,8 +3,9 @@ graphs and decompositions.
 
 Dumps are canonical: sorted object keys, two-space indent, a trailing
 newline, vertex/edge arrays sorted, rationals rendered as fraction strings.
-Loading re-validates every structural invariant.  Metric-space point order is
-preserved (greedy scans depend on it); everything else is order-free.
+Loading re-validates every structural invariant.  Metric-space point order
+and tree child order are preserved (greedy scans depend on them); everything
+else is order-free.
 """
 
 from __future__ import annotations
@@ -140,43 +141,27 @@ def load_metric(path: str | Path) -> FiniteMetricSpace:
 
 
 def tree_payload(t: RootedTree) -> dict:
-    def node(v: str) -> dict:
-        out: dict[str, Any] = {"name": v}
-        if v in t.live:
-            out["live"] = True
-        kids = t.children[v]
-        if kids:
-            out["children"] = [node(c) for c in kids]
-        return out
-
-    return node(t.root)
+    return {
+        "root": t.root,
+        "children": {v: list(kids) for v, kids in t.children.items()},
+        "live": sorted(t.live),
+    }
 
 
 def tree_from_payload(data: dict) -> RootedTree:
-    children: dict[str, tuple[str, ...]] = {}
-    live: list[str] = []
-
-    def walk(node: dict) -> str:
-        if not isinstance(node, dict) or "name" not in node:
-            raise InvalidInputError("tree nodes need a 'name'")
-        name = str(node["name"])
-        if name in children:
-            raise InvalidInputError(f"duplicate tree vertex {name!r}")
-        kids = node.get("children", [])
-        if not isinstance(kids, list):
-            raise InvalidInputError(f"tree vertex {name!r}: 'children' must be a list")
-        children[name] = ()
-        names = tuple(walk(k) for k in kids)
-        children[name] = names
-        if node.get("live"):
-            live.append(name)
-        return name
-
-    try:
-        root = walk(data)
-    except RecursionError:
-        raise InvalidInputError("tree document is nested too deeply") from None
-    return RootedTree(root, children, frozenset(live))
+    """Only the JSON shape is checked here; ``RootedTree`` validates the tree."""
+    if not isinstance(data, dict) or not isinstance(data.get("root"), str):
+        raise InvalidInputError("tree document needs a string 'root'")
+    children = data.get("children")
+    if not isinstance(children, dict) or not all(isinstance(c, list) for c in children.values()):
+        raise InvalidInputError("tree document: 'children' must map vertices to lists")
+    if not isinstance(data.get("live"), list):
+        raise InvalidInputError("tree document: 'live' must be a list")
+    return RootedTree(
+        data["root"],
+        {str(v): tuple(str(c) for c in kids) for v, kids in children.items()},
+        frozenset(str(v) for v in data["live"]),
+    )
 
 
 def save_tree(path: str | Path, t: RootedTree) -> None:

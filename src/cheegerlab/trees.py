@@ -536,7 +536,8 @@ def _layered_tree(depth: int, fan: Callable[[int], int], sep: str) -> RootedTree
     """Grow a tree from the root "v" one level at a time: fan(t) is called
     once per vertex on level t, in level order, and that vertex gets as many
     children, named by appending the child's digit ("v" + sep + digit for the
-    root's children).  The horizon leaves are live."""
+    root's children).  Names are unique only while every fan is at most 10,
+    so each child index is a single digit.  The horizon leaves are live."""
     kids: dict[str, tuple[str, ...]] = {}
     frontier = ["v"]
     for level in range(depth):
@@ -632,6 +633,8 @@ def random_branching_tree(
     so the result is 1-pseudo-regular whenever min_children >= 2."""
     if depth < 1 or min_children < 1 or max_children < min_children:
         raise InvalidInputError("bad branching parameters")
+    if max_children > 10:
+        raise InvalidInputError("need max_children <= 10")
     rng = np.random.default_rng(seed)
     return _layered_tree(
         depth, lambda level: int(rng.integers(min_children, max_children + 1)), "."

@@ -8,6 +8,7 @@ import pytest
 
 import cheegerlab as cl
 from cheegerlab import FiniteMetricSpace, InvalidInputError
+from cheegerlab.cli import main
 from cheegerlab.io import canonical_json_bytes, leveled_from_payload, leveled_payload
 
 from conftest import oracle_approximation_edges
@@ -26,6 +27,22 @@ def test_parameter_range_enforced():
         cl.build_truncated(X, 0.3, 2)
     with pytest.raises(InvalidInputError):
         cl.build_truncated(X, 0.0, 2)
+
+
+@pytest.mark.parametrize("k_max,k0", [(0, -400), (-300, -308), (400, -2)])
+def test_level_radius_out_of_float_range_is_invalid_input(k_max, k0):
+    # 0.1^-400 overflows, 2 * 0.1^-308 is inf, and 2 * 0.1^400 underflows to 0
+    with pytest.raises(InvalidInputError, match="not a finite positive float"):
+        cl.build_truncated(cl.cantor_sample(3), 0.1, k_max, k0=k0)
+
+
+@pytest.mark.parametrize("k_max,k0", [("0", "-400"), ("-300", "-308")])
+def test_cli_approx_level_radius_out_of_float_range_exits_invalid(tmp_path, capsys, k_max, k0):
+    argv = ["approx", "--in", "cantor:3", "--r", "0.1", "--k-max", k_max, "--k0", k0,
+            "--out", str(tmp_path / "lg.json")]
+    assert main(argv) == 2
+    assert "not a finite positive float" in capsys.readouterr().err
+    assert not (tmp_path / "lg.json").exists()
 
 
 def test_two_point_structure():

@@ -50,12 +50,31 @@ def test_graph_round_trip_is_byte_stable(tmp_path):
 
 
 def test_tree_round_trip(tmp_path):
-    t = cl.grafted_dead_branches(cl.homogeneous_tree(3, 4), 1)
+    trees = [
+        *(cl.homogeneous_tree(3, d) for d in range(1, 8)),
+        *(cl.random_tree(n, seed) for n in (2, 17, 60, 200) for seed in (0, 1, 2)),
+        *(cl.random_branching_tree(d, seed, 1, 4) for d in (1, 3, 5) for seed in (0, 1, 2)),
+        *(cl.comb_tree(d, tooth) for d, tooth in ((5, 1), (9, 3), (1200, 3))),
+        *(cl.grafted_dead_branches(cl.homogeneous_tree(3, 4), size) for size in (1, 2)),
+        cl.even_branching_tree(8),
+        cl.tree_from_parents("v", {"a": "v", "b": "a", "c": "v"}),  # bounded: no live leaf
+        cl.growing_chain(3000),
+    ]
     path = tmp_path / "t.json"
-    io.save_tree(path, t)
-    back = io.load_tree(path)
-    assert back.children == t.children
-    assert back.live == t.live and back.root == t.root
+    for t in trees:
+        io.save_tree(path, t)
+        back = io.load_tree(path)
+        assert (back.root, back.children, back.live) == (t.root, t.children, t.live)
+        assert back.vertices == t.vertices  # child order survives the document
+
+
+def test_tree_document_is_flat():
+    t = cl.tree_from_parents("v", {"b": "v", "a": "v", "c": "a"}, live=["c"])
+    assert io.tree_payload(t) == {
+        "root": "v",
+        "children": {"v": ["a", "b"], "a": ["c"], "b": [], "c": []},
+        "live": ["c"],
+    }
 
 
 def test_metric_round_trip_preserves_point_order(tmp_path):
@@ -332,6 +351,45 @@ def test_cli_unwritable_report_path_exits_invalid(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""  # the report is written to --report before it goes to stdout
     assert "error:" in err
+
+
+def test_cli_tree_on_a_deep_chain(tmp_path):
+    io.save_tree(tmp_path / "chain.json", cl.growing_chain(1000))
+    code, blob = run_cli(["tree", "--in", str(tmp_path / "chain.json")], tmp_path)
+    assert code == 0
+    assert json.loads(blob)["disclosures"]["horizon"] == 1000
+
+
+@pytest.mark.parametrize(
+    "doc,reason",
+    [
+        ({"name": "v", "children": [{"name": "a", "live": True}]}, "string 'root'"),
+        ({"children": {"v": []}, "live": []}, "string 'root'"),
+        ({"root": 5, "children": {"v": []}, "live": []}, "string 'root'"),
+        ({"root": "v", "children": [["v", []]], "live": []}, "map vertices to lists"),
+        ({"root": "v", "children": {"v": "a", "a": []}, "live": []}, "map vertices to lists"),
+        ({"root": "v", "children": {"v": ["a"], "a": []}, "live": "a"}, "'live' must be a list"),
+        ({"root": "v", "children": {"a": []}, "live": []}, "cover the root"),
+        ({"root": "v", "children": {"v": ["a"]}, "live": []}, "missing vertex 'a'"),
+        ({"root": "v", "children": {"v": ["a", "b"], "a": ["b"], "b": []}, "live": ["b"]},
+         "'b' reached twice"),
+        ({"root": "v", "children": {"v": ["v"]}, "live": []}, "'v' reached twice"),
+        ({"root": "v", "children": {"v": ["a"], "a": [], "b": []}, "live": ["a"]},
+         "unreachable vertices: ['b']"),
+        ({"root": "v", "children": {"v": ["a"], "a": ["b"], "b": []}, "live": ["a"]},
+         "must sit on leaves"),
+    ],
+    ids=[
+        "nested", "root-missing", "root-int", "children-list", "children-str", "live-str",
+        "root-uncovered", "child-absent", "two-parents", "self-parent", "unreachable",
+        "live-inner",
+    ],
+)
+def test_cli_malformed_tree_documents_exit_invalid(tmp_path, capsys, doc, reason):
+    path = _write(tmp_path, "bad.json", json.dumps(doc))
+    assert cli_main(["tree", "--in", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and reason in err
 
 
 def _deep_tree_text(depth):

@@ -1,0 +1,167 @@
+"""Report bytes and written files of the CLI, pinned by sha256.
+
+Each command runs in-process in a fresh directory, on inputs written by
+``io.save_*`` under relative names, so no report carries an absolute path.
+The table changes only when a report or a file format changes on purpose.
+Sampled ``delta`` is left out: numpy does not pin its Generator stream
+across versions.
+"""
+
+import contextlib
+import hashlib
+from io import StringIO
+from pathlib import Path
+
+import cheegerlab as cl
+from cheegerlab import io
+from cheegerlab.cli import main as cli_main
+
+INPUTS = {
+    "grid4.json": (io.save_graph, lambda: cl.grid_window(4, 4)),
+    "grid6.json": (io.save_graph, lambda: cl.grid_window(6, 6)),
+    "p9.json": (io.save_graph, lambda: cl.path_window(9)),
+    "p13.json": (io.save_graph, lambda: cl.path_window(13)),
+    "t3d2.json": (io.save_graph, lambda: cl.homogeneous_tree(3, 2).graph),
+    "cantor4.json": (io.save_metric, lambda: cl.cantor_sample(4)),
+    "t3d4.json": (io.save_tree, lambda: cl.homogeneous_tree(3, 4)),
+    "dead.json": (io.save_tree, lambda: cl.grafted_dead_branches(cl.homogeneous_tree(3, 4), 1)),
+    "chain.json": (io.save_tree, lambda: cl.growing_chain(12)),
+}
+
+# run name -> argv; runs go in order, so decomp reads what graft wrote
+RUNS = {
+    "cheeger": ["cheeger", "--in", "grid6.json", "--max-size", "4"],
+    "delta-graph": ["delta", "--in", "grid4.json"],
+    "delta-metric": ["delta", "--in", "cantor4.json"],
+    "tree-t3d4": ["tree", "--in", "t3d4.json", "--max-size", "5"],
+    "tree-dead": ["tree", "--in", "dead.json", "--max-size", "4"],
+    "tree-chain": ["tree", "--in", "chain.json"],
+    "endspace": ["endspace", "--in", "t3d4.json", "--out", "ends.json"],
+    "approx": ["approx", "--in", "cantor:5", "--r", "0.111111", "--k-max", "3",
+               "--out", "lg.json"],
+    "approx-s2": ["approx", "--in", "cantor:5", "--r", "0.111111", "--k-max", "4", "--s", "2"],
+    "net": ["net", "--in", "cantor4.json", "--eps", "0.1", "--out", "net.json"],
+    "perfect-one-point": ["perfect", "--in", "cantor:5", "--s", "3.01", "--eps0", "1.0"],
+    "perfect-two-point": ["perfect", "--in", "cantor:5", "--two-point-r", "10", "--eps0", "1.0"],
+    "graft": ["graft", "--base", "grid4.json", "--attachment", "t3d2.json", "--port", "v",
+              "--out", "grafted.json", "--decomposition", "graft.json"],
+    "decomp": ["decomp", "--spec", "graft.json"],
+    "scan": ["scan", "--in", "p9.json", "--in", "p13.json"],
+}
+
+# "report:<run>" -> [exit code, sha256 of the report]; "file:<name>" -> sha256
+EXPECTED = {
+    "report:cheeger":
+        [0, "11e9bac62e4f1152d373f0ef27345dec74e631b3c0b1227f2e0591b57215f7b7"],
+    "report:delta-graph":
+        [0, "200695c8b6fe12d85559e5386c8dcbfc8d793a4317937b75ba0c86ab5ae6591c"],
+    "report:delta-metric":
+        [0, "c35afc2c7b22afe47f5388be2bb91202ac4170ffeb7566a92b61808bbc5d7444"],
+    "report:tree-t3d4":
+        [0, "6b2e787538815da1fc8325e39a2ad4dbbc2b922aae3629cbdb553834a991958d"],
+    "report:tree-dead":
+        [0, "deea735611f4a5a174a6819f3b463774d395d6b6a66177625ba361349af965e7"],
+    "report:tree-chain":
+        [0, "0925763f3182af65cbbadd8c04d87d4775a49c457d74267bf195d7dbd5ab0a35"],
+    "report:endspace":
+        [0, "a7a6603a227539fb5e722f8abe94f34794264f24b2fb484c9fd64e54f4c1971f"],
+    "report:approx":
+        [0, "76f77fadab088f2966f55d373afa14b1909ad61dafc481005975121603df363e"],
+    "report:approx-s2":
+        [0, "29e8d655b5b480c31523ddb45f3e90797915f81cc9add0766cf30c308d01bbfd"],
+    "report:net":
+        [0, "04d607ba3e11d6b94cbec4ca4c6cc377d285b168d51a75280ab7d8e07ba17818"],
+    "report:perfect-one-point":
+        [0, "5de07129ca21811a97c1e44adf8b370c1eeb4fdfa66f1e1a0c292ad75f4fa752"],
+    "report:perfect-two-point":
+        [0, "f66aca82779b9eb9beb45ff0d8c04f7fcceecae6be378749666682ce539ce713"],
+    "report:graft":
+        [0, "f8c42d0592ea564d3f3242a6d98da9d0c9ba980c00b797977d164a97c454b141"],
+    "report:decomp":
+        [0, "fba4d4cc4002e13281e05750f5c23ca0bf3203533ea1f58cd1285d01a24d5db2"],
+    "report:scan":
+        [0, "b22faae1aa28fc5a40bf9f2d4933ba484e33d7b88903cf40792976a4400f0965"],
+    "file:cantor4.json":
+        "335b4d8822623c5feff02de21e774aac465acb66ded01b701b229a7829d5e953",
+    "file:chain.json":
+        "273df2f0b6c586626b6dc0fa371f9d1bfef7a9b0cd300551262c686c9317c726",
+    "file:dead.json":
+        "db1a3805c1b30d51f32bf3f0e8db8ce4d1b3047b937275bfbb0e4dad9aff6d52",
+    "file:ends.json":
+        "223f04014411756f883faa5664498559b2bfe30fc6b0fde1ea583b7742299b2f",
+    "file:graft.ambient.json":
+        "61df42720191eb5507e92028e68377bc95609d80932d1b642816281e6d36434f",
+    "file:graft.cert0.json":
+        "fb65b106ea81171bae4aaa71e970178245d1ca49a5b9340eb15396d9adfbcf4f",
+    "file:graft.cert1.json":
+        "5df81ab3c178e9028af7516171a988c996d3cc3a68c8f906660bd2b8db47f164",
+    "file:graft.cert10.json":
+        "dfb16fb6de4ec006c556547bc0694b8b0f6bb3781c9a8139e298c71f304bd459",
+    "file:graft.cert11.json":
+        "e8ccf09e25e7379e59641e365b36502f1f9bf0c1bb74ff0275b3493db7385734",
+    "file:graft.cert12.json":
+        "58e8690fb385d146dea839f8715a82dcb1bde618cab35d1014ebc2c94fb4ec24",
+    "file:graft.cert13.json":
+        "b1c83e1a5619831733a8c852cce24cfbfd8bd6ccec836654403b6379f8bb619b",
+    "file:graft.cert14.json":
+        "515c57b9d639ec43ca13639e3bb78794a64ea63f1c1104c6ce7a35f44c6537c4",
+    "file:graft.cert15.json":
+        "92115be3d1a8345ec8a92b8cdafc82668a6695b3dd932f93637fd7bd3c4fbac1",
+    "file:graft.cert2.json":
+        "384f58659d4e6437d205636c2f493f47aa8bd26cfe8a97d01ad6e3c519d3b177",
+    "file:graft.cert3.json":
+        "b74c1a92de668fb31775469b3bb7cd12aa9cb76c99deac4741112557d728523a",
+    "file:graft.cert4.json":
+        "08dd02d81111edc5d2b78b247271f93e08e86494402bf8df9a76819e927d0d9e",
+    "file:graft.cert5.json":
+        "0bbe22ba3c31ea97224cf04f6dd467f46cacdb4f799e9a6b6c418007fd2475f8",
+    "file:graft.cert6.json":
+        "b0852a74bd1432c81541cd14ffb399991a9db826322eabe46906b2dd893bf7fb",
+    "file:graft.cert7.json":
+        "2b1105b250ba3d94b4fd91c5dd978d97f12160fc8235b1cd54ab59b44735780a",
+    "file:graft.cert8.json":
+        "0066f44ced4c4cd8c82d8adceabd2d3c21cb352fa9e7c6a3c59a6976a199614f",
+    "file:graft.cert9.json":
+        "e089b35ea291d68ad9039eee5e7596ed1ae90f84ee03a1ea646c1892a345a196",
+    "file:graft.json":
+        "3fb8df3daef571ae1e9f3136541e2e45ec8529e865f3559f90bbe620a629954d",
+    "file:grafted.json":
+        "61df42720191eb5507e92028e68377bc95609d80932d1b642816281e6d36434f",
+    "file:grid4.json":
+        "dc2b484f22e7c2b723f18eda5280636a4aee9b761bd12651c048069fd31c72de",
+    "file:grid6.json":
+        "f859723998d854f2bc7f9b538107f1f1b767bbfef68203341ce35556b63231f3",
+    "file:lg.json":
+        "65f9c96db595ad19f3beee5b67a8caf611920d3479443c25dfa658c597a72450",
+    "file:net.json":
+        "7fa8ee1c4fee36db2596d680a588570feadf7e43019853cef1703e78327e1811",
+    "file:p13.json":
+        "cf6673d10a24dee2c0cf41e4348c445e8981deebdd038b7a51e5ee91c20ba876",
+    "file:p9.json":
+        "7087a152e722d2dcaec94cc0ae100bbd0603489ef39b2304a2ad745b73e81d48",
+    "file:t3d2.json":
+        "c5e9483c1cb9a3c31ffb71aec5114a617d1a2563c817e8e81256ad4fb6c89448",
+    "file:t3d4.json":
+        "a52814b32d43a1cba2ab1e12c204a6fd5b1a64ed055de7d577e9acfd52b8cf0f",
+}
+
+
+def run_all() -> dict:
+    """Write the inputs into the working directory, run every command there,
+    and return the exit code and digest of each report and the digest of
+    every file."""
+    for name, (save, make) in INPUTS.items():
+        save(name, make())
+    digests = {}
+    for run, argv in RUNS.items():
+        with contextlib.redirect_stdout(StringIO()) as out, contextlib.redirect_stderr(StringIO()):
+            code = cli_main(argv)
+        digests[f"report:{run}"] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    for path in sorted(Path().iterdir()):
+        digests[f"file:{path.name}"] = io.sha256_file(path)
+    return digests
+
+
+def test_report_and_file_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_all() == EXPECTED

@@ -33,6 +33,14 @@ def test_deep_leaves_must_be_live():
     assert t.horizon == 2 and t.live == {"b", "d"}
 
 
+def test_random_branching_tree_refuses_fans_past_ten():
+    # a fan of 11 would name a child "v.1" + "10", which collides with "v.11" + "0"
+    with pytest.raises(InvalidInputError, match="max_children <= 10"):
+        cl.random_branching_tree(3, 0, 11, 11)
+    t = cl.random_branching_tree(2, 0, 10, 10)
+    assert len(t.vertices) == 1 + 10 + 100
+
+
 def test_bounded_tree_allowed_without_live():
     t = cl.tree_from_parents("v", {"a": "v", "b": "v"})
     assert t.live == frozenset()
