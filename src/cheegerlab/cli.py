@@ -79,9 +79,9 @@ def _bound_payload(bound: CheegerBound) -> dict:
     return {"lower": endpoint(bound.lower), "upper": endpoint(bound.upper)}
 
 
-#: Generator specs refuse above this many points, before allocating: at 2^11
-#: points the n x n float matrix and its O(n^3) triangle check take about
-#: 130 MB and a minute.
+#: Generator specs and ``endspace`` (one point per live leaf) refuse above
+#: this many points, before allocating: at 2^11 points the n x n float matrix
+#: and its O(n^3) triangle check take about 130 MB and a minute.
 MAX_GENERATOR_POINTS = 2**11
 
 # kind -> (constructor, parameter parser, point count of the parameter); a
@@ -227,6 +227,8 @@ def _cmd_tree(args) -> tuple[dict, int]:
 
 def _cmd_endspace(args) -> tuple[dict, int]:
     t = io.load_tree(args.infile)
+    if len(t.live) > MAX_GENERATOR_POINTS:
+        raise BudgetExceededError(len(t.live), MAX_GENERATOR_POINTS, what="end-space points")
     space = end_space(t)
     if args.out:
         io.save_metric(args.out, space)

@@ -163,6 +163,8 @@ def delta_four_point(
     On a graph the exhaustive scan runs block by block, and ``budget`` bounds
     b^4 for the largest biconnected block b; it is checked before any
     distance is computed.  A metric space is scanned whole, against n^4.
+    In sampled mode ``budget`` bounds ``samples``, which must be at least 1,
+    before any quadruple is drawn.
 
     Witness rule: blocks are taken in order of their sorted parent-index
     tuples, and the witness comes from the first block attaining the maximum.
@@ -176,6 +178,10 @@ def delta_four_point(
         raise InvalidInputError("four-point constant requested on an empty graph")
 
     if mode == "sampled":
+        if samples < 1:
+            raise InvalidInputError(f"sampled mode needs samples >= 1 (got {samples})")
+        if samples > budget:
+            raise BudgetExceededError(samples, budget, what="sampled quadruples")
         dmat, names, integral = _distance_matrix(space)
         rng = np.random.default_rng(seed)
         qs = rng.integers(0, len(names), size=(4, samples))

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping
+from itertools import accumulate
+from typing import Callable, Container, Iterable, Mapping
 
 import numpy as np
 
@@ -188,23 +189,15 @@ class PseudoRegularityResult:
     family: tuple[ChainWitness, ...] = ()
 
 
-def _descendant_profile(t: RootedTree, members: frozenset[str]) -> dict[str, list[int]]:
-    """cnt[a][j] = number of ``members`` descendants of a at relative depth j."""
-    cnt: dict[str, list[int]] = {}
+def _single_child_runs(t: RootedTree, members: Container[str]) -> dict[str, int]:
+    """run[a] = vertices on the chain from a that goes on while the current
+    vertex has exactly one child in ``members``, in one bottom-up pass."""
+    run: dict[str, int] = {}
     for a in reversed(t.vertices):
-        if a not in members:
-            continue
-        row = [1]
-        for c in t.children[a]:
-            if c not in members:
-                continue
-            sub = cnt[c]
-            while len(row) < len(sub) + 1:
-                row.append(0)
-            for j, val in enumerate(sub):
-                row[j + 1] += val
-        cnt[a] = row
-    return cnt
+        if a in members:
+            kids = [c for c in t.children[a] if c in members]
+            run[a] = 1 + run[kids[0]] if len(kids) == 1 else 1
+    return run
 
 
 def _single_child_chain(t: RootedTree, a: str) -> list[str]:
@@ -225,34 +218,34 @@ def pseudo_regularity_index(t: RootedTree) -> PseudoRegularityResult:
     is why every downstream bound is flagged horizon-certified: a window
     with two live rays of a bi-infinite chain reports K = horizon even
     though no finite K works for the ambient chain.
+
+    K is read off the single-child runs run(a) over the complete subtree
+    T_inf in O(n + horizon).  Every T_inf vertex above the horizon has a
+    child in T_inf, so a has exactly one T_inf descendant at relative depth
+    j < run(a) and at least two from j = run(a) on, unless the run ends at a
+    horizon leaf; then run(a) = horizon - depth(a) + 1 exceeds every k
+    testable at a.  So the condition holds at a exactly when run(a) <= K.
     """
     tinf = maximal_complete_subtree(t)
     if not tinf:
         raise EmptyWindowError("tree has no live leaf; complete subtree is empty")
-    d = t.horizon
-    cnt = _descendant_profile(t, tinf)
-    depth = t.depth
+    d, depth = t.horizon, t.depth
+    longest = [0] * (d + 1)  # longest T_inf run from depth i, then from depth <= i
+    for a, r in _single_child_runs(t, tinf).items():
+        longest[depth[a]] = max(longest[depth[a]], r)
+    longest = list(accumulate(longest, max))
     for k in range(1, d + 1):
-        ok = True
-        for a in t.vertices:
-            if a in tinf and depth[a] <= d - k and cnt[a][k] < 2:
-                ok = False
-                break
-        if ok:
+        if longest[d - k] <= k:
             return PseudoRegularityResult(k, d)
     # defect: exhibit the longest single-descendant chain off a non-root vertex
     # the live ray to a horizon leaf puts a non-root vertex in tinf (horizon >= 1)
-    neg_run, _, defect_vertex = min(
-        (1 - len(_single_child_chain(t, a)), depth[a], a)
-        for a in t.vertices
-        if a in tinf and a != t.root
-    )
-    run = -neg_run
+    runs = _single_child_runs(t, t.children)
+    defect_vertex = min(tinf - {t.root}, key=lambda a: (-runs[a], depth[a], a))
     chain = _single_child_chain(t, defect_vertex)
     family = tuple(
-        ChainWitness(k, tuple(chain[:k]), Fraction(2, k)) for k in range(1, run + 1)
+        ChainWitness(k, tuple(chain[:k]), Fraction(2, k)) for k in range(1, len(chain))
     )
-    return PseudoRegularityResult(None, d, defect_vertex, run, family)
+    return PseudoRegularityResult(None, d, defect_vertex, len(chain) - 1, family)
 
 
 @dataclass(frozen=True)
@@ -277,17 +270,13 @@ def complementedness_index(t: RootedTree) -> ComplementednessResult:
     tinf = maximal_complete_subtree(t)
     if not tinf:
         raise EmptyWindowError("tree has no live leaf; complete subtree is empty")
-    comps = []
-    seen: set[str] = set()
-    for x in t.vertices:
-        if x in tinf or x in seen:
-            continue
-        if t.parent[x] in tinf:  # top of a dead branch
-            block = sorted(subtree_past(t, x))
-            seen.update(block)
-            comps.append(DeadComponent(t.parent[x], tuple(block)))
+    comps = tuple(
+        DeadComponent(t.parent[x], tuple(sorted(subtree_past(t, x))))
+        for x in t.vertices
+        if x not in tinf and t.parent[x] in tinf  # x tops a dead branch
+    )
     c = max((len(b.vertices) + 1 for b in comps), default=1)
-    return ComplementednessResult(c, tuple(comps))
+    return ComplementednessResult(c, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,46 @@ def oracle_random_branching(depth, seed, min_children=2, max_children=3):
     return children, set(frontier)
 
 
+def oracle_pseudo_regularity(root, children, live):
+    """(K, horizon, defect vertex, defect run, family) of a rooted tree.
+
+    T_inf is the union of the root paths of the live leaves.  K is the least
+    k in [1, horizon] such that every T_inf vertex a at depth <= horizon - k
+    has at least two T_inf vertices exactly k levels deeper whose root path
+    passes through a.  Without such a k, the single-child chain is walked
+    from every non-root T_inf vertex; the defect vertex has the longest,
+    ties going to the shallower and then the smaller name, and the family
+    lists its prefixes of 1..run vertices, each with ratio 2/length."""
+    parent = {c: p for p, kids in children.items() for c in kids}
+    paths = {}
+    for v in children:
+        path = [v]
+        while path[-1] != root:
+            path.append(parent[path[-1]])
+        paths[v] = path
+    depth = {v: len(path) - 1 for v, path in paths.items()}
+    horizon = max(depth.values())
+    tinf = {x for leaf in live for x in paths[leaf]}
+    for k in range(1, horizon + 1):
+        if all(
+            sum(1 for y in tinf if depth[y] == depth[a] + k and a in paths[y]) >= 2
+            for a in tinf
+            if depth[a] <= horizon - k
+        ):
+            return k, horizon, None, 0, []
+    chains = {}
+    for a in tinf - {root}:
+        chain = [a]
+        while len(children[chain[-1]]) == 1:
+            chain.append(children[chain[-1]][0])
+        chains[a] = chain
+    vertex = min(chains, key=lambda a: (-len(chains[a]), depth[a], a))
+    chain = chains[vertex]
+    run = len(chain) - 1
+    family = [(k, tuple(chain[:k]), Fraction(2, k)) for k in range(1, run + 1)]
+    return None, horizon, vertex, run, family
+
+
 def oracle_greedy_separated(points, dist, r):
     """Greedy r-separated subset in input order: a point is kept iff it lies
     at distance >= r from every point kept before it."""

@@ -242,6 +242,18 @@ def test_sampled_mode_is_a_lower_bound():
     assert again.delta == sampled.delta and again.witness == sampled.witness
 
 
+def test_sampled_mode_bounds_the_sample_count():
+    g = cl.grid_window(5, 5, truncated=False)
+    for samples in (0, -3):
+        with pytest.raises(InvalidInputError, match="samples >= 1"):
+            cl.delta_four_point(g, mode="sampled", samples=samples)
+    with pytest.raises(BudgetExceededError, match="sampled quadruples"):
+        cl.delta_four_point(g, mode="sampled", samples=10**12)  # past the default budget
+    with pytest.raises(BudgetExceededError):
+        cl.delta_four_point(g, mode="sampled", samples=101, budget=100)
+    assert cl.delta_four_point(g, mode="sampled", samples=100, budget=100).sample_count == 100
+
+
 def test_small_spaces_are_trivially_zero():
     g = Graph.from_edges([("a", "b")])
     assert cl.delta_four_point(g).delta == 0

@@ -304,6 +304,26 @@ def test_generator_point_budget_is_checked_before_allocating(monkeypatch, capsys
     assert cli_main(["delta", "--in", "cantor:-1"]) == 2  # under the cap, invalid depth
 
 
+@pytest.mark.parametrize("samples, expected", [("0", 2), ("-3", 2), ("1000000000000", 3)])
+def test_cli_sampled_delta_bounds_samples(samples, expected, capsys):
+    argv = ["delta", "--in", "two_point:1.0", "--mode", "sampled", "--samples", samples]
+    assert cli_main(argv) == expected
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_endspace_point_budget_is_checked_before_allocating(monkeypatch, tmp_path):
+    built = []
+    monkeypatch.setattr(cli, "end_space", lambda t: built.append(len(t.live)) or cl.end_space(t))
+    monkeypatch.setattr(cli, "MAX_GENERATOR_POINTS", 16)
+    for depth, expected in ((5, 3), (4, 0)):  # 32 live leaves, then 16
+        tree, out, report = (tmp_path / f"{name}{depth}.json" for name in ("b2d", "ends", "rep"))
+        io.save_tree(tree, cl.full_branching_tree(2, depth))
+        argv = ["endspace", "--in", str(tree), "--out", str(out), "--report", str(report)]
+        assert cli_main(argv) == expected
+        assert out.exists() == report.exists() == (expected == 0)
+    assert built == [16]
+
+
 @pytest.mark.parametrize(
     "argv, document",
     [

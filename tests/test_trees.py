@@ -11,7 +11,12 @@ import pytest
 import cheegerlab as cl
 from cheegerlab import EmptyWindowError, InvalidInputError
 
-from conftest import bfs_dist, oracle_min_ratio, oracle_random_branching
+from conftest import (
+    bfs_dist,
+    oracle_min_ratio,
+    oracle_pseudo_regularity,
+    oracle_random_branching,
+)
 
 
 # -- construction and invariants -----------------------------------------------
@@ -192,6 +197,33 @@ def test_growing_chain_defect_and_family():
         members = set(w.vertices)
         assert len(members) == w.k
         assert cl.cheeger_ratio(g, members) == w.ratio  # |boundary| = 2 exactly
+
+
+def _pseudo_regularity_trees():
+    yield from (cl.homogeneous_tree(k, d) for k in (2, 3, 4) for d in range(1, 6))
+    yield from (cl.full_branching_tree(b, d) for b in (1, 2, 3) for d in range(1, 6))
+    yield from (cl.even_branching_tree(d) for d in range(2, 10))
+    for seed in range(40):
+        for fan in ((1, 3), (1, 2), (2, 3)):
+            yield cl.random_branching_tree(4, seed, *fan)
+    yield from (cl.random_tree(n, seed) for n in (2, 3, 5, 10, 30, 60, 200, 500)
+                for seed in range(25))
+    yield from (cl.comb_tree(d, tooth) for d in range(2, 12) for tooth in range(1, 5))
+    yield from (cl.growing_chain(d) for d in (2, 3, 10, 50))
+    for base in (cl.homogeneous_tree(3, 5), cl.even_branching_tree(6), cl.random_tree(40, 3)):
+        yield from (cl.grafted_dead_branches(base, size) for size in (1, 2, 3))
+
+
+def test_pseudo_regularity_matches_literal_oracle():
+    trees = list(_pseudo_regularity_trees())
+    defects = 0
+    for t in trees:
+        res = cl.pseudo_regularity_index(t)
+        got = (res.k, res.horizon, res.defect_vertex, res.defect_run,
+               [(w.k, w.vertices, w.ratio) for w in res.family])
+        assert got == oracle_pseudo_regularity(t.root, t.children, t.live)
+        defects += res.k is None
+    assert 0 < defects < len(trees)  # both outcomes are exercised
 
 
 def test_pseudo_regularity_requires_live():
