@@ -52,7 +52,6 @@ class LeveledGraph:
     k_max: int
     level: dict[str, int]
     center: dict[str, str]
-    radius: dict[str, float]
 
     @property
     def base(self) -> str:
@@ -120,7 +119,6 @@ def build_truncated(
     names = {k: [_vertex_name(k, p) for p in levels[k]] for k in levels}
     level_map = {v: k for k in levels for v in names[k]}
     center = {v: p for k in levels for v, p in zip(names[k], levels[k])}
-    radius = {v: 2 * r**k for k in levels for v in names[k]}
 
     edges: set[tuple[str, str]] = set()
     for k in range(k0, k_max + 1):
@@ -137,7 +135,7 @@ def build_truncated(
             edges |= edges_where(misses == 0, names[k], names[k + 1])
 
     graph = Graph(tuple(level_map), frozenset(edges), frozenset(names[k_max]))
-    built = LeveledGraph(graph, space, r, k0, k_max, level_map, center, radius)
+    built = LeveledGraph(graph, space, r, k0, k_max, level_map, center)
     skips, no_upper = _level_violations(built)
     problems = skips + no_upper
     if problems:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import BudgetExceededError, ConstructionError, InvalidInputError
+from .errors import BudgetExceededError, ConstructionError, EmptyWindowError, InvalidInputError
 from .graphs import (
     BoundEndpoint,
     CheegerBound,
@@ -88,14 +88,14 @@ def bound_strong(mu: int, radius: int, rate: Fraction | int) -> Fraction:
 class PieceCertificate:
     """Re-verifiable evidence that a piece has Cheeger constant >= r.
 
-    ``tree-theorem``: the induced piece is a rooted-tree window; its (K, C)
+    ``tree-theorem``: the induced piece is a rooted-tree window whose live
+    leaves are its ambient-frontier vertices other than the root; its (K, C)
     bound is recomputed from scratch.  ``function``: a vertex function is
     re-run through the gradient/Laplacian certificate on the induced piece.
     """
 
     kind: str
     root: str | None = None
-    live: frozenset[str] = frozenset()
     f: Mapping[str, Fraction] | None = None
 
     def __post_init__(self):
@@ -138,7 +138,8 @@ class ValidationReport:
     scans: dict[str, PieceScan]
 
 
-def _tree_from_graph(g: Graph, root: str, live: frozenset[str]) -> RootedTree:
+def _tree_from_graph(g: Graph, root: str) -> RootedTree:
+    """The piece rooted at ``root``, with its other frontier vertices live."""
     if len(g.edges) != len(g.vertices) - 1 or not g.is_connected:
         raise InvalidInputError("piece is not a tree")
     if root not in g.index:
@@ -148,7 +149,7 @@ def _tree_from_graph(g: Graph, root: str, live: frozenset[str]) -> RootedTree:
         x: tuple(sorted(y for y in g.adjacency[x] if depth[y] == depth[x] + 1))
         for x in g.vertices
     }
-    return RootedTree(root, children, live)
+    return RootedTree(root, children, g.frontier - {root})
 
 
 def _verify_certificate(
@@ -157,13 +158,13 @@ def _verify_certificate(
     """Recompute the certified lower bound on the induced piece."""
     if cert.kind == "tree-theorem":
         try:
-            tree = _tree_from_graph(piece_graph, cert.root, cert.live)
+            tree = _tree_from_graph(piece_graph, cert.root)
             pseudo = pseudo_regularity_index(tree)
             if pseudo.k is None:
                 return False, Fraction(0), "piece tree is not pseudo-regular in its window"
             comp = complementedness_index(tree)
             value = theorem_lower_bound(pseudo.k, comp.c)
-        except InvalidInputError as exc:
+        except (InvalidInputError, EmptyWindowError) as exc:
             return False, None, f"tree certificate rejected: {exc}"
     else:
         res = certificate_lower_bound(piece_graph, cert.f)
@@ -327,7 +328,6 @@ def decomposition_bound(spec: DecompositionSpec, report: ValidationReport) -> Ch
 @dataclass(frozen=True, eq=False)
 class GraftResult:
     graph: Graph
-    base_vertices: tuple[str, ...]
     pieces: dict[str, frozenset[str]]  # "base" plus one copy piece per base vertex
     copy_roots: dict[str, str]  # piece id -> identified base vertex
 
@@ -374,27 +374,22 @@ def graft(base: Graph, attachment: Graph, port: str) -> GraftResult:
 
     if result.mu > base.mu + attachment.mu:
         raise ConstructionError("graft exceeds the degree bound", witness=result.mu)
-    return GraftResult(result, tuple(base.vertices), pieces, copy_roots)
+    return GraftResult(result, pieces, copy_roots)
 
 
 def graft_decomposition(
     base: Graph, attachment: Graph, port: str, radius: int = 0
 ) -> DecompositionSpec:
     """Package a graft as a decomposition: copies are the certified class
-    (via the tree theorem on each copy), the base is the shielded class."""
-    tree_check = _tree_from_graph(attachment, port, frozenset(attachment.frontier))
-    pseudo = pseudo_regularity_index(tree_check)
-    if pseudo.k is None:
-        raise InvalidInputError("attachment tree is not pseudo-regular; no rate available")
-    rate = theorem_lower_bound(pseudo.k, complementedness_index(tree_check).c)
-
+    (via the tree theorem on each copy), the base is the shielded class.
+    The rate is the bound that theorem certifies on the attachment (any
+    positive bound clears the threshold 0)."""
+    ok, rate, reason = _verify_certificate(
+        attachment, PieceCertificate("tree-theorem", root=port), Fraction(0)
+    )
+    if not ok:
+        raise InvalidInputError(f"the attachment certifies no rate: {reason}")
     g = graft(base, attachment, port)
-    certs: dict[str, PieceCertificate] = {}
-    for pid, root in g.copy_roots.items():
-        live = frozenset(
-            v for v in g.pieces[pid] if v in g.graph.frontier and v != root
-        )
-        certs[pid] = PieceCertificate("tree-theorem", root=root, live=live)
     return DecompositionSpec(
         ambient=g.graph,
         pieces=g.pieces,
@@ -402,7 +397,9 @@ def graft_decomposition(
         s2=frozenset({"base"}),
         radius=radius,
         rate=rate,
-        certificates=certs,
+        certificates={
+            pid: PieceCertificate("tree-theorem", root=root) for pid, root in g.copy_roots.items()
+        },
     )
 
 

@@ -236,13 +236,18 @@ class Graph:
             raise InvalidInputError(f"unknown vertex {exc.args[0]!r}") from None
         return {v: d for v, d in zip(self.vertices, self._bfs(idx)) if d >= 0}
 
+    def distance_rows(self, sources: Iterable[int]) -> np.ndarray:
+        """BFS distances from each source index, one int32 row per source;
+        -1 marks an unreachable vertex."""
+        rows = [self._bfs((i,)) for i in sources]
+        return np.array(rows, dtype=np.int32).reshape(len(rows), len(self.vertices))
+
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """All-pairs BFS distances as int32 (requires connectivity)."""
         if not self.is_connected:
             raise InvalidInputError("distance matrix requested on a disconnected graph")
-        n = len(self.vertices)
-        return np.array([self._bfs((i,)) for i in range(n)], dtype=np.int32).reshape(n, n)
+        return self.distance_rows(range(len(self.vertices)))
 
     def distance(self, u: str, v: str) -> int:
         return int(self.distance_matrix[self.index[u], self.index[v]])

@@ -89,10 +89,13 @@ def _role_order(dmat, names, i, j, k, l) -> tuple[str, str, str, str]:
     return tuple(names[t] for t in order)
 
 
-def _pairing_values(dmat, ii, jj, kk, ll):
-    s1 = dmat[ii, jj] + dmat[kk, ll]
-    s2 = dmat[ii, kk] + dmat[jj, ll]
-    s3 = dmat[ii, ll] + dmat[jj, kk]
+def _pairing_values(dmat, rows, cols):
+    # cols: quadruples (i, j, k, l); rows: the dmat rows of i, j and k, one of
+    # which is an endpoint of every pair in the three pairings
+    (ri, rj, rk), (ii, jj, kk, ll) = rows, cols
+    s1 = dmat[ri, jj] + dmat[rk, ll]
+    s2 = dmat[ri, kk] + dmat[rj, ll]
+    s3 = dmat[ri, ll] + dmat[rj, kk]
     top = np.maximum(s1, np.maximum(s2, s3))
     low = np.minimum(s1, np.minimum(s2, s3))
     return top - (s1 + s2 + s3 - top - low)  # largest minus second largest
@@ -182,17 +185,25 @@ def delta_four_point(
             raise InvalidInputError(f"sampled mode needs samples >= 1 (got {samples})")
         if samples > budget:
             raise BudgetExceededError(samples, budget, what="sampled quadruples")
-        dmat, names, integral = _distance_matrix(space)
-        rng = np.random.default_rng(seed)
-        qs = rng.integers(0, len(names), size=(4, samples))
-        vals = _pairing_values(dmat, qs[0], qs[1], qs[2], qs[3])
+        if isinstance(space, Graph):
+            if not space.is_connected:
+                raise InvalidInputError("distance matrix requested on a disconnected graph")
+            names, integral = space.vertices, True
+        else:
+            dmat, names, integral = _distance_matrix(space)
+        qs = np.random.default_rng(seed).integers(0, len(names), size=(4, samples))
+        rows = qs[:3]
+        if integral:  # only the BFS rows of the points drawn as i, j or k are read
+            sources, inverse = np.unique(rows, return_inverse=True)
+            dmat, rows = space.distance_rows(sources.tolist()), inverse.reshape(rows.shape)
+        vals = _pairing_values(dmat, rows, qs)
         at = int(vals.argmax())
-        best = vals[at]
-        i, j, k, l = (int(qs[t, at]) for t in range(4))
-        delta = Fraction(int(best), 2) if integral else float(best) / 2.0
+        quad = qs[:, at]
+        delta = Fraction(int(vals[at]), 2) if integral else float(vals[at]) / 2.0
+        # rows i, j, k at columns i, j, k, l hold the maximizer's six distances
+        witness = _role_order(dmat[rows[:, at]][:, quad], [names[t] for t in quad], 0, 1, 2, 3)
         return DeltaReport(
-            delta, _role_order(dmat, names, i, j, k, l), "sampled",
-            lower_bound_only=True, seed=seed, sample_count=samples,
+            delta, witness, "sampled", lower_bound_only=True, seed=seed, sample_count=samples
         )
 
     if isinstance(space, Graph):

@@ -184,7 +184,6 @@ def leveled_payload(lg: LeveledGraph) -> dict:
         "k_max": lg.k_max,
         "level": {v: lg.level[v] for v in sorted(lg.level)},
         "center": {v: lg.center[v] for v in sorted(lg.center)},
-        "radius": {v: float(lg.radius[v]) for v in sorted(lg.radius)},
     }
 
 
@@ -203,12 +202,12 @@ def _finite(x: Any, what: str) -> float:
 def leveled_from_payload(data: dict) -> LeveledGraph:
     if not isinstance(data, dict):
         raise InvalidInputError("leveled document must be an object")
-    for key in ("graph", "space", "r", "k0", "k_max", "level", "center", "radius"):
+    for key in ("graph", "space", "r", "k0", "k_max", "level", "center"):
         if key not in data:
             raise InvalidInputError(f"leveled document misses {key!r}")
     graph = graph_from_payload(data["graph"])
     space = metric_from_payload(data["space"])
-    for key in ("level", "center", "radius"):
+    for key in ("level", "center"):
         if not isinstance(data[key], dict) or set(data[key]) != set(graph.vertices):
             raise InvalidInputError(
                 f"leveled document: {key!r} must map exactly the graph's vertices"
@@ -235,7 +234,6 @@ def leveled_from_payload(data: dict) -> LeveledGraph:
         k_max,
         level,
         dict(data["center"]),
-        {v: _finite(x, f"the radius of {v!r}") for v, x in data["radius"].items()},
     )
 
 
@@ -254,8 +252,6 @@ def certificate_payload(cert: PieceCertificate) -> dict:
     out: dict[str, Any] = {"kind": cert.kind}
     if cert.root is not None:
         out["root"] = cert.root
-    if cert.live:
-        out["live"] = sorted(cert.live)
     if cert.f is not None:
         out["f"] = {v: fraction_str(Fraction(x)) for v, x in sorted(cert.f.items())}
     return out
@@ -263,36 +259,24 @@ def certificate_payload(cert: PieceCertificate) -> dict:
 
 def certificate_from_payload(data: dict) -> PieceCertificate:
     if not isinstance(data, dict):
-        raise InvalidInputError("certificate document must be an object")
+        raise InvalidInputError("certificate must be an object")
     if not isinstance(data.get("root"), (str, type(None))):
-        raise InvalidInputError("certificate document: 'root' must be a string")
-    if not isinstance(data.get("live", []), list):
-        raise InvalidInputError("certificate document: 'live' must be a list")
+        raise InvalidInputError("certificate: 'root' must be a string")
     if not isinstance(data.get("f", {}), dict):
-        raise InvalidInputError("certificate document: 'f' must map vertices to rationals")
+        raise InvalidInputError("certificate: 'f' must map vertices to rationals")
     return PieceCertificate(
         kind=str(data.get("kind", "")),
         root=data.get("root"),
-        live=frozenset(str(v) for v in data.get("live", [])),
         f={str(v): parse_fraction(x) for v, x in data["f"].items()} if "f" in data else None,
     )
 
 
 def save_decomposition(path: str | Path, spec: DecompositionSpec) -> None:
-    """Write a decomposition document plus the files it references.
-
-    The main document points at the ambient graph and at one certificate file
-    per key, all placed next to it with names derived from the stem.
-    """
+    """Write a decomposition document, its certificates inline, plus the
+    ambient graph next to it as ``<stem>.ambient.json``."""
     path = Path(path)
-    stem = path.stem
-    ambient_name = f"{stem}.ambient.json"
+    ambient_name = f"{path.stem}.ambient.json"
     save_graph(path.parent / ambient_name, spec.ambient)
-    cert_refs: dict[str, str] = {}
-    for i, key in enumerate(sorted(spec.certificates)):
-        name = f"{stem}.cert{i}.json"
-        write_canonical(path.parent / name, certificate_payload(spec.certificates[key]))
-        cert_refs[key] = name
     write_canonical(
         path,
         {
@@ -302,7 +286,9 @@ def save_decomposition(path: str | Path, spec: DecompositionSpec) -> None:
             "S2": sorted(spec.s2),
             "R": spec.radius,
             "r": fraction_str(spec.rate),
-            "certificates": cert_refs,
+            "certificates": {
+                key: certificate_payload(cert) for key, cert in spec.certificates.items()
+            },
         },
     )
 
@@ -328,8 +314,8 @@ def load_decomposition(path: str | Path) -> DecompositionSpec:
         raise InvalidInputError("decomposition document: 'certificates' must be an object")
     ambient = load_graph(path.parent / str(data["ambient"]))
     certs = {
-        str(key): certificate_from_payload(read_json(path.parent / str(ref)))
-        for key, ref in data.get("certificates", {}).items()
+        str(key): certificate_from_payload(cert)
+        for key, cert in data.get("certificates", {}).items()
     }
     return DecompositionSpec(
         ambient=ambient,

@@ -133,8 +133,7 @@ def test_structural_checks_report_level_violations():
     )
     level = {"a": 0, "b": 1, "c": 2, "d": 1}
     center = {"a": "p", "b": "p", "c": "p", "d": "q"}
-    radius = {v: 2 * (1 / 6) ** k for v, k in level.items()}
-    lg = cl.LeveledGraph(g, cl.two_point(1.0), 1 / 6, 0, 2, level, center, radius)
+    lg = cl.LeveledGraph(g, cl.two_point(1.0), 1 / 6, 0, 2, level, center)
     rep = cl.structural_checks(lg)
     assert not rep.classification_ok
     assert not rep.upper_neighbor_ok
@@ -180,7 +179,7 @@ def test_level_certificate_rejects_an_empty_interior():
     # k_max - k0 = 2 but no vertex sits on level 1
     lg = cl.LeveledGraph(
         cl.Graph.from_edges([("a", "b")]), cl.two_point(1.0), 1 / 6, 0, 2,
-        {"a": 0, "b": 2}, {"a": "p", "b": "q"}, {"a": 1.0, "b": 1 / 36},
+        {"a": 0, "b": 2}, {"a": "p", "b": "q"},
     )
     with pytest.raises(cl.EmptyWindowError):
         cl.level_certificate(lg)

@@ -324,6 +324,54 @@ def test_certificate_reverification_rejects_wrong_rate():
     assert any("below the required" in v for v in report.violations)
 
 
+def frontierless_t3_spec():
+    """One tree-theorem piece covering T3 d3 with its frontier removed: the
+    whole vertex set has boundary 0, so h = 0 and no bound may validate."""
+    g = cl.homogeneous_tree(3, 3).graph
+    bare = cl.Graph(g.vertices, g.edges, frozenset())
+    return DecompositionSpec(
+        ambient=bare, pieces={"T": frozenset(bare.vertices)},
+        s1=frozenset({"T"}), s2=frozenset(), radius=0, rate=Fraction(1, 7),
+        certificates={"T": PieceCertificate("tree-theorem", root="v")},
+    )
+
+
+def test_tree_piece_without_frontier_has_no_live_leaf():
+    assert "live" not in {f.name for f in dataclasses.fields(PieceCertificate)}
+    report = cl.validate(frontierless_t3_spec())
+    assert not report.valid
+    assert report.violations == (
+        "piece 'T': tree certificate rejected: "
+        "tree has no live leaf; complete subtree is empty",
+    )
+    assert report.verified_lower == {}
+
+
+def test_tree_piece_live_leaves_are_its_frontier_copies():
+    base = cl.grid_window(3, 3)
+    att = cl.homogeneous_tree(3, 2)
+    spec = cl.graft_decomposition(base, att.graph, "v")
+    roots = {spec.certificates[pid].root for pid in spec.s1}
+    assert roots == set(base.vertices) and roots & base.frontier  # frontier roots stay inner
+    for pid in sorted(spec.s1):
+        root = spec.certificates[pid].root
+        tree = cl.decomposition._tree_from_graph(spec.ambient.induced(spec.pieces[pid]), root)
+        assert tree.live == {f"{root}/{x}" for x in att.live}
+
+
+def test_graft_decomposition_rate_needs_a_certified_attachment():
+    base = cl.grid_window(3, 3)
+    bare = cl.homogeneous_tree(3, 2).graph
+    bare = cl.Graph(bare.vertices, bare.edges, frozenset())
+    with pytest.raises(InvalidInputError, match="no live leaf"):
+        cl.graft_decomposition(base, bare, "v")
+    chain = cl.growing_chain(6).graph
+    with pytest.raises(InvalidInputError, match="not pseudo-regular"):
+        cl.graft_decomposition(base, chain, chain.vertices[0])
+    with pytest.raises(InvalidInputError, match="not a tree"):
+        cl.graft_decomposition(base, cl.cycle_graph(4), "0")
+
+
 def test_function_certificate_kind():
     # a second-class-free decomposition where the single piece certifies by
     # the depth-function certificate on the tree window

@@ -226,6 +226,8 @@ def test_disconnected_or_empty_graph_is_invalid():
     g = Graph.from_edges([("a", "b"), ("c", "d")], require_connected=False)
     with pytest.raises(InvalidInputError, match="disconnected"):
         cl.delta_four_point(g)
+    with pytest.raises(InvalidInputError, match="disconnected"):
+        cl.delta_four_point(g, mode="sampled", samples=10)
     for mode in ("exhaustive", "sampled"):
         with pytest.raises(InvalidInputError, match="empty graph"):
             cl.delta_four_point(Graph((), frozenset()), mode=mode)
@@ -240,6 +242,45 @@ def test_sampled_mode_is_a_lower_bound():
     assert cl.evaluate_witness(g, sampled.witness) == sampled.delta
     again = cl.delta_four_point(g, mode="sampled", seed=3, samples=4000)
     assert again.delta == sampled.delta and again.witness == sampled.witness
+
+
+def _sampled_on_the_full_matrix(g, seed, samples):
+    """Sampled mode spelled out on the all-pairs matrix: the same draws, the
+    largest minus second-largest pairing sum, and the first pairing among the
+    largest sums as the (x, y | z, o) split of the witness."""
+    d = g.distance_matrix
+    qs = np.random.default_rng(seed).integers(0, len(g.vertices), size=(4, samples))
+    best, witness = -1, None
+    for i, j, k, l in qs.T:
+        sums = [(d[i, j] + d[k, l], (i, j, k, l)), (d[i, k] + d[j, l], (i, k, j, l)),
+                (d[i, l] + d[j, k], (i, l, j, k))]
+        ordered = sorted(s for s, _ in sums)
+        if ordered[2] - ordered[1] > best:
+            best = ordered[2] - ordered[1]
+            top = next(q for s, q in sums if s == ordered[2])
+            witness = tuple(g.vertices[t] for t in top)
+    return Fraction(int(best), 2), witness
+
+
+def test_sampled_mode_on_graphs_matches_the_full_matrix():
+    graphs = [cl.grid_window(6, 5, truncated=False), cl.path_window(40, truncated=False),
+              cl.homogeneous_tree(3, 3).graph, cl.cycle_graph(11),
+              cl.graft(cl.cycle_graph(5), cl.homogeneous_tree(2, 2).graph, "v").graph]
+    for g in graphs:
+        for seed in range(4):
+            for samples in (1, 9, 300):
+                rep = cl.delta_four_point(g, mode="sampled", seed=seed, samples=samples)
+                assert (rep.delta, rep.witness) == _sampled_on_the_full_matrix(g, seed, samples)
+
+
+def test_sampled_mode_runs_bfs_only_from_the_drawn_points(monkeypatch):
+    g = cl.path_window(2000, truncated=False)
+    calls = []
+    bfs = Graph._bfs
+    monkeypatch.setattr(Graph, "_bfs", lambda self, sources: calls.append(1) or bfs(self, sources))
+    rep = cl.delta_four_point(g, mode="sampled", samples=100)
+    assert rep.sample_count == 100 and "distance_matrix" not in vars(g)
+    assert len(calls) <= 3 * 100
 
 
 def test_sampled_mode_bounds_the_sample_count():

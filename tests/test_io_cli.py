@@ -4,6 +4,8 @@ report determinism, library equivalence."""
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -105,7 +107,6 @@ def _first_vertex(field, value):
 @pytest.mark.parametrize(
     "mutate",
     [
-        pytest.param(lambda doc: doc.pop("radius"), id="radius-missing"),
         pytest.param(lambda doc: doc.update(graph=[]), id="graph-not-object"),
         pytest.param(lambda doc: doc["space"].pop("dist"), id="space-without-dist"),
         pytest.param(lambda doc: doc.update(r="abc"), id="r-string"),
@@ -127,9 +128,6 @@ def _first_vertex(field, value):
         pytest.param(_first_vertex("center", 1.5), id="center-float"),
         pytest.param(_first_vertex("center", "no-such-point"), id="center-unknown-point"),
         pytest.param(lambda doc: doc["center"].update(extra="0"), id="center-extra-vertex"),
-        pytest.param(lambda doc: doc.update(radius=[1.0]), id="radius-list"),
-        pytest.param(_first_vertex("radius", "abc"), id="radius-string"),
-        pytest.param(_first_vertex("radius", float("nan")), id="radius-nan"),
     ],
 )
 def test_leveled_loader_type_checks_fields(mutate):
@@ -147,17 +145,50 @@ def test_leveled_loader_rejects_non_object_documents(tmp_path):
             io.load_leveled(path)
 
 
+
+
+def _report_fields(report):
+    return (report.valid, report.strong, report.violations, report.unverified,
+            report.verified_lower, report.scans)
+
+
 def test_decomposition_round_trip(tmp_path):
-    spec = cl.graft_decomposition(
-        cl.grid_window(3, 3), cl.homogeneous_tree(3, 2).graph, "v"
+    attachments = [cl.homogeneous_tree(3, d) for d in range(1, 5)]
+    attachments += [cl.random_branching_tree(d, seed) for d in (2, 3) for seed in (0, 1)]
+    for rows in (3, 4, 5, 6):
+        for i, att in enumerate(attachments):
+            spec = cl.graft_decomposition(cl.grid_window(rows, rows), att.graph, "v")
+            path = tmp_path / f"d{i}.json"
+            io.save_decomposition(path, spec)
+            back = io.load_decomposition(path)
+            assert (back.pieces, back.rate) == (spec.pieces, spec.rate)
+            assert set(back.certificates) == set(spec.certificates)
+            report = cl.validate(back)
+            assert report.valid
+            assert _report_fields(report) == _report_fields(cl.validate(spec))
+    # one document plus its ambient graph per decomposition
+    assert len(list(tmp_path.iterdir())) == 2 * len(attachments)
+
+
+def test_frontierless_tree_piece_exits_falsified(tmp_path, capsys):
+    g = cl.homogeneous_tree(3, 3)
+    spec = cl.DecompositionSpec(
+        ambient=cl.Graph(g.graph.vertices, g.graph.edges, frozenset()),
+        pieces={"T": frozenset(g.vertices)}, s1=frozenset({"T"}), s2=frozenset(),
+        radius=0, rate=Fraction(1, 7),
+        certificates={"T": cl.PieceCertificate("tree-theorem", root="v")},
     )
-    path = tmp_path / "dec.json"
+    path = tmp_path / "d.json"
     io.save_decomposition(path, spec)
-    back = io.load_decomposition(path)
-    assert back.pieces == spec.pieces
-    assert back.rate == spec.rate
-    assert set(back.certificates) == set(spec.certificates)
-    assert cl.validate(back).valid
+    declared = json.loads(path.read_text())
+    declared["certificates"]["T"]["live"] = sorted(g.live)  # not read
+    io.write_canonical(tmp_path / "declared.json", declared)
+    for name in ("d.json", "declared.json"):
+        code, blob = run_cli(["decomp", "--spec", str(tmp_path / name)], tmp_path)
+        assert code == 4
+        results = json.loads(blob)["results"]
+        assert results["valid"] is False and "bound" not in results
+        assert any("no live leaf" in v for v in results["violations"])
 
 
 def test_loader_rejects_malformed(tmp_path):
@@ -429,10 +460,9 @@ def _decomposition_with(workdir, **fields):
 
 
 def _with_certificate(workdir, cert):
-    (workdir / "badcert.json").write_text(json.dumps(cert))
     doc = json.loads((workdir / "graft.json").read_text())
     key = sorted(doc["certificates"])[0]
-    return _decomposition_with(workdir, certificates={**doc["certificates"], key: "badcert.json"})
+    return _decomposition_with(workdir, certificates={**doc["certificates"], key: cert})
 
 
 def _write(workdir, name, content):
@@ -562,11 +592,13 @@ def test_cli_decomp_matches_library(workdir):
     )
 
 
-def test_cli_graft_writes_artifacts(workdir, tmp_path):
+def test_cli_graft_writes_artifacts(workdir, tmp_path, monkeypatch):
     io.save_graph(workdir / "base.json", cl.grid_window(3, 3))
     io.save_graph(workdir / "att.json", cl.homogeneous_tree(3, 2).graph)
-    out = tmp_path / "big.json"
-    dec = tmp_path / "dec.json"
+    written = tmp_path / "written"
+    written.mkdir()
+    out = written / "big.json"
+    dec = written / "dec.json"
     code, blob = run_cli(
         ["graft", "--base", str(workdir / "base.json"), "--attachment",
          str(workdir / "att.json"), "--port", "v", "--out", str(out),
@@ -574,7 +606,12 @@ def test_cli_graft_writes_artifacts(workdir, tmp_path):
         workdir,
     )
     assert code == 0
+    assert sorted(p.name for p in written.iterdir()) == ["big.json", "dec.ambient.json", "dec.json"]
+    read = []
+    monkeypatch.setattr(io, "read_json", lambda path, load=io.read_json: read.append(
+        Path(path).name) or load(path))
     assert cl.validate(io.load_decomposition(dec)).valid
+    assert read == ["dec.json", "dec.ambient.json"]
 
 
 def test_cli_graft_results_and_out_do_not_depend_on_decomposition(workdir, tmp_path):

@@ -78,7 +78,7 @@ EXPECTED = {
     "report:graft":
         [0, "f8c42d0592ea564d3f3242a6d98da9d0c9ba980c00b797977d164a97c454b141"],
     "report:decomp":
-        [0, "fba4d4cc4002e13281e05750f5c23ca0bf3203533ea1f58cd1285d01a24d5db2"],
+        [0, "3f3e32bbe000e282e73c73a1430d4d9d41f3ad0d89cda08c5353fdb674ddb0ce"],
     "report:scan":
         [0, "b22faae1aa28fc5a40bf9f2d4933ba484e33d7b88903cf40792976a4400f0965"],
     "file:cantor4.json":
@@ -91,40 +91,8 @@ EXPECTED = {
         "223f04014411756f883faa5664498559b2bfe30fc6b0fde1ea583b7742299b2f",
     "file:graft.ambient.json":
         "61df42720191eb5507e92028e68377bc95609d80932d1b642816281e6d36434f",
-    "file:graft.cert0.json":
-        "fb65b106ea81171bae4aaa71e970178245d1ca49a5b9340eb15396d9adfbcf4f",
-    "file:graft.cert1.json":
-        "5df81ab3c178e9028af7516171a988c996d3cc3a68c8f906660bd2b8db47f164",
-    "file:graft.cert10.json":
-        "dfb16fb6de4ec006c556547bc0694b8b0f6bb3781c9a8139e298c71f304bd459",
-    "file:graft.cert11.json":
-        "e8ccf09e25e7379e59641e365b36502f1f9bf0c1bb74ff0275b3493db7385734",
-    "file:graft.cert12.json":
-        "58e8690fb385d146dea839f8715a82dcb1bde618cab35d1014ebc2c94fb4ec24",
-    "file:graft.cert13.json":
-        "b1c83e1a5619831733a8c852cce24cfbfd8bd6ccec836654403b6379f8bb619b",
-    "file:graft.cert14.json":
-        "515c57b9d639ec43ca13639e3bb78794a64ea63f1c1104c6ce7a35f44c6537c4",
-    "file:graft.cert15.json":
-        "92115be3d1a8345ec8a92b8cdafc82668a6695b3dd932f93637fd7bd3c4fbac1",
-    "file:graft.cert2.json":
-        "384f58659d4e6437d205636c2f493f47aa8bd26cfe8a97d01ad6e3c519d3b177",
-    "file:graft.cert3.json":
-        "b74c1a92de668fb31775469b3bb7cd12aa9cb76c99deac4741112557d728523a",
-    "file:graft.cert4.json":
-        "08dd02d81111edc5d2b78b247271f93e08e86494402bf8df9a76819e927d0d9e",
-    "file:graft.cert5.json":
-        "0bbe22ba3c31ea97224cf04f6dd467f46cacdb4f799e9a6b6c418007fd2475f8",
-    "file:graft.cert6.json":
-        "b0852a74bd1432c81541cd14ffb399991a9db826322eabe46906b2dd893bf7fb",
-    "file:graft.cert7.json":
-        "2b1105b250ba3d94b4fd91c5dd978d97f12160fc8235b1cd54ab59b44735780a",
-    "file:graft.cert8.json":
-        "0066f44ced4c4cd8c82d8adceabd2d3c21cb352fa9e7c6a3c59a6976a199614f",
-    "file:graft.cert9.json":
-        "e089b35ea291d68ad9039eee5e7596ed1ae90f84ee03a1ea646c1892a345a196",
     "file:graft.json":
-        "3fb8df3daef571ae1e9f3136541e2e45ec8529e865f3559f90bbe620a629954d",
+        "1be9e0c6484cef766e51806dc10b384b15297edf6af33b24bea8118519187f70",
     "file:grafted.json":
         "61df42720191eb5507e92028e68377bc95609d80932d1b642816281e6d36434f",
     "file:grid4.json":
@@ -132,7 +100,7 @@ EXPECTED = {
     "file:grid6.json":
         "f859723998d854f2bc7f9b538107f1f1b767bbfef68203341ce35556b63231f3",
     "file:lg.json":
-        "65f9c96db595ad19f3beee5b67a8caf611920d3479443c25dfa658c597a72450",
+        "a869bec6a84c70f2f833fc74c7ecde5a9835c08fb7a833b721a51679f2c1e308",
     "file:net.json":
         "7fa8ee1c4fee36db2596d680a588570feadf7e43019853cef1703e78327e1811",
     "file:p13.json":

@@ -173,7 +173,7 @@ def fuzz_documents(tmp_path_factory):
     io.save_metric(root / "m.json", cl.cantor_sample(2))
     io.save_tree(root / "t.json", cl.homogeneous_tree(2, 3))
     graft = cl.graft_decomposition(cl.grid_window(3, 3), cl.homogeneous_tree(3, 1).graph, "v")
-    io.save_decomposition(root / "d.json", graft)  # also writes d.ambient.json, d.cert*.json
+    io.save_decomposition(root / "d.json", graft)  # also writes d.ambient.json
     function = {v: str(i % 3) for i, v in enumerate(cl.path_window(6).vertices)}
     io.write_canonical(root / "f.json", function)
     g, m, t, d, f = (str(root / f"{stem}.json") for stem in "gmtdf")
@@ -184,7 +184,6 @@ def fuzz_documents(tmp_path_factory):
         "t.json": [["tree", "--in", t, "--max-size", "3"], ["endspace", "--in", t]],
         "d.json": [["decomp", "--spec", d]],
         "d.ambient.json": [["decomp", "--spec", d]],
-        "d.cert0.json": [["decomp", "--spec", d]],
         "f.json": [["certify", "--in", g, "--function", f]],
     }
     return root, commands
