@@ -7,105 +7,129 @@ tree/decomposition theorems give lower endpoints, and all finite-horizon
 results disclose the window they were proved on.
 """
 
-from .errors import (
-    BudgetExceededError,
-    CheegerLabError,
-    ConstructionError,
-    EmptyWindowError,
-    InvalidHorizonError,
-    InvalidInputError,
-    InvalidSupportError,
-)
-from .graphs import (
-    BoundEndpoint,
-    CheegerBound,
-    CertificateResult,
-    DEFAULT_SUBSET_BUDGET,
-    Graph,
-    admissible_vertices,
-    auto_max_size,
-    boundary,
-    certificate_lower_bound,
-    cheeger_ratio,
-    corollary_connected_bound,
-    cycle_graph,
-    gradient,
-    green_identity_check,
-    grid_window,
-    interior_cheeger_bruteforce,
-    laplacian,
-    path_window,
-    quasi_isometry_check,
-    relabeled,
-    vertex_function,
-    window_max_size,
-)
-from .hyperbolicity import (
-    DEFAULT_DELTA_BUDGET,
-    DeltaReport,
-    delta_four_point,
-    evaluate_witness,
-    gromov_product,
-    pole_defect,
-)
-from .metric import (
-    FiniteMetricSpace,
-    GeometryProfile,
-    PerfectnessCertificate,
-    cantor_sample,
-    epsilon_net,
-    greedy_separated,
-    interval_sample,
-    line_space,
-    one_point_to_two_point_constant,
-    rescale_eps0,
-    strongly_bounded_geometry_profile,
-    two_point,
-    two_point_perfectness_check,
-    two_point_to_one_point_constant,
-    uniformly_perfect_check,
-)
-from .trees import (
-    RootedTree,
-    TreeAnalysis,
-    comb_tree,
-    complementedness_index,
-    end_space,
-    essential_boundary,
-    even_branching_tree,
-    full_branching_tree,
-    grafted_dead_branches,
-    growing_chain,
-    homogeneous_tree,
-    lemma_suite,
-    maximal_complete_subtree,
-    pseudo_regularity_index,
-    random_branching_tree,
-    random_tree,
-    subtree_past,
-    theorem_lower_bound,
-    tree_cheeger_bounds,
-    tree_from_parents,
-)
-from .approximation import (
-    LeveledGraph,
-    boundary_identification_check,
-    build_truncated,
-    level_certificate,
-    relevel,
-    structural_checks,
-)
-from .decomposition import (
-    DecompositionSpec,
-    GraftResult,
-    PieceCertificate,
-    bound_general,
-    bound_strong,
-    converse_scan,
-    decomposition_bound,
-    graft,
-    graft_decomposition,
-    validate,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# submodule -> the names the package exports from it.  Submodules and names
+# resolve on first access (PEP 562), so ``import cheegerlab`` imports none of
+# them, and numpy is loaded only with metric, hyperbolicity or approximation.
+_EXPORTS = {
+    "errors": (
+        "BudgetExceededError",
+        "CheegerLabError",
+        "ConstructionError",
+        "EmptyWindowError",
+        "InvalidHorizonError",
+        "InvalidInputError",
+        "InvalidSupportError",
+    ),
+    "graphs": (
+        "BoundEndpoint",
+        "CheegerBound",
+        "CertificateResult",
+        "DEFAULT_DELTA_BUDGET",
+        "DEFAULT_SUBSET_BUDGET",
+        "Graph",
+        "admissible_vertices",
+        "auto_max_size",
+        "boundary",
+        "certificate_lower_bound",
+        "cheeger_ratio",
+        "corollary_connected_bound",
+        "cycle_graph",
+        "gradient",
+        "green_identity_check",
+        "grid_window",
+        "interior_cheeger_bruteforce",
+        "laplacian",
+        "path_window",
+        "quasi_isometry_check",
+        "relabeled",
+        "vertex_function",
+        "window_max_size",
+    ),
+    "hyperbolicity": (
+        "DeltaReport",
+        "delta_four_point",
+        "evaluate_witness",
+        "gromov_product",
+        "pole_defect",
+    ),
+    "metric": (
+        "FiniteMetricSpace",
+        "GeometryProfile",
+        "PerfectnessCertificate",
+        "cantor_sample",
+        "epsilon_net",
+        "greedy_separated",
+        "interval_sample",
+        "line_space",
+        "one_point_to_two_point_constant",
+        "rescale_eps0",
+        "strongly_bounded_geometry_profile",
+        "two_point",
+        "two_point_perfectness_check",
+        "two_point_to_one_point_constant",
+        "uniformly_perfect_check",
+    ),
+    "trees": (
+        "RootedTree",
+        "TreeAnalysis",
+        "comb_tree",
+        "complementedness_index",
+        "end_space",
+        "essential_boundary",
+        "even_branching_tree",
+        "full_branching_tree",
+        "grafted_dead_branches",
+        "growing_chain",
+        "homogeneous_tree",
+        "lemma_suite",
+        "maximal_complete_subtree",
+        "pseudo_regularity_index",
+        "random_branching_tree",
+        "random_tree",
+        "subtree_past",
+        "theorem_lower_bound",
+        "tree_cheeger_bounds",
+        "tree_from_parents",
+    ),
+    "approximation": (
+        "LeveledGraph",
+        "boundary_identification_check",
+        "build_truncated",
+        "level_certificate",
+        "relevel",
+        "structural_checks",
+    ),
+    "decomposition": (
+        "DecompositionSpec",
+        "GraftResult",
+        "PieceCertificate",
+        "bound_general",
+        "bound_strong",
+        "converse_scan",
+        "decomposition_bound",
+        "graft",
+        "graft_decomposition",
+        "validate",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    # not cached here: the submodule's attribute stays the one source, so a
+    # name patched or wrapped there is what the package hands out
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_OWNER) | set(_EXPORTS))

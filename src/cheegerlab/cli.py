@@ -17,33 +17,22 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
+# numpy comes in only with the metric-space modules (metric, hyperbolicity,
+# approximation), which the handlers that use them import when they run; the
+# graph, tree and decomposition commands other than endspace never load it.
 from . import io
-from .approximation import (
-    build_truncated,
-    level_certificate,
-    relevel,
-    structural_checks,
-)
 from .decomposition import converse_scan, decomposition_bound, graft, graft_decomposition, validate
 from .errors import BudgetExceededError, CheegerLabError, ConstructionError, InvalidInputError
 from .graphs import (
+    DEFAULT_DELTA_BUDGET,
     DEFAULT_SUBSET_BUDGET,
     CheegerBound,
     admissible_vertices,
     certificate_lower_bound,
     interior_cheeger_bruteforce,
     window_max_size,
-)
-from .hyperbolicity import DEFAULT_DELTA_BUDGET, delta_four_point
-from .metric import (
-    cantor_sample,
-    epsilon_net,
-    interval_sample,
-    two_point,
-    two_point_perfectness_check,
-    uniformly_perfect_check,
 )
 from .trees import end_space, tree_cheeger_bounds
 
@@ -84,12 +73,24 @@ def _bound_payload(bound: CheegerBound) -> dict:
 #: and its O(n^3) triangle check take about 130 MB and a minute.
 MAX_GENERATOR_POINTS = 2**11
 
+
+def _metric_generator(name: str) -> Callable[[Any], Any]:
+    """The generator ``metric.<name>``, imported when it is called."""
+
+    def make(value):
+        from . import metric
+
+        return getattr(metric, name)(value)
+
+    return make
+
+
 # kind -> (constructor, parameter parser, point count of the parameter); a
 # cantor depth past 64 is over the cap whatever it is, so 2^depth is not formed
 _GENERATORS = {
-    "cantor": (cantor_sample, int, lambda depth: 2 ** min(depth, 64)),
-    "interval": (interval_sample, int, lambda n: n),
-    "two_point": (two_point, float, lambda d: 2),
+    "cantor": (_metric_generator("cantor_sample"), int, lambda depth: 2 ** min(depth, 64)),
+    "interval": (_metric_generator("interval_sample"), int, lambda n: n),
+    "two_point": (_metric_generator("two_point"), float, lambda d: 2),
 }
 
 
@@ -177,6 +178,8 @@ def _cmd_certify(args) -> tuple[dict, int]:
 
 
 def _cmd_delta(args) -> tuple[dict, int]:
+    from .hyperbolicity import delta_four_point
+
     token = args.infile
     try:
         space, src = _graph_input(token)
@@ -247,6 +250,8 @@ def _cmd_endspace(args) -> tuple[dict, int]:
 
 
 def _cmd_approx(args) -> tuple[dict, int]:
+    from .approximation import build_truncated, level_certificate, relevel, structural_checks
+
     space, src = _load_metric_input(args.infile)
     lg = build_truncated(space, args.r, args.k_max, k0=args.k0)
     if args.s != 1:
@@ -284,6 +289,8 @@ def _cmd_approx(args) -> tuple[dict, int]:
 
 
 def _cmd_net(args) -> tuple[dict, int]:
+    from .metric import epsilon_net
+
     space, src = _load_metric_input(args.infile)
     g = epsilon_net(space, args.eps)
     if args.out:
@@ -294,6 +301,8 @@ def _cmd_net(args) -> tuple[dict, int]:
 
 
 def _cmd_perfect(args) -> tuple[dict, int]:
+    from .metric import two_point_perfectness_check, uniformly_perfect_check
+
     space, src = _load_metric_input(args.infile)
     try:
         grid = [float(x) for x in args.grid.split(",")] if args.grid else []
@@ -326,10 +335,14 @@ def _cmd_perfect(args) -> tuple[dict, int]:
 
 def _cmd_decomp(args) -> tuple[dict, int]:
     spec = io.load_decomposition(args.spec)
+    ambient = io.decomposition_ambient_path(args.spec)
     result = validate(spec)
     report = _base_report(
         "decomp",
-        {"spec": {"path": args.spec, "sha256": io.sha256_file(args.spec)}},
+        {
+            "spec": {"path": args.spec, "sha256": io.sha256_file(args.spec)},
+            "ambient": {"path": ambient.as_posix(), "sha256": io.sha256_file(ambient)},
+        },
         {"R": spec.radius, "r": str(spec.rate)},
     )
     results: dict[str, Any] = {

@@ -19,9 +19,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 from operator import or_
-from typing import Any, Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -31,8 +29,15 @@ from .errors import (
     InvalidSupportError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: Hard cap on how many subsets a brute-force scan may enumerate.
 DEFAULT_SUBSET_BUDGET = 2**22
+
+#: Exhaustive four-point scans refuse above this many ordered quadruples: b^4
+#: for the largest biconnected block of a graph, n^4 for a metric space.
+DEFAULT_DELTA_BUDGET = 2**31
 
 Rational = Fraction | int
 
@@ -45,7 +50,7 @@ def normalize_edge(u: str, v: str) -> tuple[str, str]:
 def edges_where(mask: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> set[tuple[str, str]]:
     """Canonical edges {rows[i], cols[j]} for the true entries (i, j) of a
     boolean relation matrix."""
-    return {normalize_edge(rows[i], cols[j]) for i, j in zip(*np.nonzero(mask))}
+    return {normalize_edge(rows[i], cols[j]) for i, j in zip(*mask.nonzero())}
 
 
 @dataclass(frozen=True)
@@ -239,8 +244,13 @@ class Graph:
     def distance_rows(self, sources: Iterable[int]) -> np.ndarray:
         """BFS distances from each source index, one int32 row per source;
         -1 marks an unreachable vertex."""
-        rows = [self._bfs((i,)) for i in sources]
-        return np.array(rows, dtype=np.int32).reshape(len(rows), len(self.vertices))
+        import numpy as np
+
+        sources = list(sources)
+        rows = np.empty((len(sources), len(self.vertices)), dtype=np.int32)
+        for r, i in enumerate(sources):  # one BFS list alive at a time
+            rows[r] = self._bfs((i,))
+        return rows
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -704,6 +714,8 @@ def quasi_isometry_check(
     bad_image = [v for v in g1.vertices if mapping[v] not in g2.index]
     if bad_image:
         raise InvalidInputError(f"map image {mapping[bad_image[0]]!r} not in target graph")
+
+    import numpy as np
 
     d1 = g1.distance_matrix
     d2 = g2.distance_matrix

@@ -32,12 +32,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidHorizonError, InvalidInputError
-from .graphs import Graph
+from .graphs import DEFAULT_DELTA_BUDGET, Graph
 from .metric import FiniteMetricSpace
 
-#: Exhaustive scans refuse above this many ordered quadruples: b^4 for the
-#: largest biconnected block of a graph, n^4 for a metric space.
-DEFAULT_DELTA_BUDGET = 2**31
+#: Sampled mode on a graph refuses above this many int32 distance cells:
+#: one BFS row of n cells per distinct point drawn as x, y or z, so at most
+#: min(n, 3 * samples) * n of them (256 MB at this cap).
+MAX_SAMPLED_DISTANCE_CELLS = 2**26
 
 #: Elements per block of the exhaustive scan; bounds its temporaries.
 _CHUNK_ELEMS = 1 << 16
@@ -167,7 +168,8 @@ def delta_four_point(
     b^4 for the largest biconnected block b; it is checked before any
     distance is computed.  A metric space is scanned whole, against n^4.
     In sampled mode ``budget`` bounds ``samples``, which must be at least 1,
-    before any quadruple is drawn.
+    before any quadruple is drawn; on a graph, MAX_SAMPLED_DISTANCE_CELLS
+    also bounds the BFS rows those samples may need.
 
     Witness rule: blocks are taken in order of their sorted parent-index
     tuples, and the witness comes from the first block attaining the maximum.
@@ -186,6 +188,13 @@ def delta_four_point(
         if samples > budget:
             raise BudgetExceededError(samples, budget, what="sampled quadruples")
         if isinstance(space, Graph):
+            n = len(space.vertices)
+            cells = min(n, 3 * samples) * n
+            if cells > MAX_SAMPLED_DISTANCE_CELLS:
+                raise BudgetExceededError(
+                    cells, MAX_SAMPLED_DISTANCE_CELLS,
+                    what=f"BFS distance cells for {samples} samples on {n} vertices",
+                )
             if not space.is_connected:
                 raise InvalidInputError("distance matrix requested on a disconnected graph")
             names, integral = space.vertices, True

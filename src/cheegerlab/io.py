@@ -15,16 +15,16 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .approximation import LeveledGraph
 from .decomposition import DecompositionSpec, PieceCertificate
 from .errors import InvalidInputError
 from .graphs import Graph
-from .metric import FiniteMetricSpace
 from .trees import RootedTree
+
+if TYPE_CHECKING:
+    from .approximation import LeveledGraph
+    from .metric import FiniteMetricSpace
 
 
 def canonical_json_bytes(payload: Any) -> bytes:
@@ -115,6 +115,10 @@ def metric_from_payload(data: dict) -> FiniteMetricSpace:
     for key in ("points", "dist"):
         if not isinstance(data[key], list):
             raise InvalidInputError(f"metric document: {key!r} must be a list")
+    import numpy as np
+
+    from .metric import FiniteMetricSpace
+
     try:
         dist = np.asarray(data["dist"], dtype=float)
     except (TypeError, ValueError):
@@ -200,6 +204,8 @@ def _finite(x: Any, what: str) -> float:
 
 
 def leveled_from_payload(data: dict) -> LeveledGraph:
+    from .approximation import LeveledGraph
+
     if not isinstance(data, dict):
         raise InvalidInputError("leveled document must be an object")
     for key in ("graph", "space", "r", "k0", "k_max", "level", "center"):
@@ -291,6 +297,16 @@ def save_decomposition(path: str | Path, spec: DecompositionSpec) -> None:
             },
         },
     )
+
+
+def decomposition_ambient_path(path: str | Path) -> Path:
+    """The ambient graph file a decomposition document names, relative to the
+    document's directory."""
+    path = Path(path)
+    data = read_json(path)
+    if not isinstance(data, dict) or "ambient" not in data:
+        raise InvalidInputError("decomposition document misses 'ambient'")
+    return path.parent / str(data["ambient"])
 
 
 def load_decomposition(path: str | Path) -> DecompositionSpec:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Container, Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping
 
 from .errors import (
     BudgetExceededError,
@@ -35,7 +33,9 @@ from .graphs import (
     normalize_edge,
     window_max_size,
 )
-from .metric import FiniteMetricSpace
+
+if TYPE_CHECKING:
+    from .metric import FiniteMetricSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,6 +494,10 @@ def end_space(t: RootedTree) -> FiniteMetricSpace:
     both prefixes of z's, so x and y share the shorter: a(x, y) >=
     min(a(x, z), a(z, y)), and d is an ultrametric by construction.
     """
+    import numpy as np
+
+    from .metric import FiniteMetricSpace
+
     leaves = [v for v in t.vertices if v in t.live]
     if not leaves:
         raise EmptyWindowError("no live leaves: the end space is empty")
@@ -624,6 +628,8 @@ def random_branching_tree(
         raise InvalidInputError("bad branching parameters")
     if max_children > 10:
         raise InvalidInputError("need max_children <= 10")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     return _layered_tree(
         depth, lambda level: int(rng.integers(min_children, max_children + 1)), "."
@@ -635,6 +641,8 @@ def random_tree(n: int, seed: int) -> RootedTree:
     marked live."""
     if n < 2:
         raise InvalidInputError("need n >= 2")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     names = [f"r{i}" for i in range(n)]
     kids: dict[str, list[str]] = {names[0]: []}

@@ -283,6 +283,19 @@ def test_sampled_mode_runs_bfs_only_from_the_drawn_points(monkeypatch):
     assert len(calls) <= 3 * 100
 
 
+def test_sampled_mode_bounds_the_distance_rows_before_any_bfs(monkeypatch):
+    g = cl.path_window(2000, truncated=False)
+    calls = []
+    bfs = Graph._bfs
+    monkeypatch.setattr(Graph, "_bfs", lambda self, sources: calls.append(1) or bfs(self, sources))
+    monkeypatch.setattr(hyperbolicity, "MAX_SAMPLED_DISTANCE_CELLS", 299 * 2000)
+    with pytest.raises(BudgetExceededError, match="distance cells"):
+        cl.delta_four_point(g, mode="sampled", samples=100)  # up to 300 rows of 2000
+    assert calls == []
+    assert cl.delta_four_point(g, mode="sampled", samples=99).sample_count == 99
+    assert 0 < len(calls) <= 297
+
+
 def test_sampled_mode_bounds_the_sample_count():
     g = cl.grid_window(5, 5, truncated=False)
     for samples in (0, -3):

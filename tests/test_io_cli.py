@@ -592,6 +592,23 @@ def test_cli_decomp_matches_library(workdir):
     )
 
 
+def test_cli_decomp_report_hashes_the_ambient_file(workdir):
+    spec_path, ambient = workdir / "graft.json", workdir / "graft.ambient.json"
+    code, blob = run_cli(["decomp", "--spec", str(spec_path)], workdir)
+    before = json.loads(blob)["inputs"]
+    assert code == 0
+    assert before["ambient"] == {"path": str(ambient), "sha256": io.sha256_file(ambient)}
+    doc = json.loads(ambient.read_text())
+    del doc["frontier"]
+    io.write_canonical(ambient, doc)
+    code, blob = run_cli(["decomp", "--spec", str(spec_path)], workdir)
+    after = json.loads(blob)["inputs"]
+    assert code == 4  # no tree piece has a live leaf any more
+    assert after["spec"] == before["spec"]
+    assert after["ambient"]["path"] == before["ambient"]["path"]
+    assert after["ambient"]["sha256"] != before["ambient"]["sha256"]
+
+
 def test_cli_graft_writes_artifacts(workdir, tmp_path, monkeypatch):
     io.save_graph(workdir / "base.json", cl.grid_window(3, 3))
     io.save_graph(workdir / "att.json", cl.homogeneous_tree(3, 2).graph)

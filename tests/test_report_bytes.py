@@ -78,7 +78,7 @@ EXPECTED = {
     "report:graft":
         [0, "f8c42d0592ea564d3f3242a6d98da9d0c9ba980c00b797977d164a97c454b141"],
     "report:decomp":
-        [0, "3f3e32bbe000e282e73c73a1430d4d9d41f3ad0d89cda08c5353fdb674ddb0ce"],
+        [0, "d9dde0b28f561613a00c8209332c1b90eb988630f84db0a4643bc76f0ab2c07e"],
     "report:scan":
         [0, "b22faae1aa28fc5a40bf9f2d4933ba484e33d7b88903cf40792976a4400f0965"],
     "file:cantor4.json":

@@ -1,0 +1,102 @@
+"""What the CLI and the package load: the graph and tree commands run without
+numpy, and every name the package exports still resolves."""
+
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import cheegerlab as cl
+from cheegerlab import io
+
+# Every name ``cheegerlab`` exported when its __init__ imported each module
+# eagerly; the lazy exports must keep exactly this list.
+EXPORTED = [
+    "BoundEndpoint", "BudgetExceededError", "CertificateResult", "CheegerBound",
+    "CheegerLabError", "ConstructionError", "DEFAULT_DELTA_BUDGET", "DEFAULT_SUBSET_BUDGET",
+    "DecompositionSpec", "DeltaReport", "EmptyWindowError", "FiniteMetricSpace",
+    "GeometryProfile", "GraftResult", "Graph", "InvalidHorizonError", "InvalidInputError",
+    "InvalidSupportError", "LeveledGraph", "PerfectnessCertificate", "PieceCertificate",
+    "RootedTree", "TreeAnalysis", "admissible_vertices", "auto_max_size", "bound_general",
+    "bound_strong", "boundary", "boundary_identification_check", "build_truncated",
+    "cantor_sample", "certificate_lower_bound", "cheeger_ratio", "comb_tree",
+    "complementedness_index", "converse_scan", "corollary_connected_bound", "cycle_graph",
+    "decomposition_bound", "delta_four_point", "end_space", "epsilon_net",
+    "essential_boundary", "evaluate_witness", "even_branching_tree", "full_branching_tree",
+    "gradient", "graft", "graft_decomposition", "grafted_dead_branches", "greedy_separated",
+    "green_identity_check", "grid_window", "gromov_product", "growing_chain",
+    "homogeneous_tree", "interior_cheeger_bruteforce", "interval_sample", "laplacian",
+    "lemma_suite", "level_certificate", "line_space", "maximal_complete_subtree",
+    "one_point_to_two_point_constant", "path_window", "pole_defect", "pseudo_regularity_index",
+    "quasi_isometry_check", "random_branching_tree", "random_tree", "relabeled", "relevel",
+    "rescale_eps0", "strongly_bounded_geometry_profile", "structural_checks", "subtree_past",
+    "theorem_lower_bound", "tree_cheeger_bounds", "tree_from_parents", "two_point",
+    "two_point_perfectness_check", "two_point_to_one_point_constant",
+    "uniformly_perfect_check", "validate", "vertex_function", "window_max_size",
+]
+
+GRAPH_SIDE = [
+    ["cheeger", "--in", "p9.json"],
+    ["certify", "--in", "t3.json", "--function", "depth.json"],
+    ["tree", "--in", "t3tree.json", "--max-size", "4"],
+    ["graft", "--base", "grid3.json", "--attachment", "t3.json", "--port", "v",
+     "--decomposition", "d.json"],
+    ["decomp", "--spec", "d.json"],
+    ["scan", "--in", "p9.json", "--in", "p13.json"],
+]
+METRIC_SIDE = [
+    ["delta", "--in", "p9.json"],
+    ["approx", "--in", "cantor:4", "--r", "0.111111", "--k-max", "3"],
+]
+
+# Runs each argv list through cli.main in one interpreter and prints the exit
+# codes and whether numpy was loaded after the graph-side and after the
+# metric-side commands.
+SCRIPT = """
+import contextlib, io, json, sys
+from cheegerlab.cli import main
+
+graph_side, metric_side = json.loads(sys.argv[1])
+out = {}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out["graph_codes"] = [main(argv) for argv in graph_side]
+    out["graph_numpy"] = "numpy" in sys.modules
+    out["metric_codes"] = [main(argv) for argv in metric_side]
+    out["metric_numpy"] = "numpy" in sys.modules
+print(json.dumps(out))
+"""
+
+
+def test_graph_side_commands_never_load_numpy(tmp_path):
+    t = cl.homogeneous_tree(3, 2)
+    io.save_graph(tmp_path / "p9.json", cl.path_window(9))
+    io.save_graph(tmp_path / "p13.json", cl.path_window(13))
+    io.save_graph(tmp_path / "grid3.json", cl.grid_window(3, 3))
+    io.save_graph(tmp_path / "t3.json", t.graph)
+    io.save_tree(tmp_path / "t3tree.json", cl.homogeneous_tree(3, 4))
+    io.write_canonical(tmp_path / "depth.json", {v: str(t.depth[v]) for v in t.vertices})
+    src = str(Path(cl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, json.dumps([GRAPH_SIDE, METRIC_SIDE])],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["graph_codes"] == [0] * len(GRAPH_SIDE)
+    assert out["graph_numpy"] is False
+    assert out["metric_codes"] == [0] * len(METRIC_SIDE)
+    assert out["metric_numpy"] is True
+
+
+def test_package_exports_resolve_lazily():
+    assert sorted(cl.__all__) == EXPORTED
+    for name in EXPORTED:
+        getattr(cl, name)
+    for name in ("metric", "hyperbolicity", "approximation"):
+        assert isinstance(getattr(cl, name), types.ModuleType)
+    assert cl.DEFAULT_DELTA_BUDGET is cl.hyperbolicity.DEFAULT_DELTA_BUDGET
+    assert set(EXPORTED) <= set(dir(cl))
