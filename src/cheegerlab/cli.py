@@ -94,8 +94,9 @@ _GENERATORS = {
 }
 
 
-def _load_metric_input(token: str) -> tuple[Any, dict]:
-    """A metric input is either a file path or a generator spec name:params."""
+def _load_metric_input(token: str, graphs: bool = False) -> tuple[Any, dict]:
+    """A metric input is either a file path or a generator spec name:params;
+    with ``graphs`` the file may hold a graph instead."""
     kind, _, rest = token.partition(":")
     if kind in _GENERATORS and rest:
         make, parse, points = _GENERATORS[kind]
@@ -106,10 +107,11 @@ def _load_metric_input(token: str) -> tuple[Any, dict]:
         count = points(value)
         if count > MAX_GENERATOR_POINTS:
             raise BudgetExceededError(
-                count, MAX_GENERATOR_POINTS, what=f"generator points for {token!r}"
+                count, MAX_GENERATOR_POINTS, f"generator points for {token!r}", option=None
             )
         return make(value), {"generator": token}
-    return io.load_metric(token), {"path": token, "sha256": io.sha256_file(token)}
+    space = io.load_space(token) if graphs else io.load_metric(token)
+    return space, {"path": token, "sha256": io.sha256_file(token)}
 
 
 def _graph_input(token: str) -> tuple[Any, dict]:
@@ -180,11 +182,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
 def _cmd_delta(args) -> tuple[dict, int]:
     from .hyperbolicity import delta_four_point
 
-    token = args.infile
-    try:
-        space, src = _graph_input(token)
-    except (InvalidInputError, FileNotFoundError):
-        space, src = _load_metric_input(token)
+    space, src = _load_metric_input(args.infile, graphs=True)
     rep = delta_four_point(
         space, mode=args.mode, budget=args.budget, seed=args.seed, samples=args.samples
     )
@@ -231,7 +229,9 @@ def _cmd_tree(args) -> tuple[dict, int]:
 def _cmd_endspace(args) -> tuple[dict, int]:
     t = io.load_tree(args.infile)
     if len(t.live) > MAX_GENERATOR_POINTS:
-        raise BudgetExceededError(len(t.live), MAX_GENERATOR_POINTS, what="end-space points")
+        raise BudgetExceededError(
+            len(t.live), MAX_GENERATOR_POINTS, "end-space points (live leaves)", option=None
+        )
     space = end_space(t)
     if args.out:
         io.save_metric(args.out, space)

@@ -54,7 +54,9 @@ def _check_bound_args(mu: int, radius: int, rate: Fraction) -> None:
     limit = sys.get_int_max_str_digits()
     digits = radius * math.log10(mu)  # mu^R has floor(digits) + 1 digits
     if limit and digits >= limit + 1:
-        raise BudgetExceededError(int(digits) + 1, limit, what="digits in the exact bound")
+        raise BudgetExceededError(
+            int(digits) + 1, limit, "digits in the exact bound", option="PYTHONINTMAXSTRDIGITS"
+        )
 
 
 def bound_general(mu: int, radius: int, rate: Fraction | int) -> Fraction:
@@ -304,7 +306,9 @@ def decomposition_bound(spec: DecompositionSpec, report: ValidationReport) -> Ch
     limit = sys.get_int_max_str_digits()
     if limit and value.denominator >= 10**limit:
         digits = int(value.denominator.bit_length() * math.log10(2)) + 1
-        raise BudgetExceededError(digits, limit, what="digits in the exact bound")
+        raise BudgetExceededError(
+            digits, limit, "digits in the exact bound", option="PYTHONINTMAXSTRDIGITS"
+        )
     endpoint = BoundEndpoint(
         value,
         "decomposition-theorem",

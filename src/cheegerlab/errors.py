@@ -17,16 +17,20 @@ class BudgetExceededError(CheegerLabError):
     """An enumeration would exceed its configured budget.
 
     Raised eagerly, before any work is done; partial answers are never
-    returned silently.
+    returned silently.  ``option`` names what raises the budget, or is None
+    for a fixed cap that nothing raises.
     """
 
-    def __init__(self, required: int, budget: int, what: str = "subsets"):
+    def __init__(
+        self, required: int, budget: int, what: str = "subsets", option: str | None = "--budget"
+    ):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"enumeration of {required} {what} exceeds the budget of {budget}; "
-            f"raise the budget explicitly or shrink the instance"
-        )
+        if option is None:
+            limit, remedy = "the fixed cap", "no option raises it, so shrink the instance"
+        else:
+            limit, remedy = "the budget", f"raise it with {option} or shrink the instance"
+        super().__init__(f"{required} {what} exceed {limit} of {budget}; {remedy}")
 
 
 class EmptyWindowError(CheegerLabError):

@@ -409,9 +409,12 @@ def _connected_bitsets(adj: list[int], carry: list[int], max_size: int):
     ``carry`` over the set.  Exclusive-neighbourhood extension (ESU; Wernicke,
     IEEE/ACM TCBB 2006) on an explicit stack, twice as fast as recursion.
 
-    A true value sent back for a set skips its supersets in the enumeration
-    tree (every later set grown from it); a plain ``for`` loop sends None and
-    gets every connected set."""
+    An int L sent back is a limit: each set reached after it whose ``acc`` has
+    more than L bits is neither yielded nor grown.  Every set grown from a set
+    holds it, so its ``acc`` holds the smaller ``acc`` too, and the sets left
+    out are exactly the unlimited enumeration's sets over L.  A plain ``for``
+    loop sends None and gets every connected set, in the same order."""
+    limit = reduce(or_, carry, 0).bit_length()  # no acc has more bits
     for v in range(len(adj)):
         above = -(2 << v)  # every bit position greater than v
         stack = [(0, 0, 1 << v, 0, 0)]  # (set, its neighbours, extension, acc, size)
@@ -424,8 +427,11 @@ def _connected_bitsets(adj: list[int], carry: list[int], max_size: int):
             w = low.bit_length() - 1
             sub |= low
             acc |= carry[w]
-            if (yield sub, acc):
+            if acc.bit_count() > limit:
                 continue
+            sent = yield sub, acc
+            if sent is not None:
+                limit = sent
             grown = ext | (adj[w] & above & ~nbrs)
             if size + 1 < max_size and grown:
                 stack.append((sub, nbrs | adj[w], grown, acc, size + 1))
@@ -455,15 +461,17 @@ def interior_cheeger_bruteforce(
     G^2-components lie at distance >= 3, so its ratio is a mediant of theirs,
     and the minimizers are the unions of far-apart G^2-connected ones.
 
-    The scan is a branch and bound.  Let S be a scanned set, b = |dS|,
-    s = |S|, m = ``max_size``, and S' any superset with |S'| <= m.  A vertex
-    of dS that S' leaves out is next to S, so it stays in dS'; hence
-    |dS'| >= b - (|S'| - s) and |dS'|/|S'| >= (b + s)/|S'| - 1 >= (b + s)/m - 1.
-    The supersets grown from S are skipped when that bound is strictly above
-    the best ratio so far.  The best ratio only falls, so a final minimizer's
-    subsets never meet a bound above it: ties are never pruned, and every
-    minimizer is still scanned.  ``budget`` bounds the count of all subsets
-    up to the cap, checked before any work, whatever the pruning then saves.
+    The scan is a branch and bound on the closed neighbourhood N[S] = S + dS,
+    whose size the enumerator already holds as the bit count of ``acc``.  Let
+    m = ``max_size`` and b/s the best ratio so far.  Every set S' of at most m
+    vertices with |N[S']| > L = floor(m(b + s)/s) has ratio
+    |N[S']|/|S'| - 1 >= |N[S']|/m - 1 > b/s, so it can neither beat nor tie the
+    best, and nor can any set grown from it, as N[S'] only grows.  The oracle
+    sends L to the enumerator each time the best ratio falls.  Ties are never
+    lost: a minimizer M of ratio r <= b/s has |N[M]| = |M|(1 + r) <= m(1 + b/s),
+    so |N[M]| <= L, and the sets M grows from have smaller N[.].  ``budget``
+    bounds the count of all subsets up to the cap, checked before any work,
+    whatever the limit then saves.
     """
     adm = sorted(admissible_vertices(g))
     if not adm:
@@ -486,20 +494,21 @@ def interior_cheeger_bruteforce(
     ]
 
     # ratio best_b/best_s (first above all), its lex-smallest minimizer, the least
-    # size of one, and the minimizers below the cap; ``prune`` skips the
-    # supersets of a set whose bound (b + s)/max_size - 1 exceeds the best
+    # size of one, and the minimizers below the cap; ``limit`` is the closed-
+    # neighbourhood size past which a set loses to the best, sent when it falls
     best_b, best_s, lex_min, least, tied = 1, 0, 0, 0, []
     sets = _connected_bitsets(square, [closed[v] for v in adm], max_size)
-    prune = None
+    limit = None
     while True:
         try:
-            sub, acc = sets.send(prune)
+            sub, acc = sets.send(limit)
         except StopIteration:
             break
-        b, s = (acc & ~sub).bit_count(), sub.bit_count()
-        prune = (b + s - max_size) * best_s > best_b * max_size
+        s = sub.bit_count()
+        b, limit = acc.bit_count() - s, None
         if b * best_s < best_b * s:
             best_b, best_s, lex_min, least, tied = b, s, sub, s, []
+            limit = max_size * (b + s) // s
         elif b * best_s > best_b * s:
             continue
         elif _lex_less(sub, lex_min):

@@ -193,7 +193,7 @@ def delta_four_point(
             if cells > MAX_SAMPLED_DISTANCE_CELLS:
                 raise BudgetExceededError(
                     cells, MAX_SAMPLED_DISTANCE_CELLS,
-                    what=f"BFS distance cells for {samples} samples on {n} vertices",
+                    f"BFS distance cells for {samples} samples on {n} vertices", option=None,
                 )
             if not space.is_connected:
                 raise InvalidInputError("distance matrix requested on a disconnected graph")
@@ -232,7 +232,7 @@ def delta_four_point(
         parts = (space,)
     if largest**4 > budget:
         raise BudgetExceededError(
-            largest**4, budget, what=f"ordered quadruples in {where}; rerun in sampled mode"
+            largest**4, budget, what=f"ordered quadruples in {where} (sampled mode draws fewer)"
         )
 
     best_val, witness = 0, (names[0],) * 4

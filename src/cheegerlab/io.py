@@ -141,6 +141,15 @@ def load_metric(path: str | Path) -> FiniteMetricSpace:
     return metric_from_payload(read_json(path))
 
 
+def load_space(path: str | Path) -> Graph | FiniteMetricSpace:
+    """A graph or a metric-space document, read once and told apart by its
+    keys: one with 'points' or 'dist' is a metric space, any other a graph."""
+    data = read_json(path)
+    if isinstance(data, dict) and ("points" in data or "dist" in data):
+        return metric_from_payload(data)
+    return graph_from_payload(data)
+
+
 # -- rooted trees -------------------------------------------------------------
 
 

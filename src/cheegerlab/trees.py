@@ -422,7 +422,7 @@ def _connected_sets(g: Graph, allowed: list[str], max_size: int, budget: int):
     sets = _connected_bitsets(adj, [0] * len(allowed), max_size)
     for produced, (sub, _) in enumerate(sets, 1):
         if produced > budget:
-            raise BudgetExceededError(produced, budget, what="connected sets")
+            raise BudgetExceededError(produced, budget, "connected sets", option="budget=")
         yield tuple(v for i, v in enumerate(allowed) if sub >> i & 1)
 
 

@@ -1,6 +1,7 @@
 """Graph core: boundaries, ratios, the brute-force oracle, discrete calculus,
 certificates and the quasi-isometry checker."""
 
+import contextlib
 import subprocess
 import sys
 import time
@@ -376,27 +377,65 @@ def test_interior_union_search_with_many_far_apart_ties():
     assert (bound.upper.value, bound.upper.witness["set"]) == (0, ("v00",))
 
 
+ENUMERATE = graphs._connected_bitsets
+
+
 @pytest.fixture
 def oracle_counts(monkeypatch):
     """Count the sets the window oracle draws from the subset enumerator and
-    how many of them it sends back a skip for."""
-    counts = {"drawn": 0, "pruned": 0}
-    enumerate_sets = graphs._connected_bitsets
+    the limits it sends back; keep the enumerator's arguments."""
+    counts = {"drawn": 0, "limits": 0, "args": None}
 
     def counting(*args):
-        inner = enumerate_sets(*args)
-        prune = None
+        counts["args"] = args
+        inner = ENUMERATE(*args)
+        limit = None
         while True:
             try:
-                item = inner.send(prune)
+                item = inner.send(limit)
             except StopIteration:
                 return
             counts["drawn"] += 1
-            prune = yield item
-            counts["pruned"] += bool(prune)
+            limit = yield item
+            counts["limits"] += limit is not None
 
     monkeypatch.setattr(graphs, "_connected_bitsets", counting)
     return counts
+
+
+def unlimited_count(counts):
+    """Number of sets the enumerator yields on the oracle's arguments when no
+    limit is sent."""
+    return sum(1 for _ in ENUMERATE(*counts["args"]))
+
+
+@st.composite
+def enumerator_inputs(draw):
+    """A graph on up to 9 vertices as neighbour bitmasks, per-vertex carries
+    over 3 more bits, a size cap and a limit."""
+    n = draw(st.integers(1, 9))
+    adj = [0] * n
+    for i, j in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        if i != j:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    carry = draw(st.lists(st.integers(0, 2 ** (n + 3) - 1), min_size=n, max_size=n))
+    return adj, carry, draw(st.integers(1, n)), draw(st.integers(0, n + 3))
+
+
+@given(enumerator_inputs())
+@settings(max_examples=200, deadline=None)
+def test_enumerator_limit_drops_exactly_the_sets_over_it(inputs):
+    adj, carry, max_size, limit = inputs
+    unlimited = list(ENUMERATE(adj, carry, max_size))
+    sets = ENUMERATE(adj, carry, max_size)
+    drawn = [next(sets)]
+    with contextlib.suppress(StopIteration):
+        drawn.append(sets.send(limit))
+        drawn.extend(sets)  # a for loop sends None, which keeps the limit
+    # the first set is drawn before the limit is sent
+    assert drawn == unlimited[:1] + [(sub, acc) for sub, acc in unlimited[1:]
+                                     if acc.bit_count() <= limit]
 
 
 PRUNED_WINDOWS = {
@@ -415,7 +454,7 @@ def test_pruned_oracle_matches_literal_oracle(oracle_counts, name, cap):
     adm = cl.admissible_vertices(g)
     expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, cap)
     assert (bound.upper.value, bound.upper.witness["set"]) == expected
-    assert oracle_counts["pruned"] > 0
+    assert oracle_counts["drawn"] < unlimited_count(oracle_counts)
 
 
 def random_window(seed):
@@ -456,7 +495,7 @@ def test_pruned_oracle_keeps_union_witnesses(oracle_counts, seed, cap):
     adm = cl.admissible_vertices(g)
     bound = cl.interior_cheeger_bruteforce(g, cap)
     witness = set(bound.upper.witness["set"])
-    assert oracle_counts["pruned"] > 0
+    assert oracle_counts["drawn"] < unlimited_count(oracle_counts)
     assert sum(1 for part in g.components() if part & witness) > 1
     expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, cap)
     assert (bound.upper.value, bound.upper.witness["set"]) == expected
@@ -475,9 +514,10 @@ def test_pruned_oracle_keeps_ties_at_the_cap():
 
 
 def test_oracle_work_on_grid9_at_cap9(oracle_counts):
-    # without pruning the enumerator yields all 1,899,059 sets connected in G^2
+    # with no limit the enumerator yields all 1,899,059 sets connected in G^2
     bound = cl.interior_cheeger_bruteforce(cl.grid_window(9, 9), 9)
-    assert oracle_counts["drawn"] <= 250_000
+    assert oracle_counts["drawn"] <= 60_000
+    assert oracle_counts["limits"] == 11  # one per fall of the best ratio, not one per set
     assert bound.upper.value == Fraction(11, 9)
     assert bound.upper.witness["set"] == (
         "g2.2", "g2.3", "g2.4", "g3.2", "g3.3", "g3.4", "g3.5", "g4.3", "g4.4"

@@ -1,6 +1,7 @@
 """File formats (byte-stable round trips) and the CLI contract: exit codes,
 report determinism, library equivalence."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -333,6 +334,46 @@ def test_generator_point_budget_is_checked_before_allocating(monkeypatch, capsys
     assert cli_main(["net", "--in", "interval:17", "--eps", "0.5"]) == 3
     assert cli_main(["delta", "--in", "two_point:1.0"]) == 0
     assert cli_main(["delta", "--in", "cantor:-1"]) == 2  # under the cap, invalid depth
+
+
+def test_cli_delta_on_a_disconnected_graph_says_so(tmp_path, capsys):
+    path = tmp_path / "split.json"
+    path.write_text('{"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]}')
+    messages = []
+    for command in ("cheeger", "delta"):
+        assert cli_main([command, "--in", str(path)]) == 2
+        messages.append(capsys.readouterr().err)
+    assert "graph is disconnected" in messages[0]
+    assert messages[1] == messages[0]
+
+
+@pytest.mark.parametrize(
+    "argv, cap, message",
+    [
+        (["delta", "--in", "cantor:12"], None,
+         "4096 generator points for 'cantor:12' exceed the fixed cap of 2048; "
+         "no option raises it"),
+        (["endspace", "--in", "b2d5.json"], ("cli", "MAX_GENERATOR_POINTS", 16),
+         "32 end-space points (live leaves) exceed the fixed cap of 16; no option raises it"),
+        (["delta", "--in", "p9.json", "--mode", "sampled", "--samples", "2"],
+         ("hyperbolicity", "MAX_SAMPLED_DISTANCE_CELLS", 53),
+         "54 BFS distance cells for 2 samples on 9 vertices exceed the fixed cap of 53; "
+         "no option raises it"),
+        (["cheeger", "--in", "p9.json", "--budget", "4"], None,
+         "5 subsets exceed the budget of 4; raise it with --budget"),
+        (["delta", "--in", "p13.json", "--budget", "10"], None,
+         "exceed the budget of 10; raise it with --budget"),
+    ],
+    ids=["generator", "endspace", "sampled-cells", "cheeger-budget", "delta-budget"],
+)
+def test_cli_budget_messages_name_the_remedy(workdir, monkeypatch, capsys, argv, cap, message):
+    io.save_tree(workdir / "b2d5.json", cl.full_branching_tree(2, 5))  # 32 live leaves
+    monkeypatch.chdir(workdir)
+    if cap is not None:  # lowered to keep the instance small
+        module, name, value = cap
+        monkeypatch.setattr(importlib.import_module(f"cheegerlab.{module}"), name, value)
+    assert cli_main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples, expected", [("0", 2), ("-3", 2), ("1000000000000", 3)])
