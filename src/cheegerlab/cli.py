@@ -19,11 +19,12 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
 
-# numpy comes in only with the metric-space modules (metric, hyperbolicity,
-# approximation), which the handlers that use them import when they run; the
-# graph, tree and decomposition commands other than endspace never load it.
+# Handlers import what only they need when they run.  numpy comes in with
+# metric, hyperbolicity and approximation (delta, approx, net, perfect) and
+# with end_space (endspace); trees with tree and endspace; decomposition, and
+# trees through it, with decomp, graft and scan.  So the metric commands load
+# neither trees nor decomposition, and the other graph-side commands no numpy.
 from . import io
-from .decomposition import converse_scan, decomposition_bound, graft, graft_decomposition, validate
 from .errors import BudgetExceededError, CheegerLabError, ConstructionError, InvalidInputError
 from .graphs import (
     DEFAULT_DELTA_BUDGET,
@@ -34,7 +35,6 @@ from .graphs import (
     interior_cheeger_bruteforce,
     window_max_size,
 )
-from .trees import end_space, tree_cheeger_bounds
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -69,8 +69,10 @@ def _bound_payload(bound: CheegerBound) -> dict:
 
 
 #: Generator specs and ``endspace`` (one point per live leaf) refuse above
-#: this many points, before allocating: at 2^11 points the n x n float matrix
-#: and its O(n^3) triangle check take about 130 MB and a minute.
+#: this many points, before allocating.  At 2^11 points building a sample takes
+#: 8-11 s, nearly all of it the O(n^3) triangle check, with a tracemalloc peak
+#: of 96 MiB for the n x n float matrices; ``net --in interval:2048`` peaks at
+#: 134 MB RSS (2 vCPUs, Python 3.11, numpy 2.4).
 MAX_GENERATOR_POINTS = 2**11
 
 
@@ -201,6 +203,8 @@ def _cmd_delta(args) -> tuple[dict, int]:
 
 
 def _cmd_tree(args) -> tuple[dict, int]:
+    from .trees import tree_cheeger_bounds
+
     t = io.load_tree(args.infile)
     analysis = tree_cheeger_bounds(t, max_size=args.max_size, budget=args.budget)
     report = _base_report(
@@ -227,6 +231,8 @@ def _cmd_tree(args) -> tuple[dict, int]:
 
 
 def _cmd_endspace(args) -> tuple[dict, int]:
+    from .trees import end_space
+
     t = io.load_tree(args.infile)
     if len(t.live) > MAX_GENERATOR_POINTS:
         raise BudgetExceededError(
@@ -334,6 +340,8 @@ def _cmd_perfect(args) -> tuple[dict, int]:
 
 
 def _cmd_decomp(args) -> tuple[dict, int]:
+    from .decomposition import decomposition_bound, validate
+
     spec = io.load_decomposition(args.spec)
     ambient = io.decomposition_ambient_path(args.spec)
     result = validate(spec)
@@ -361,6 +369,8 @@ def _cmd_decomp(args) -> tuple[dict, int]:
 
 
 def _cmd_graft(args) -> tuple[dict, int]:
+    from .decomposition import graft, graft_decomposition
+
     base, bsrc = _graph_input(args.base)
     att, asrc = _graph_input(args.attachment)
     if args.decomposition:
@@ -387,6 +397,8 @@ def _cmd_graft(args) -> tuple[dict, int]:
 
 
 def _cmd_scan(args) -> tuple[dict, int]:
+    from .decomposition import converse_scan
+
     windows = []
     inputs = {}
     for i, token in enumerate(args.infile):

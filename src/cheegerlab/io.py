@@ -17,14 +17,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .decomposition import DecompositionSpec, PieceCertificate
 from .errors import InvalidInputError
 from .graphs import Graph
-from .trees import RootedTree
 
 if TYPE_CHECKING:
     from .approximation import LeveledGraph
+    from .decomposition import DecompositionSpec, PieceCertificate
     from .metric import FiniteMetricSpace
+    from .trees import RootedTree
 
 
 def canonical_json_bytes(payload: Any) -> bytes:
@@ -170,6 +170,8 @@ def tree_from_payload(data: dict) -> RootedTree:
         raise InvalidInputError("tree document: 'children' must map vertices to lists")
     if not isinstance(data.get("live"), list):
         raise InvalidInputError("tree document: 'live' must be a list")
+    from .trees import RootedTree
+
     return RootedTree(
         data["root"],
         {str(v): tuple(str(c) for c in kids) for v, kids in children.items()},
@@ -279,6 +281,8 @@ def certificate_from_payload(data: dict) -> PieceCertificate:
         raise InvalidInputError("certificate: 'root' must be a string")
     if not isinstance(data.get("f", {}), dict):
         raise InvalidInputError("certificate: 'f' must map vertices to rationals")
+    from .decomposition import PieceCertificate
+
     return PieceCertificate(
         kind=str(data.get("kind", "")),
         root=data.get("root"),
@@ -342,6 +346,8 @@ def load_decomposition(path: str | Path) -> DecompositionSpec:
         str(key): certificate_from_payload(cert)
         for key, cert in data.get("certificates", {}).items()
     }
+    from .decomposition import DecompositionSpec
+
     return DecompositionSpec(
         ambient=ambient,
         pieces={

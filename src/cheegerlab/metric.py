@@ -58,10 +58,16 @@ class FiniteMetricSpace:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and (off <= 0).any():
             raise InvalidInputError("dist(x,y) must be positive for x != y")
-        # one row at a time: O(n^2) memory for the O(n^3) check
-        worst = -np.inf
-        for i in range(n):
-            worst = max(worst, (d[i][None, :] - d[i][:, None] - d).max())
+        # Symmetry is checked, so the test of (j, i, k) is that of (i, j, k)
+        # and the pairs i < j suffice: the worst violation at (i, j) is
+        # d(i,j) - min_k (d(i,k) + d(k,j)), one add and one min per row into
+        # one n x n buffer (O(n^2) memory for the O(n^3) check).  k = i gives
+        # 0, so the worst over all pairs starts there.
+        worst = 0.0
+        buf = np.empty_like(d)
+        for i in range(n - 1):
+            near = np.add(d[i + 1 :], d[i], out=buf[: n - 1 - i]).min(axis=1)
+            worst = max(worst, (d[i, i + 1 :] - near).max())
         if worst > TRIANGLE_TOL:
             raise InvalidInputError(
                 f"triangle inequality violated by {worst:.3e} (tolerance {TRIANGLE_TOL})"

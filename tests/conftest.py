@@ -176,6 +176,16 @@ def oracle_pseudo_regularity(root, children, live):
     return None, horizon, vertex, run, family
 
 
+def oracle_triangle_worst(dist):
+    """Largest d(i,j) - d(i,k) - d(k,j) over all ordered triples, in exact
+    Fractions (every binary64 distance is a dyadic rational)."""
+    d = [[Fraction(float(x)) for x in row] for row in dist]
+    n = len(d)
+    return max(
+        d[i][j] - d[i][k] - d[k][j] for i in range(n) for j in range(n) for k in range(n)
+    )
+
+
 def oracle_greedy_separated(points, dist, r):
     """Greedy r-separated subset in input order: a point is kept iff it lies
     at distance >= r from every point kept before it."""

@@ -384,8 +384,8 @@ def test_cli_sampled_delta_bounds_samples(samples, expected, capsys):
 
 
 def test_endspace_point_budget_is_checked_before_allocating(monkeypatch, tmp_path):
-    built = []
-    monkeypatch.setattr(cli, "end_space", lambda t: built.append(len(t.live)) or cl.end_space(t))
+    built, end_space = [], cl.trees.end_space  # the original, before the patch
+    monkeypatch.setattr(cl.trees, "end_space", lambda t: built.append(len(t.live)) or end_space(t))
     monkeypatch.setattr(cli, "MAX_GENERATOR_POINTS", 16)
     for depth, expected in ((5, 3), (4, 0)):  # 32 live leaves, then 16
         tree, out, report = (tmp_path / f"{name}{depth}.json" for name in ("b2d", "ends", "rep"))

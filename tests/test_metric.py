@@ -5,13 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cheegerlab as cl
 from cheegerlab import FiniteMetricSpace, InvalidInputError, metric
 from cheegerlab.cli import main as cli_main
 
-from conftest import oracle_greedy_separated, oracle_net_edges
+from conftest import oracle_greedy_separated, oracle_net_edges, oracle_triangle_worst
 
 
 def oracle_scales(space, eps0, floor, grid=()):
@@ -67,6 +69,67 @@ def test_triangle_check_memory_is_quadratic():
         tracemalloc.stop()
     # an n x n x n float64 temporary would be 512 MB; a few n x n rows fit easily
     assert peak < 64 * 2**20
+
+
+@st.composite
+def near_metrics(draw):
+    """A symmetric matrix with entries below 200, so float rounding in the
+    check stays far below 1e-12: Euclidean points, an integer line metric
+    times a scale, or the end space of a small random tree.  Maybe one
+    symmetric pair is then scaled, by a free factor or so that its best
+    triangle breaks by about the tolerance, and moved first, last, or right
+    after its best witness k."""
+    kind = draw(st.sampled_from(["euclidean", "line", "ends"]))
+    if kind == "euclidean":
+        dim = draw(st.integers(1, 3))
+        coord = st.floats(-50, 50, allow_nan=False)
+        pts = np.array(draw(st.lists(st.tuples(*[coord] * dim), min_size=3, max_size=8,
+                                     unique=True)))
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    elif kind == "line":
+        ts = np.array(draw(st.lists(st.integers(-50, 50), min_size=3, max_size=8, unique=True)))
+        d = np.abs(ts[:, None] - ts[None, :]) * draw(st.floats(1e-3, 1.0))
+    else:
+        d = cl.end_space(cl.random_tree(draw(st.integers(2, 14)), draw(st.integers(0, 999)))).dist
+    n = len(d)
+    if n < 2 or not draw(st.sampled_from([False, True, True])):
+        return d
+    i, j = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    rest = [k for k in range(n) if k not in (i, j)]
+    if rest and draw(st.booleans()):
+        near = min(d[i, k] + d[k, j] for k in rest)
+        excess = draw(st.sampled_from([-1e-9, 0.0, 0.9e-9, 1.1e-9, 2e-9, 1e-6]))
+        factor = (near + excess) / d[i, j]
+    else:
+        factor = draw(st.floats(0.25, 4.0))
+    d = d.copy()
+    d[i, j] = d[j, i] = d[i, j] * factor
+    where = draw(st.sampled_from(["first", "last", "after-witness"] if rest else ["first"]))
+    if where == "first":
+        order = [i, j, *rest]
+    elif where == "last":
+        order = [*rest, i, j]
+    else:
+        k = min(rest, key=lambda k: d[i, k] + d[k, j])
+        order = [k, i, j, *(x for x in rest if x != k)]
+    return d[np.ix_(order, order)]
+
+
+@given(near_metrics())
+@example(np.zeros((1, 1)))
+@example(np.array([[0.0, 2.0], [2.0, 0.0]]))
+@settings(max_examples=300, deadline=None)
+def test_triangle_check_accepts_exactly_what_the_exact_oracle_accepts(d):
+    worst = oracle_triangle_worst(d)
+    tol = Fraction(metric.TRIANGLE_TOL)
+    assume(abs(worst - tol) > Fraction(1, 10**12))  # float rounding could go either way
+    assume((d[~np.eye(len(d), dtype=bool)] > 0).all())  # close Euclidean points
+    names = tuple(f"p{i}" for i in range(len(d)))
+    if worst <= tol:
+        FiniteMetricSpace(names, d)
+    else:
+        with pytest.raises(InvalidInputError, match="triangle inequality violated"):
+            FiniteMetricSpace(names, d)
 
 
 def test_rejects_zero_offdiagonal():

@@ -1,5 +1,6 @@
 """What the CLI and the package load: the graph and tree commands run without
-numpy, and every name the package exports still resolves."""
+numpy, the metric commands without the tree and decomposition modules, and
+every name the package exports still resolves."""
 
 import json
 import os
@@ -69,6 +70,20 @@ print(json.dumps(out))
 """
 
 
+def run_fresh(script, payload, cwd):
+    """Runs ``script`` in a fresh interpreter that imports cheegerlab from this
+    checkout, with ``payload`` as JSON in argv[1]; returns its parsed stdout."""
+    src = str(Path(cl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(payload)],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_graph_side_commands_never_load_numpy(tmp_path):
     t = cl.homogeneous_tree(3, 2)
     io.save_graph(tmp_path / "p9.json", cl.path_window(9))
@@ -77,19 +92,39 @@ def test_graph_side_commands_never_load_numpy(tmp_path):
     io.save_graph(tmp_path / "t3.json", t.graph)
     io.save_tree(tmp_path / "t3tree.json", cl.homogeneous_tree(3, 4))
     io.write_canonical(tmp_path / "depth.json", {v: str(t.depth[v]) for v in t.vertices})
-    src = str(Path(cl.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps([GRAPH_SIDE, METRIC_SIDE])],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = run_fresh(SCRIPT, [GRAPH_SIDE, METRIC_SIDE], tmp_path)
     assert out["graph_codes"] == [0] * len(GRAPH_SIDE)
     assert out["graph_numpy"] is False
     assert out["metric_codes"] == [0] * len(METRIC_SIDE)
     assert out["metric_numpy"] is True
+
+
+# Runs each argv list through cli.main in one interpreter and prints, after
+# each, its exit code and which of the graph-side modules are loaded.
+MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from cheegerlab.cli import main
+
+out = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        code = main(argv)
+        loaded = [m for m in ("decomposition", "trees") if f"cheegerlab.{m}" in sys.modules]
+        out.append([code, loaded])
+print(json.dumps(out))
+"""
+
+
+def test_metric_side_commands_never_load_trees_or_decomposition(tmp_path):
+    io.save_tree(tmp_path / "t3tree.json", cl.homogeneous_tree(3, 3))
+    metric_side = [
+        ["net", "--in", "interval:40", "--eps", "0.1"],
+        ["perfect", "--in", "cantor:4", "--s", "3.01", "--eps0", "1.0"],
+        ["approx", "--in", "cantor:4", "--r", "0.111111", "--k-max", "3"],
+        ["delta", "--in", "cantor:3"],
+    ]
+    out = run_fresh(MODULES_SCRIPT, [*metric_side, ["endspace", "--in", "t3tree.json"]], tmp_path)
+    assert out == [[0, []]] * len(metric_side) + [[0, ["trees"]]]
 
 
 def test_package_exports_resolve_lazily():
