@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import BudgetExceededError, ConstructionError, EmptyWindowError, InvalidInputError
 from .graphs import (
@@ -29,12 +29,9 @@ from .graphs import (
     normalize_edge,
     window_max_size,
 )
-from .trees import (
-    RootedTree,
-    complementedness_index,
-    pseudo_regularity_index,
-    theorem_lower_bound,
-)
+
+if TYPE_CHECKING:
+    from .trees import RootedTree
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +139,8 @@ class ValidationReport:
 
 def _tree_from_graph(g: Graph, root: str) -> RootedTree:
     """The piece rooted at ``root``, with its other frontier vertices live."""
+    from .trees import RootedTree  # only tree pieces need the tree module
+
     if len(g.edges) != len(g.vertices) - 1 or not g.is_connected:
         raise InvalidInputError("piece is not a tree")
     if root not in g.index:
@@ -159,6 +158,8 @@ def _verify_certificate(
 ) -> tuple[bool, Fraction | None, str]:
     """Recompute the certified lower bound on the induced piece."""
     if cert.kind == "tree-theorem":
+        from .trees import complementedness_index, pseudo_regularity_index, theorem_lower_bound
+
         try:
             tree = _tree_from_graph(piece_graph, cert.root)
             pseudo = pseudo_regularity_index(tree)

@@ -452,14 +452,34 @@ def interior_cheeger_bruteforce(
     """Exact minimum of |dA|/|A| over every non-empty subset of admissible
     vertices with at most ``max_size`` elements.
 
-    Admissible means distance >= 2 from the frontier, so each enumerated
-    window ratio equals its value in the ambient graph and the minimum is a
-    true upper bound for the ambient Cheeger constant.  The witness reported
-    is the lexicographically smallest minimizing set.
+    Admissible means distance >= 2 from the frontier, so each window ratio
+    equals its value in the ambient graph and the minimum is a true upper
+    bound for the ambient Cheeger constant.  The witness reported is the
+    lexicographically smallest minimizing set.  ``budget`` bounds the count of
+    all subsets up to the cap, checked before any work.
 
-    Only sets connected in G^2 (distance <= 2 joins) are scanned: a set's
-    G^2-components lie at distance >= 3, so its ratio is a mediant of theirs,
-    and the minimizers are the unions of far-apart G^2-connected ones.
+    At full cap (``max_size`` = the admissible count) no set is excluded, and
+    the minimum is p/q - 1 for p/q the least |N[A]|/|A|, where N[A] = A + dA.
+    A -> |N[A]| is a coverage function, so q|N[A]| - p|A| is submodular, and
+    :func:`selection_cut.min_closed_ratio` finds p/q by a few minimum cuts
+    (Dinkelbach's iteration over Picard's selection network).  It re-verifies
+    the final flow in exact integers, and it returns U, the admissible
+    vertices that cannot reach t in the final residual graph: the source side
+    of the largest minimum cut, which is the inclusion-maximal minimizer.
+    Minimizers are closed under union and intersection (for
+    f(A) = |N[A]| - (p/q)|A| >= 0, f(M + U) + f(M & U) <= f(M) + f(U) = 0),
+    so every minimizer M lies inside U.  The witness is the shortest prefix P
+    of U in name order whose ratio is p/q.  A minimizer M other than P cannot
+    sort before it: M is not a shorter prefix of U, by the choice of P; if P
+    is a prefix of M, P sorts first; otherwise M and P first differ at a
+    position where P holds the next element u of U and M, a subset of U,
+    skips u for a larger element, so P sorts first again.  A flow that fails
+    its check, or a U with no prefix of ratio p/q, raises ConstructionError.
+
+    Below full cap a scan enumerates the sets connected in G^2 (distance <= 2
+    joins): a set's G^2-components lie at distance >= 3, so its ratio is a
+    mediant of theirs, and the minimizers are the unions of far-apart
+    G^2-connected ones.
 
     The scan is a branch and bound on the closed neighbourhood N[S] = S + dS,
     whose size the enumerator already holds as the bit count of ``acc``.  Let
@@ -469,9 +489,7 @@ def interior_cheeger_bruteforce(
     best, and nor can any set grown from it, as N[S'] only grows.  The oracle
     sends L to the enumerator each time the best ratio falls.  Ties are never
     lost: a minimizer M of ratio r <= b/s has |N[M]| = |M|(1 + r) <= m(1 + b/s),
-    so |N[M]| <= L, and the sets M grows from have smaller N[.].  ``budget``
-    bounds the count of all subsets up to the cap, checked before any work,
-    whatever the limit then saves.
+    so |N[M]| <= L, and the sets M grows from have smaller N[.].
     """
     adm = sorted(admissible_vertices(g))
     if not adm:
@@ -488,6 +506,21 @@ def interior_cheeger_bruteforce(
     n = len(adm)
     pos = {v: i for i, v in enumerate(adm + sorted(set(g.vertices) - set(adm)))}
     closed = {v: sum(1 << pos[u] for u in g.adjacency[v] | {v}) for v in pos}
+    if max_size == n:
+        from .selection_cut import min_closed_ratio
+
+        p, q, maximal = min_closed_ratio([closed[v] for v in adm])
+        prefix = covered = 0
+        for i in range(n):
+            if maximal >> i & 1:
+                prefix |= 1 << i
+                covered |= closed[adm[i]]
+                if covered.bit_count() * q == p * prefix.bit_count():
+                    break
+        else:
+            raise ConstructionError(f"no prefix of the maximal minimizer has ratio {p}/{q}")
+        return _window_bound(g, adm, prefix, Fraction(p - q, q), max_size)
+
     square = [  # G^2 on the admissible vertices
         reduce(or_, map(closed.get, g.adjacency[v]), 0) & ((1 << n) - 1) & ~(1 << i)
         for i, v in enumerate(adm)
@@ -536,9 +569,17 @@ def interior_cheeger_bruteforce(
                 lex_min = grown
             if size + s + least <= max_size:
                 stack.append((i + 1, grown, covered | acc, size + s, (sub & -sub) * 2 - 1))
-    witness = tuple(adm[j] for j in range(n) if lex_min >> j & 1)
+    return _window_bound(g, adm, lex_min, Fraction(best_b, best_s), max_size)
+
+
+def _window_bound(
+    g: Graph, adm: list[str], witness_bits: int, value: Fraction, max_size: int
+) -> CheegerBound:
+    """The window oracle's result: ``value`` with the admissible vertices of
+    ``witness_bits`` (bit i is ``adm[i]``) as witness."""
+    witness = tuple(v for i, v in enumerate(adm) if witness_bits >> i & 1)
     upper = BoundEndpoint(
-        Fraction(best_b, best_s),
+        value,
         "brute-force-window",
         witness={"set": witness, "boundary_size": len(boundary(g, witness)), "max_size": max_size},
         horizon_certified=bool(g.frontier),

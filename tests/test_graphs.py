@@ -10,19 +10,28 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cheegerlab as cl
 from cheegerlab import (
     BudgetExceededError,
+    ConstructionError,
     EmptyWindowError,
     Graph,
     InvalidInputError,
     InvalidSupportError,
     graphs,
+    selection_cut,
 )
 
-from conftest import bfs_dist, oracle_blocks, oracle_boundary, oracle_min_ratio, oracle_min_ratio_witness
+from conftest import (
+    bfs_dist,
+    oracle_adjacency,
+    oracle_blocks,
+    oracle_boundary,
+    oracle_min_ratio,
+    oracle_min_ratio_witness,
+)
 
 
 def p5():
@@ -369,12 +378,14 @@ def test_interior_dense_window_with_many_tied_sets():
 def test_interior_union_search_with_many_far_apart_ties():
     # every subset of an edgeless 22-vertex window ties at 0, so the 22
     # singletons have about four million unions within the cap; the first
-    # singleton is already the lexicographically smallest of them
+    # singleton is already the lexicographically smallest of them.  Cap 21
+    # runs the scan and its union search, the full cap 22 the minimum cut.
     g = Graph(tuple(f"v{i:02d}" for i in range(22)), frozenset())
-    start = time.perf_counter()
-    bound = cl.interior_cheeger_bruteforce(g, 22)
-    assert time.perf_counter() - start < 2
-    assert (bound.upper.value, bound.upper.witness["set"]) == (0, ("v00",))
+    for cap in (21, 22):
+        start = time.perf_counter()
+        bound = cl.interior_cheeger_bruteforce(g, cap)
+        assert time.perf_counter() - start < 2
+        assert (bound.upper.value, bound.upper.witness["set"]) == (0, ("v00",))
 
 
 ENUMERATE = graphs._connected_bitsets
@@ -522,6 +533,130 @@ def test_oracle_work_on_grid9_at_cap9(oracle_counts):
     assert bound.upper.witness["set"] == (
         "g2.2", "g2.3", "g2.4", "g3.2", "g3.3", "g3.4", "g3.5", "g4.3", "g4.4"
     )
+
+
+# -- full cap: the minimum cut ------------------------------------------------------
+
+
+def full_cap(g):
+    """The oracle at full cap, and the literal oracle's (value, witness)."""
+    adm = cl.admissible_vertices(g)
+    bound = cl.interior_cheeger_bruteforce(g, len(adm))
+    return bound, oracle_min_ratio_witness(g.vertices, g.edges, adm, len(adm))
+
+
+@st.composite
+def small_windows(draw):
+    """A graph on up to 14 vertices with up to three frontier vertices, and at
+    most 12 admissible ones."""
+    names = [f"x{i:02d}" for i in range(draw(st.integers(1, 14)))]
+    pairs = draw(st.sets(st.tuples(st.sampled_from(names), st.sampled_from(names))))
+    frontier = draw(st.sets(st.sampled_from(names), max_size=3))
+    g = Graph.from_edges([e for e in pairs if e[0] != e[1]], names, frontier,
+                         require_connected=False)
+    assume(0 < len(cl.admissible_vertices(g)) <= 12)
+    return g
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=100, deadline=None)
+def test_full_cap_matches_literal_oracle_on_random_windows(seed):
+    g = random_window(seed)
+    assume(len(cl.admissible_vertices(g)) <= 12)
+    bound, expected = full_cap(g)
+    assert (bound.upper.value, bound.upper.witness["set"]) == expected
+    assert bound.upper.witness["boundary_size"] == len(cl.boundary(g, expected[1]))
+
+
+@given(small_windows())
+@settings(max_examples=150, deadline=None)
+def test_full_cap_matches_literal_oracle_on_small_windows(g):
+    bound, expected = full_cap(g)
+    assert (bound.upper.value, bound.upper.witness["set"]) == expected
+
+
+def maximal_minimizer(g):
+    """U from the selection cut, as admissible vertex names."""
+    adm = sorted(cl.admissible_vertices(g))
+    bit = {v: i for i, v in enumerate(adm + sorted(set(g.vertices) - set(adm)))}
+    closed = [sum(1 << bit[w] for w in g.adjacency[v] | {v}) for v in adm]
+    p, q, maximal = selection_cut.min_closed_ratio(closed)
+    return Fraction(p - q, q), {v for i, v in enumerate(adm) if maximal >> i & 1}
+
+
+@given(st.one_of(st.integers(0, 10**6).map(random_window), small_windows()))
+@settings(max_examples=60, deadline=None)
+def test_every_minimizer_lies_inside_the_maximal_one(g):
+    adm = sorted(cl.admissible_vertices(g))
+    assume(len(adm) <= 12)
+    adj = oracle_adjacency(g.edges)
+    ratios = {}
+    for k in range(1, len(adm) + 1):
+        for a in combinations(adm, k):
+            near = set(a).union(*(adj.get(v, ()) for v in a))
+            ratios[frozenset(a)] = Fraction(len(near) - k, k)
+    least = min(ratios.values())
+    minimizers = [a for a, r in ratios.items() if r == least]
+    value, maximal = maximal_minimizer(g)
+    assert value == least and maximal in minimizers
+    assert all(a <= maximal for a in minimizers)
+
+
+def test_full_cap_draws_no_set_from_the_enumerator(oracle_counts):
+    g = cl.grid_window(8, 8)
+    bound = cl.interior_cheeger_bruteforce(g, 16)
+    assert bound.upper.value == 1
+    assert oracle_counts["drawn"] == 0 and oracle_counts["args"] is None
+
+
+@pytest.mark.parametrize("depth, m", [(4, 10), (5, 22)])
+def test_full_cap_on_the_3_regular_tree_is_m_plus_2_over_m(depth, m):
+    # the default cap admits every admissible vertex, so the cut answers, and
+    # its witness is the whole admissible ball
+    g = cl.homogeneous_tree(3, depth).graph
+    adm = cl.admissible_vertices(g)
+    assert len(adm) == cl.window_max_size(g) == m
+    bound = cl.interior_cheeger_bruteforce(g, m)
+    assert bound.upper.value == Fraction(m + 2, m)
+    assert bound.upper.witness == {"set": tuple(sorted(adm)), "boundary_size": m + 2, "max_size": m}
+
+
+def test_flow_verifier_rejects_broken_flows():
+    g = cl.homogeneous_tree(3, 3).graph
+    adm = sorted(cl.admissible_vertices(g))
+    bit = {v: i for i, v in enumerate(adm + sorted(set(g.vertices) - set(adm)))}
+    net = selection_cut.SelectionNetwork(
+        [sum(1 << bit[w] for w in g.adjacency[v] | {v}) for v in adm]
+    )
+    p, q = 10, 4  # the ball of radius 1 has 4 vertices and a closed neighbourhood of 10
+    flow, _ = net.max_flow(p, q)
+    net.verify(p, q, flow)
+    assert flow[:net.n] == [p] * net.n
+    # one source arc lowered by 1
+    lowered = list(flow)
+    lowered[0] -= 1
+    with pytest.raises(ConstructionError, match="not conserved"):
+        net.verify(p, q, lowered)
+    # a whole s -> a -> w -> t path lowered by 1: feasible but one short of p*n
+    path = [0]
+    path.append(next(k for k in range(net.n, net.first_sink)
+                     if net.tails[k] == 1 and flow[k] > 0))
+    path.append(next(k for k in range(net.first_sink, len(flow))
+                     if net.tails[k] == net.heads[path[1]]))
+    short = list(flow)
+    for k in path:
+        short[k] -= 1
+    with pytest.raises(ConstructionError, match="is not 40"):
+        net.verify(p, q, short)
+    # flow moved off one unbounded arc: capacities hold, conservation breaks
+    moved = list(flow)
+    moved[path[1]] -= 1
+    with pytest.raises(ConstructionError, match="not conserved"):
+        net.verify(p, q, moved)
+    over = list(flow)
+    over[0] += 1
+    with pytest.raises(ConstructionError, match="outside"):
+        net.verify(p, q, over)
 
 
 def test_converse_scan_over_grids_keeps_values_and_witnesses():

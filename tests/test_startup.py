@@ -125,6 +125,11 @@ def test_metric_side_commands_never_load_trees_or_decomposition(tmp_path):
     ]
     out = run_fresh(MODULES_SCRIPT, [*metric_side, ["endspace", "--in", "t3tree.json"]], tmp_path)
     assert out == [[0, []]] * len(metric_side) + [[0, ["trees"]]]
+    # a scan needs the decomposition module but none of the tree module
+    io.save_graph(tmp_path / "grid5.json", cl.grid_window(5, 5))
+    io.save_graph(tmp_path / "grid6.json", cl.grid_window(6, 6))
+    scan = ["scan", "--in", "grid5.json", "--in", "grid6.json"]
+    assert run_fresh(MODULES_SCRIPT, [scan], tmp_path) == [[0, ["decomposition"]]]
 
 
 def test_package_exports_resolve_lazily():
