@@ -31,7 +31,7 @@ def main():
     print(f"\nglobal lower bound: {bound.lower.value} "
           f"(strong formula at mu = {g.mu}, R = 0, r = {spec.rate})")
 
-    window = cl.interior_cheeger_bruteforce(g, cl.window_max_size(g))
+    window = cl.window_bound(g)
     print(f"window upper bound (brute force over admissible sets): {window.upper.value}")
     assert bound.lower.value <= window.upper.value
 

@@ -47,7 +47,7 @@ _EXPORTS = {
         "quasi_isometry_check",
         "relabeled",
         "vertex_function",
-        "window_max_size",
+        "window_bound",
     ),
     "hyperbolicity": (
         "DeltaReport",

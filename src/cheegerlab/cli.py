@@ -32,8 +32,7 @@ from .graphs import (
     CheegerBound,
     admissible_vertices,
     certificate_lower_bound,
-    interior_cheeger_bruteforce,
-    window_max_size,
+    window_bound,
 )
 
 EXIT_OK = 0
@@ -113,11 +112,16 @@ def _load_metric_input(token: str, graphs: bool = False) -> tuple[Any, dict]:
             )
         return make(value), {"generator": token}
     space = io.load_space(token) if graphs else io.load_metric(token)
-    return space, {"path": token, "sha256": io.sha256_file(token)}
+    return space, _input_record(token)
 
 
 def _graph_input(token: str) -> tuple[Any, dict]:
-    return io.load_graph(token), {"path": token, "sha256": io.sha256_file(token)}
+    return io.load_graph(token), _input_record(token)
+
+
+def _input_record(path: str) -> dict:
+    """A report's record of an input file: its path as given and its sha256."""
+    return {"path": path, "sha256": io.sha256_file(path)}
 
 
 def _emit(report: dict, args, started: float) -> None:
@@ -140,11 +144,10 @@ def _base_report(command: str, inputs: dict, params: dict, seed: int | None = No
 
 def _cmd_cheeger(args) -> tuple[dict, int]:
     g, src = _graph_input(args.infile)
-    max_size = window_max_size(g, args.max_size, args.budget)
-    bound = interior_cheeger_bruteforce(g, max_size, args.budget)
+    bound = window_bound(g, args.max_size, args.budget)
     report = _base_report(
         "cheeger", {"graph": src},
-        {"max_size": max_size, "budget": args.budget},
+        {"max_size": bound.upper.witness["max_size"], "budget": args.budget},
     )
     report["results"] = {
         "interior_cheeger_upper": str(bound.upper.value),
@@ -167,7 +170,7 @@ def _cmd_certify(args) -> tuple[dict, int]:
     res = certificate_lower_bound(g, f)
     report = _base_report(
         "certify",
-        {"graph": src, "function": {"path": args.function, "sha256": io.sha256_file(args.function)}},
+        {"graph": src, "function": _input_record(args.function)},
         {},
     )
     report["results"] = {
@@ -209,7 +212,7 @@ def _cmd_tree(args) -> tuple[dict, int]:
     analysis = tree_cheeger_bounds(t, max_size=args.max_size, budget=args.budget)
     report = _base_report(
         "tree",
-        {"tree": {"path": args.infile, "sha256": io.sha256_file(args.infile)}},
+        {"tree": _input_record(args.infile)},
         {"max_size": args.max_size, "budget": args.budget},
     )
     results = {
@@ -243,7 +246,7 @@ def _cmd_endspace(args) -> tuple[dict, int]:
         io.save_metric(args.out, space)
     report = _base_report(
         "endspace",
-        {"tree": {"path": args.infile, "sha256": io.sha256_file(args.infile)}},
+        {"tree": _input_record(args.infile)},
         {"out": args.out},
     )
     report["results"] = {
@@ -347,10 +350,7 @@ def _cmd_decomp(args) -> tuple[dict, int]:
     result = validate(spec)
     report = _base_report(
         "decomp",
-        {
-            "spec": {"path": args.spec, "sha256": io.sha256_file(args.spec)},
-            "ambient": {"path": ambient.as_posix(), "sha256": io.sha256_file(ambient)},
-        },
+        {"spec": _input_record(args.spec), "ambient": _input_record(ambient.as_posix())},
         {"R": spec.radius, "r": str(spec.rate)},
     )
     results: dict[str, Any] = {

@@ -25,9 +25,8 @@ from .graphs import (
     Graph,
     admissible_vertices,
     certificate_lower_bound,
-    interior_cheeger_bruteforce,
     normalize_edge,
-    window_max_size,
+    window_bound,
 )
 
 if TYPE_CHECKING:
@@ -441,8 +440,9 @@ def converse_scan(
     values: list[Fraction] = []
     witnesses: list[tuple[str, ...]] = []
     for g in windows:
-        size = min(window_max_size(g, max_size, budget), len(admissible_vertices(g)))
-        bound = interior_cheeger_bruteforce(g, size, budget)
+        # an explicit cap is clamped to each window's admissible count
+        cap = None if max_size is None else min(max_size, len(admissible_vertices(g)))
+        bound = window_bound(g, cap, budget)
         values.append(bound.upper.value)
         witnesses.append(tuple(bound.upper.witness["set"]))
     if not values:

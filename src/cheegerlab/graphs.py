@@ -1,10 +1,11 @@
 """Finite graphs with unit-length edges and the exact Cheeger machinery on them.
 
 Vertex boundaries, the BFS metric, discrete gradient/Laplacian with Green's
-identity, a brute-force interior-Cheeger oracle over explicit subset windows,
-and function-based lower-bound certificates.  Everything combinatorial is
-computed in exact `fractions.Fraction` arithmetic; floats never enter this
-module.
+identity, the interior-Cheeger window oracle (a parametric minimum cut at
+full cap, a scan of the connected subsets below it) behind one entry point,
+:func:`window_bound`, which picks the size cap, and function-based lower-bound
+certificates.  Everything combinatorial is computed in exact
+`fractions.Fraction` arithmetic; floats never enter this module.
 
 A graph may carry a *frontier*: the set of vertices where an infinite ambient
 graph was cut off.  Window results are only ambient-faithful for sets that
@@ -391,16 +392,12 @@ def auto_max_size(n: int, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
     return m
 
 
-def window_max_size(
-    g: Graph, max_size: int | None = None, budget: int = DEFAULT_SUBSET_BUDGET
-) -> int:
-    """Subset-size cap for a window scan of ``g``: ``max_size`` when given,
-    else the largest cap whose enumeration of the admissible vertices fits
-    ``budget``.  Raises EmptyWindowError when no vertex is admissible."""
-    adm = admissible_vertices(g)
-    if not adm:
-        raise EmptyWindowError("no vertex is at distance >= 2 from the frontier")
-    return auto_max_size(len(adm), budget) if max_size is None else max_size
+def _check_max_size(max_size: int, n: int) -> None:
+    """Refuse a subset-size cap outside [1, n] for a window of n admissible vertices."""
+    if not 1 <= max_size <= n:
+        raise InvalidInputError(
+            f"max_size must be in [1, {n}] (admissible vertices), got {max_size}"
+        )
 
 
 def _connected_bitsets(adj: list[int], carry: list[int], max_size: int):
@@ -494,10 +491,7 @@ def interior_cheeger_bruteforce(
     adm = sorted(admissible_vertices(g))
     if not adm:
         raise EmptyWindowError("no vertex is at distance >= 2 from the frontier")
-    if not 1 <= max_size <= len(adm):
-        raise InvalidInputError(
-            f"max_size must be in [1, {len(adm)}] (admissible vertices), got {max_size}"
-        )
+    _check_max_size(max_size, len(adm))
     required = subset_count(len(adm), max_size)
     if required > budget:
         raise BudgetExceededError(required, budget)
@@ -519,7 +513,7 @@ def interior_cheeger_bruteforce(
                     break
         else:
             raise ConstructionError(f"no prefix of the maximal minimizer has ratio {p}/{q}")
-        return _window_bound(g, adm, prefix, Fraction(p - q, q), max_size)
+        return _oracle_result(g, adm, prefix, Fraction(p - q, q), max_size)
 
     square = [  # G^2 on the admissible vertices
         reduce(or_, map(closed.get, g.adjacency[v]), 0) & ((1 << n) - 1) & ~(1 << i)
@@ -569,10 +563,10 @@ def interior_cheeger_bruteforce(
                 lex_min = grown
             if size + s + least <= max_size:
                 stack.append((i + 1, grown, covered | acc, size + s, (sub & -sub) * 2 - 1))
-    return _window_bound(g, adm, lex_min, Fraction(best_b, best_s), max_size)
+    return _oracle_result(g, adm, lex_min, Fraction(best_b, best_s), max_size)
 
 
-def _window_bound(
+def _oracle_result(
     g: Graph, adm: list[str], witness_bits: int, value: Fraction, max_size: int
 ) -> CheegerBound:
     """The window oracle's result: ``value`` with the admissible vertices of
@@ -585,6 +579,21 @@ def _window_bound(
         horizon_certified=bool(g.frontier),
     )
     return CheegerBound(lower=BoundEndpoint(Fraction(0), "trivial"), upper=upper)
+
+
+def window_bound(
+    g: Graph, max_size: int | None = None, budget: int = DEFAULT_SUBSET_BUDGET
+) -> CheegerBound:
+    """The window's upper endpoint: :func:`interior_cheeger_bruteforce` at cap
+    ``max_size``, or, when it is None, at the largest cap whose enumeration of
+    the admissible vertices fits ``budget``.  The witness records the cap as
+    ``max_size``.  Raises EmptyWindowError when no vertex is admissible."""
+    if max_size is None:
+        adm = admissible_vertices(g)
+        if not adm:
+            raise EmptyWindowError("no vertex is at distance >= 2 from the frontier")
+        max_size = auto_max_size(len(adm), budget)
+    return interior_cheeger_bruteforce(g, max_size, budget)
 
 
 # ---------------------------------------------------------------------------

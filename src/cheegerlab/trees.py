@@ -27,11 +27,11 @@ from .graphs import (
     BoundEndpoint,
     CheegerBound,
     Graph,
+    _check_max_size,
     _connected_bitsets,
     boundary,
-    interior_cheeger_bruteforce,
     normalize_edge,
-    window_max_size,
+    window_bound,
 )
 
 if TYPE_CHECKING:
@@ -342,13 +342,16 @@ def tree_cheeger_bounds(
     The lower endpoint comes from the (K, C) theorem when K exists within the
     horizon (flagged horizon-certified: the constants are verified on the
     prefix only); a pseudo-regularity defect pins the lower endpoint to 0 and
-    reports the 2/K witness family.  The upper endpoint is the brute-force
-    window minimum over admissible sets, capped at ``max_size`` (largest size
-    within the budget when omitted).
+    reports the 2/K witness family.  The upper endpoint is the window minimum
+    over admissible sets from :func:`~cheegerlab.graphs.window_bound`, capped
+    at ``max_size`` (largest size within the budget when omitted).
     """
     g = t.graph
     if not t.live:
-        # bounded tree: the whole vertex set has empty boundary
+        # bounded tree: the whole vertex set has empty boundary; with no
+        # frontier every vertex is admissible, so a cap is checked against all
+        if max_size is not None:
+            _check_max_size(max_size, len(g.vertices))
         upper = BoundEndpoint(Fraction(0), "brute-force-window",
                               witness={"set": g.vertices, "boundary_size": 0})
         zero = CheegerBound(BoundEndpoint(Fraction(0), "trivial"), upper)
@@ -358,8 +361,7 @@ def tree_cheeger_bounds(
     pseudo = pseudo_regularity_index(t)
     comp = complementedness_index(t)
 
-    max_size = window_max_size(g, max_size, budget)
-    upper_bound = interior_cheeger_bruteforce(g, max_size, budget).upper
+    upper_bound = window_bound(g, max_size, budget).upper
 
     if pseudo.k is not None:
         value = theorem_lower_bound(pseudo.k, comp.c)

@@ -365,12 +365,10 @@ def test_interior_dense_window_with_many_tied_sets():
         [*combinations(clique, 2), *(("hub", v) for v in clique), ("f", "hub")],
         frontier=["f"],
     )
-    budget = 2**16
-    cap = cl.window_max_size(g, budget=budget)
     start = time.perf_counter()
-    bound = cl.interior_cheeger_bruteforce(g, cap, budget)
+    bound = cl.window_bound(g, budget=2**16)
     assert time.perf_counter() - start < 10
-    assert cap == 6
+    assert bound.upper.witness["max_size"] == 6
     assert bound.upper.value == Fraction(15, 6)
     assert bound.upper.witness["set"] == tuple(clique[:6])
 
@@ -615,8 +613,8 @@ def test_full_cap_on_the_3_regular_tree_is_m_plus_2_over_m(depth, m):
     # its witness is the whole admissible ball
     g = cl.homogeneous_tree(3, depth).graph
     adm = cl.admissible_vertices(g)
-    assert len(adm) == cl.window_max_size(g) == m
-    bound = cl.interior_cheeger_bruteforce(g, m)
+    assert len(adm) == m
+    bound = cl.window_bound(g)
     assert bound.upper.value == Fraction(m + 2, m)
     assert bound.upper.witness == {"set": tuple(sorted(adm)), "boundary_size": m + 2, "max_size": m}
 
@@ -685,16 +683,20 @@ def test_interior_budget_and_window_errors():
         cl.interior_cheeger_bruteforce(cl.path_window(7), 99)
 
 
-def test_window_max_size():
-    t = cl.homogeneous_tree(3, 6)
-    adm = len(cl.admissible_vertices(t.graph))
-    assert cl.window_max_size(t.graph) == cl.auto_max_size(adm) == 5
-    assert cl.window_max_size(t.graph, 3) == 3
-    assert cl.window_max_size(t.graph, budget=adm) == 1
+def test_window_bound():
+    g = cl.homogeneous_tree(3, 6).graph
+    adm = len(cl.admissible_vertices(g))
+
+    def cap(*args, **kwargs):
+        return cl.window_bound(g, *args, **kwargs).upper.witness["max_size"]
+
+    assert cap() == cl.auto_max_size(adm) == 5
+    assert cap(3) == 3
+    assert cap(budget=adm) == 1
     with pytest.raises(EmptyWindowError):
-        cl.window_max_size(cl.path_window(3))
+        cl.window_bound(cl.path_window(3))
     with pytest.raises(EmptyWindowError):
-        cl.window_max_size(cl.path_window(3), 1)
+        cl.window_bound(cl.path_window(3), 1)
 
 
 def test_auto_max_size():

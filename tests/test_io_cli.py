@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cheegerlab as cl
-from cheegerlab import cli, io
+from cheegerlab import cli, graphs, io
 from cheegerlab.cli import main as cli_main
 
 
@@ -302,6 +302,62 @@ def test_cli_cheeger_window_errors_exit_invalid(workdir):
     io.save_graph(workdir / "p3.json", cl.path_window(3))  # no admissible vertex
     assert cli_main(["cheeger", "--in", str(workdir / "p3.json")]) == 2
     assert cli_main(["cheeger", "--in", str(workdir / "p9.json"), "--max-size", "0"]) == 2
+
+
+def test_cli_tree_without_live_leaves_checks_the_cap(tmp_path, capsys):
+    # no live leaf means no frontier, so all three vertices are admissible
+    path = tmp_path / "bounded.json"
+    io.save_tree(path, cl.tree_from_parents("v", {"a": "v", "b": "v"}))
+    for cap in ("0", "4"):
+        assert cli_main(["tree", "--in", str(path), "--max-size", cap]) == 2
+        assert "max_size must be in [1, 3]" in capsys.readouterr().err
+    for cap in ("1", "3"):
+        code, blob = run_cli(["tree", "--in", str(path), "--max-size", cap], tmp_path)
+        assert code == 0
+        assert json.loads(blob)["results"]["bound"]["upper"]["value"] == "0"
+
+
+@pytest.mark.parametrize(
+    "make, value, cap",
+    [
+        (lambda: cl.grid_window(6, 6), 2, 4),
+        (lambda: cl.grid_window(9, 9), Fraction(11, 9), 9),
+        (lambda: cl.homogeneous_tree(3, 5), Fraction(12, 11), 22),
+        (lambda: cl.homogeneous_tree(3, 6), Fraction(7, 5), 5),
+    ],
+    ids=["grid6", "grid9", "T3d5", "T3d6"],
+)
+def test_window_callers_agree_with_window_bound(tmp_path, monkeypatch, make, value, cap):
+    # each caller makes one oracle call, at the automatic cap
+    caps = []
+    oracle = graphs.interior_cheeger_bruteforce
+
+    def recording(g, max_size, budget=graphs.DEFAULT_SUBSET_BUDGET):
+        caps.append(max_size)
+        return oracle(g, max_size, budget)
+
+    monkeypatch.setattr(graphs, "interior_cheeger_bruteforce", recording)
+    window = make()
+    g = window.graph if isinstance(window, cl.RootedTree) else window
+    upper = cl.window_bound(g).upper
+    assert (upper.value, upper.witness["max_size"]) == (value, cap)
+    witness = tuple(upper.witness["set"])
+
+    io.save_graph(tmp_path / "g.json", g)
+    code, blob = run_cli(["cheeger", "--in", str(tmp_path / "g.json")], tmp_path)
+    report = json.loads(blob)
+    reported = report["results"]["bound"]["upper"]
+    assert code == 0 and report["parameters"]["max_size"] == cap
+    assert (reported["value"], reported["witness"]["set"]) == (str(value), list(witness))
+
+    scan = cl.converse_scan([g])
+    assert (scan.values, scan.witnesses) == ((value,), (witness,))
+    calls = 3
+    if isinstance(window, cl.RootedTree):
+        tree = cl.tree_cheeger_bounds(window).bounds.upper
+        assert (tree.value, tree.witness) == (value, upper.witness)
+        calls += 1
+    assert caps == [cap] * calls
 
 
 def test_cli_bad_generator_parameter_exits_invalid():

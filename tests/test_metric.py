@@ -120,10 +120,12 @@ def near_metrics(draw):
 @example(np.array([[0.0, 2.0], [2.0, 0.0]]))
 @settings(max_examples=300, deadline=None)
 def test_triangle_check_accepts_exactly_what_the_exact_oracle_accepts(d):
+    # close Euclidean points can round to distance 0, and scaling such a pair
+    # gives 0 * inf = nan, which the exact oracle cannot read; so this goes first
+    assume((d[~np.eye(len(d), dtype=bool)] > 0).all())
     worst = oracle_triangle_worst(d)
     tol = Fraction(metric.TRIANGLE_TOL)
     assume(abs(worst - tol) > Fraction(1, 10**12))  # float rounding could go either way
-    assume((d[~np.eye(len(d), dtype=bool)] > 0).all())  # close Euclidean points
     names = tuple(f"p{i}" for i in range(len(d)))
     if worst <= tol:
         FiniteMetricSpace(names, d)

@@ -12,8 +12,7 @@ from pathlib import Path
 import cheegerlab as cl
 from cheegerlab import io
 
-# Every name ``cheegerlab`` exported when its __init__ imported each module
-# eagerly; the lazy exports must keep exactly this list.
+# Every name ``cheegerlab`` exports; the lazy exports must keep exactly this list.
 EXPORTED = [
     "BoundEndpoint", "BudgetExceededError", "CertificateResult", "CheegerBound",
     "CheegerLabError", "ConstructionError", "DEFAULT_DELTA_BUDGET", "DEFAULT_SUBSET_BUDGET",
@@ -35,7 +34,7 @@ EXPORTED = [
     "rescale_eps0", "strongly_bounded_geometry_profile", "structural_checks", "subtree_past",
     "theorem_lower_bound", "tree_cheeger_bounds", "tree_from_parents", "two_point",
     "two_point_perfectness_check", "two_point_to_one_point_constant",
-    "uniformly_perfect_check", "validate", "vertex_function", "window_max_size",
+    "uniformly_perfect_check", "validate", "vertex_function", "window_bound",
 ]
 
 GRAPH_SIDE = [
