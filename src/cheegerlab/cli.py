@@ -68,10 +68,13 @@ def _bound_payload(bound: CheegerBound) -> dict:
 
 
 #: Generator specs and ``endspace`` (one point per live leaf) refuse above
-#: this many points, before allocating.  At 2^11 points building a sample takes
-#: 8-11 s, nearly all of it the O(n^3) triangle check, with a tracemalloc peak
-#: of 96 MiB for the n x n float matrices; ``net --in interval:2048`` peaks at
-#: 134 MB RSS (2 vCPUs, Python 3.11, numpy 2.4).
+#: this many points, before allocating.  The generators skip the O(n^3)
+#: triangle check, so memory is what the cap bounds: at 2^11 points each n x n
+#: float matrix is 32 MiB.  Measured there on 2 vCPUs (Python 3.11, numpy 2.4):
+#: a sample builds in 0.1 s with a tracemalloc peak of 68 MiB; ``net --in
+#: interval:2048`` takes 0.3 s and peaks at 101 MB RSS; ``perfect --in
+#: cantor:11`` takes 3.6 s, nearly all of it the one-point scan, and peaks at
+#: 197 MB RSS.
 MAX_GENERATOR_POINTS = 2**11
 
 

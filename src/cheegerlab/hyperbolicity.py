@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidHorizonError, InvalidInputError
 from .graphs import DEFAULT_DELTA_BUDGET, Graph
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, unique_sorted
 
 #: Sampled mode on a graph refuses above this many int32 distance cells:
 #: one BFS row of n cells per distinct point drawn as x, y or z, so at most
@@ -203,8 +203,8 @@ def delta_four_point(
         qs = np.random.default_rng(seed).integers(0, len(names), size=(4, samples))
         rows = qs[:3]
         if integral:  # only the BFS rows of the points drawn as i, j or k are read
-            sources, inverse = np.unique(rows, return_inverse=True)
-            dmat, rows = space.distance_rows(sources.tolist()), inverse.reshape(rows.shape)
+            sources = unique_sorted(rows)
+            dmat, rows = space.distance_rows(sources.tolist()), np.searchsorted(sources, rows)
         vals = _pairing_values(dmat, rows, qs)
         at = int(vals.argmax())
         quad = qs[:, at]

@@ -7,6 +7,13 @@ validator alone uses a 1e-9 slack for the triangle inequality.  A finite
 sample can only witness multi-scale properties down to its own resolution, so
 every perfectness verdict carries the [resolution_floor, eps0] range it was
 checked on and claims nothing below it.
+
+Every space is validated where it is made.  The constructor, ``line_space``
+and the loaders (whose distances come from a caller or a file) run every
+check, the O(n^3) triangle scan included.  The generators ``cantor_sample``,
+``interval_sample``, ``two_point`` and ``trees.end_space`` build metrics by
+construction, so they run only the O(n^2) checks; each docstring gives the
+reason.
 """
 
 from __future__ import annotations
@@ -31,6 +38,12 @@ class FiniteMetricSpace:
     the scale below which the sample stops resolving its source (end spaces,
     regular samples); it is advisory and does not affect the metric.  When
     given it must be a finite positive number, since reports carry it as JSON.
+
+    Construction checks the distances: finite, zero on the diagonal, symmetric,
+    positive off it, and the triangle inequality up to ``TRIANGLE_TOL``.  That
+    last check is an O(n^3) scan.  The private ``_exact`` path skips it, and
+    only for the generators whose output is a metric by construction (integer
+    line offsets times a scale; end-space ultrametrics; the two-point space).
     """
 
     points: tuple[str, ...]
@@ -38,6 +51,39 @@ class FiniteMetricSpace:
     resolution_floor: float | None = None
 
     def __post_init__(self):
+        self._check_pairs()
+        # Symmetry is checked, so the test of (j, i, k) is that of (i, j, k)
+        # and the pairs i < j suffice: the worst violation at (i, j) is
+        # d(i,j) - min_k (d(i,k) + d(k,j)), one add and one min per row into
+        # one n x n buffer (O(n^2) memory for the O(n^3) check).  k = i gives
+        # 0, so the worst over all pairs starts there.
+        d, n = self.dist, len(self.points)
+        worst = 0.0
+        buf = np.empty_like(d)
+        for i in range(n - 1):
+            near = np.add(d[i + 1 :], d[i], out=buf[: n - 1 - i]).min(axis=1)
+            worst = max(worst, (d[i, i + 1 :] - near).max())
+        if worst > TRIANGLE_TOL:
+            raise InvalidInputError(
+                f"triangle inequality violated by {worst:.3e} (tolerance {TRIANGLE_TOL})"
+            )
+
+    @classmethod
+    def _exact(
+        cls, points: tuple[str, ...], dist: np.ndarray, resolution_floor: float | None = None
+    ) -> FiniteMetricSpace:
+        """A space that its caller has proved to be a metric: every O(n^2)
+        check runs, but not ``__post_init__`` and its O(n^3) triangle scan.
+        Only constructions whose docstring gives that proof may call it."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "points", points)
+        object.__setattr__(space, "dist", dist)
+        object.__setattr__(space, "resolution_floor", resolution_floor)
+        space._check_pairs()
+        return space
+
+    def _check_pairs(self) -> None:
+        """Every check but the triangle inequality, in O(n^2)."""
         d = np.asarray(self.dist, dtype=float)
         object.__setattr__(self, "dist", d)
         n = len(self.points)
@@ -58,20 +104,6 @@ class FiniteMetricSpace:
         off = d[~np.eye(n, dtype=bool)]
         if off.size and (off <= 0).any():
             raise InvalidInputError("dist(x,y) must be positive for x != y")
-        # Symmetry is checked, so the test of (j, i, k) is that of (i, j, k)
-        # and the pairs i < j suffice: the worst violation at (i, j) is
-        # d(i,j) - min_k (d(i,k) + d(k,j)), one add and one min per row into
-        # one n x n buffer (O(n^2) memory for the O(n^3) check).  k = i gives
-        # 0, so the worst over all pairs starts there.
-        worst = 0.0
-        buf = np.empty_like(d)
-        for i in range(n - 1):
-            near = np.add(d[i + 1 :], d[i], out=buf[: n - 1 - i]).min(axis=1)
-            worst = max(worst, (d[i, i + 1 :] - near).max())
-        if worst > TRIANGLE_TOL:
-            raise InvalidInputError(
-                f"triangle inequality violated by {worst:.3e} (tolerance {TRIANGLE_TOL})"
-            )
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -113,11 +145,28 @@ def _integer_line_space(
 
     Building distances as (exact integer) * scale keeps equal gaps equal as
     floats, so tie comparisons against scale multiples behave exactly.
+
+    The result is a metric by construction and skips the triangle scan.  The
+    offsets are distinct integers below 2^53, so every gap |i - j| is exact and
+    the real numbers |i - j| * scale form a line metric.  Each distance is that
+    number rounded once, and the scan's own sum rounds once more, so the scan
+    could see a violation of at most about 6 * 2^-53 times the diameter.  Both
+    callers have diameter at most 1, far inside ``TRIANGLE_TOL``.
     """
     ts = np.asarray(list(offsets), dtype=float)
-    return FiniteMetricSpace(
+    return FiniteMetricSpace._exact(
         tuple(names), np.abs(ts[:, None] - ts[None, :]) * scale, resolution_floor
     )
+
+
+def unique_sorted(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``a``, flattened: ``np.unique`` for
+    arrays without NaNs, minus the ``numpy.ma`` import it brings."""
+    s = np.sort(a, axis=None)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +252,7 @@ def _perfectness_scan(
         raise InvalidInputError("grid values must lie within [resolution_floor, eps0]")
     upper = space.dist[np.triu_indices(len(space.points), k=1)]
     realized = upper[(upper >= floor) & (upper <= eps0)]
-    eps_list = np.unique(np.concatenate([grid, realized, [floor, eps0]]))
+    eps_list = unique_sorted(np.concatenate([grid, realized, [floor, eps0]]))
     order = np.argsort(space.dist, axis=1, kind="stable")
     rows = np.take_along_axis(space.dist, order, axis=1)
     limit, witness = len(eps_list), None
@@ -356,7 +405,8 @@ def interval_sample(n: int) -> FiniteMetricSpace:
 
 
 def two_point(d: float = 1.0) -> FiniteMetricSpace:
-    """The two-point space {p, q} at distance d."""
+    """The two-point space {p, q} at distance d.  It has no triangle to check:
+    every triple repeats a point."""
     if d <= 0:
         raise InvalidInputError("need d > 0")
-    return FiniteMetricSpace(("p", "q"), np.array([[0.0, d], [d, 0.0]]))
+    return FiniteMetricSpace._exact(("p", "q"), np.array([[0.0, d], [d, 0.0]]))

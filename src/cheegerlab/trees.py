@@ -494,7 +494,10 @@ def end_space(t: RootedTree) -> FiniteMetricSpace:
     Every live leaf sits at the horizon, so a(F, G) counts the shared
     ancestors below the root.  The shared root paths of x, z and of z, y are
     both prefixes of z's, so x and y share the shorter: a(x, y) >=
-    min(a(x, z), a(z, y)), and d is an ultrametric by construction.
+    min(a(x, z), a(z, y)), and d is an ultrametric by construction.  The
+    floats keep that: exp(-a) for whole a are a factor e apart, so their
+    roundings keep the order, and d(x, y) <= max(d(x, z), d(z, y)) <= the
+    rounded sum.  So the space skips the O(n^3) triangle scan.
     """
     import numpy as np
 
@@ -515,7 +518,9 @@ def end_space(t: RootedTree) -> FiniteMetricSpace:
         branch += level[:, None] == level[None, :]
     # math.exp, not np.exp, for the same floats as exp(-a); a = horizon only on the diagonal
     exps = np.array([math.exp(-a) for a in range(t.horizon)] + [0.0])
-    return FiniteMetricSpace(tuple(leaves), exps[branch], resolution_floor=math.exp(-t.horizon))
+    return FiniteMetricSpace._exact(
+        tuple(leaves), exps[branch], resolution_floor=math.exp(-t.horizon)
+    )
 
 
 # ---------------------------------------------------------------------------

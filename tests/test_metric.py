@@ -10,7 +10,7 @@ from fractions import Fraction
 from hypothesis import assume, example, given, settings, strategies as st
 
 import cheegerlab as cl
-from cheegerlab import FiniteMetricSpace, InvalidInputError, metric
+from cheegerlab import FiniteMetricSpace, InvalidInputError, io, metric
 from cheegerlab.cli import main as cli_main
 
 from conftest import oracle_greedy_separated, oracle_net_edges, oracle_triangle_worst
@@ -61,9 +61,10 @@ def test_rejects_triangle_violation():
 
 
 def test_triangle_check_memory_is_quadratic():
+    d = cl.interval_sample(400).dist  # built without the scan, so the scan is timed below
     tracemalloc.start()
     try:
-        cl.interval_sample(400)
+        FiniteMetricSpace(tuple(f"i{i}" for i in range(400)), d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -152,6 +153,100 @@ def test_rejects_resolution_floor_that_is_not_finite_and_positive(floor):
     with pytest.raises(InvalidInputError, match="resolution_floor"):
         FiniteMetricSpace(("a", "b"), d, floor)
     assert FiniteMetricSpace(("a", "b"), d, 0.5).resolution_floor == 0.5
+
+
+# -- the exact path -----------------------------------------------------------------
+
+
+EXACT_SAMPLES = [
+    *[pytest.param(lambda k=k: cl.cantor_sample(k), id=f"cantor{k}") for k in range(1, 10)],
+    *[pytest.param(lambda n=n: cl.interval_sample(n), id=f"interval{n}")
+      for n in (2, 3, 7, 10, 33, 100, 257, 400, 599, 600)],
+    pytest.param(lambda: cl.two_point(1.0), id="two-point"),
+    pytest.param(lambda: cl.two_point(1e-300), id="two-point-tiny"),
+]
+
+
+@pytest.mark.parametrize("make", EXACT_SAMPLES)
+def test_exact_samples_pass_the_public_constructor(make):
+    space = make()
+    FiniteMetricSpace(space.points, space.dist, space.resolution_floor)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda k=k: cl.cantor_sample(k) for k in range(1, 5)],
+    *[lambda n=n: cl.interval_sample(n) for n in (2, 3, 5, 10, 17, 24)],
+    lambda: cl.two_point(0.3),
+])
+def test_exact_line_samples_meet_the_triangle_inequality_in_exact_arithmetic(make):
+    assert oracle_triangle_worst(make().dist) <= Fraction(metric.TRIANGLE_TOL)
+
+
+def test_generators_skip_the_triangle_scan(monkeypatch):
+    def scan(self):
+        raise AssertionError("__post_init__ ran")
+
+    monkeypatch.setattr(FiniteMetricSpace, "__post_init__", scan)
+    for space in (cl.cantor_sample(5), cl.interval_sample(40), cl.two_point(2.0),
+                  cl.end_space(cl.homogeneous_tree(3, 3))):
+        assert space.d(space.points[0], space.points[-1]) > 0  # a usable space
+    with pytest.raises(AssertionError, match="__post_init__ ran"):
+        cl.line_space([0.0, 1.0])
+
+
+@pytest.mark.parametrize("dist, floor, message", [
+    ([[0.0, 1.0], [2.0, 0.0]], None, "symmetric"),
+    ([[0.0, np.inf], [np.inf, 0.0]], None, "finite"),
+    ([[0.0, np.nan], [np.nan, 0.0]], None, "finite"),
+    ([[1.0, 1.0], [1.0, 0.0]], None, r"dist\(x,x\) must be 0"),
+    ([[0.0, 0.0], [0.0, 0.0]], None, "positive"),
+    ([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0]], None, "must be 2x2"),
+    ([[0.0, 1.0], [1.0, 0.0]], 0.0, "resolution_floor"),
+    ([[0.0, 1.0], [1.0, 0.0]], np.inf, "resolution_floor"),
+])
+def test_exact_path_runs_every_quadratic_check(dist, floor, message):
+    with pytest.raises(InvalidInputError, match=message):
+        FiniteMetricSpace._exact(("a", "b"), np.array(dist), floor)
+
+
+@pytest.mark.parametrize("d", [float("inf"), float("nan"), 0.0, -1.0])
+def test_two_point_rejects_a_distance_outside_zero_to_infinity(d):
+    with pytest.raises(InvalidInputError):
+        cl.two_point(d)
+
+
+def test_loaders_keep_the_triangle_scan(tmp_path):
+    space = cl.cantor_sample(6)
+    payload = io.metric_payload(space)
+    payload["dist"][0][1] = payload["dist"][1][0] = 0.5  # c000000 and c000001 are 2/729 apart
+    io.write_canonical(tmp_path / "bent.json", payload)
+    with pytest.raises(InvalidInputError, match="triangle inequality violated"):
+        io.load_metric(tmp_path / "bent.json")
+    with pytest.raises(InvalidInputError, match="triangle inequality violated"):
+        io.load_space(tmp_path / "bent.json")
+    argv = ["perfect", "--in", str(tmp_path / "bent.json"), "--s", "3.01", "--eps0", "1.0"]
+    assert cli_main(argv) == 2
+
+
+@given(st.lists(st.floats(allow_nan=False), max_size=60))
+@example([])
+@example([0.0, -0.0, 1.0, 1.0])
+@settings(max_examples=200, deadline=None)
+def test_unique_sorted_equals_np_unique_on_floats(xs):
+    a = np.array(xs, dtype=float)
+    got = metric.unique_sorted(a)
+    assert np.array_equal(got, np.unique(a))
+    assert got.dtype == a.dtype
+
+
+@given(st.lists(st.integers(0, 30), min_size=3, max_size=90).map(
+    lambda xs: np.array(xs[: len(xs) // 3 * 3]).reshape(3, -1)))
+@settings(max_examples=100, deadline=None)
+def test_unique_sorted_and_searchsorted_equal_np_unique_with_inverse(rows):
+    sources, inverse = np.unique(rows, return_inverse=True)
+    got = metric.unique_sorted(rows)
+    assert np.array_equal(got, sources)
+    assert np.array_equal(np.searchsorted(got, rows), inverse.reshape(rows.shape))
 
 
 # -- greedy separated sets ----------------------------------------------------------

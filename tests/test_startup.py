@@ -139,3 +139,28 @@ def test_package_exports_resolve_lazily():
         assert isinstance(getattr(cl, name), types.ModuleType)
     assert cl.DEFAULT_DELTA_BUDGET is cl.hyperbolicity.DEFAULT_DELTA_BUDGET
     assert set(EXPORTED) <= set(dir(cl))
+
+
+# Runs each argv list through cli.main in one interpreter and prints, after
+# each, its exit code and whether numpy.ma is loaded.
+MASKED_SCRIPT = """
+import contextlib, io, json, sys
+from cheegerlab.cli import main
+
+out = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        out.append([main(argv), "numpy.ma" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_perfectness_and_sampled_delta_never_load_numpy_ma(tmp_path):
+    io.save_graph(tmp_path / "p9.json", cl.path_window(9))
+    runs = [
+        ["perfect", "--in", "cantor:5", "--s", "3.01", "--eps0", "1.0", "--grid", "0.5"],
+        ["perfect", "--in", "interval:20", "--two-point-r", "3.01", "--eps0", "1.0"],
+        ["delta", "--in", "p9.json", "--mode", "sampled", "--samples", "50"],
+        ["delta", "--in", "cantor:4", "--mode", "sampled", "--samples", "50"],
+    ]
+    assert run_fresh(MASKED_SCRIPT, runs, tmp_path) == [[0, False]] * len(runs)

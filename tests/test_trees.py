@@ -16,6 +16,7 @@ from conftest import (
     oracle_min_ratio,
     oracle_pseudo_regularity,
     oracle_random_branching,
+    oracle_triangle_worst,
 )
 
 
@@ -474,6 +475,43 @@ def test_end_space_ultrametric_exhaustive():
         for y in range(n):
             for z in range(n):
                 assert d[x, y] <= max(d[x, z], d[z, y])
+
+
+def _deep_binary_tip(stem: int, depth: int):
+    """A root path of ``stem`` edges ending in a full binary tree of the given
+    depth, all of whose leaves are live: its end-space distances are
+    exp(-stem - k) for k < depth, subnormal once stem + k passes 708."""
+    parents = {"a1": "v", **{f"a{i + 1}": f"a{i}" for i in range(1, stem)}}
+    level = [f"a{stem}"]
+    for _ in range(depth):
+        level = [f"{u}{b}" for u in level for b in "01"]
+        parents.update((v, v[:-1]) for v in level)
+    return cl.tree_from_parents("v", parents, live=level)
+
+
+END_SPACE_TREES = [
+    *[pytest.param(lambda d=d: cl.homogeneous_tree(3, d), id=f"T3d{d}") for d in range(1, 8)],
+    *[pytest.param(lambda s=s: cl.random_branching_tree(4, seed=s), id=f"random-b-{s}")
+      for s in (0, 3, 11)],
+    pytest.param(lambda: cl.random_branching_tree(5, seed=7, min_children=1), id="random-b-1-3"),
+    pytest.param(lambda: _deep_binary_tip(741, 4), id="subnormal-tip"),
+]
+
+
+@pytest.mark.parametrize("make", END_SPACE_TREES)
+def test_end_space_passes_the_public_constructor(make):
+    space = cl.end_space(make())
+    cl.FiniteMetricSpace(space.points, space.dist, space.resolution_floor)
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda d=d: cl.homogeneous_tree(3, d) for d in (1, 2, 3)],
+    lambda: cl.random_branching_tree(3, seed=5),
+    lambda: cl.random_branching_tree(3, seed=8, min_children=1),
+    lambda: _deep_binary_tip(741, 4),
+])
+def test_end_space_meets_the_triangle_inequality_in_exact_arithmetic(make):
+    assert oracle_triangle_worst(cl.end_space(make()).dist) <= 0
 
 
 def _literal_end_distances(t):
