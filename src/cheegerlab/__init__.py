@@ -5,6 +5,17 @@ Every bound the library emits is an interval with re-verifiable witnesses:
 brute-force window minima give upper endpoints, function certificates and the
 tree/decomposition theorems give lower endpoints, and all finite-horizon
 results disclose the window they were proved on.
+
+Every CLI job is a fresh process, so class definitions are start-up cost.
+Plain result records are ``typing.NamedTuple``s: field-wise equality and a
+``Name(field=...)`` repr.  Types that validate, cache or compare by identity
+are explicit classes on the bases in ``frozen`` (``Graph``, ``RootedTree``,
+``FiniteMetricSpace``, ...).  No module uses the standard library's data
+class generator: on a 2-vCPU VM under Python 3.11, a frozen data class took
+0.5-1.2 ms to define, since each generated method is compiled by ``exec``,
+a NamedTuple 0.1-0.2 ms and a plain class 0.01 ms, and importing the
+generator also loads ``inspect``, 7-13 ms cold, which no graph-side command
+needs otherwise.
 """
 
 import importlib

@@ -12,12 +12,13 @@ so that window analyses stay honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstructionError, EmptyWindowError, InvalidInputError
+from .frozen import Frozen
 from .graphs import (
     BoundEndpoint,
     CheegerBound,
@@ -41,8 +42,7 @@ def _vertex_name(k: int, point: str) -> str:
     return f"L{k}:{point}"
 
 
-@dataclass(frozen=True, eq=False)
-class LeveledGraph:
+class LeveledGraph(Frozen):
     """Hyperbolic-approximation output: graph plus level/center annotations."""
 
     graph: Graph
@@ -52,6 +52,21 @@ class LeveledGraph:
     k_max: int
     level: dict[str, int]
     center: dict[str, str]
+    _fields = ("graph", "space", "r", "k0", "k_max", "level", "center")
+
+    def __init__(
+        self,
+        graph: Graph,
+        space: FiniteMetricSpace,
+        r: float,
+        k0: int,
+        k_max: int,
+        level: dict[str, int],
+        center: dict[str, str],
+    ):
+        self.__dict__.update(
+            graph=graph, space=space, r=r, k0=k0, k_max=k_max, level=level, center=center
+        )
 
     @property
     def base(self) -> str:
@@ -178,8 +193,7 @@ def relevel(lg: LeveledGraph, s: int) -> LeveledGraph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(NamedTuple):
     """Post-build validation: hard invariants plus the delta expectation.
 
     ``structural_ok`` covers the provable invariants (edge classification,
@@ -286,8 +300,7 @@ def level_certificate(lg: LeveledGraph) -> CertificateResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryPairCheck:
+class BoundaryPairCheck(NamedTuple):
     u: str
     w: str
     product: float
@@ -295,8 +308,7 @@ class BoundaryPairCheck:
     deviation: float
 
 
-@dataclass(frozen=True)
-class BoundaryIdentificationReport:
+class BoundaryIdentificationReport(NamedTuple):
     ok: bool
     slack: float
     max_deviation: float

@@ -348,8 +348,9 @@ def _cmd_perfect(args) -> tuple[dict, int]:
 def _cmd_decomp(args) -> tuple[dict, int]:
     from .decomposition import decomposition_bound, validate
 
-    spec = io.load_decomposition(args.spec)
-    ambient = io.decomposition_ambient_path(args.spec)
+    data = io.read_json(args.spec)
+    spec = io.decomposition_from_payload(data, args.spec)
+    ambient = io.decomposition_ambient_path(args.spec, data)
     result = validate(spec)
     report = _base_report(
         "decomp",

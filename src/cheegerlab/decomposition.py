@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceededError, ConstructionError, EmptyWindowError, InvalidInputError
+from .frozen import Frozen
 from .graphs import (
     BoundEndpoint,
     CheegerBound,
@@ -82,8 +82,7 @@ def bound_strong(mu: int, radius: int, rate: Fraction | int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PieceCertificate:
+class PieceCertificate(Frozen):
     """Re-verifiable evidence that a piece has Cheeger constant >= r.
 
     ``tree-theorem``: the induced piece is a rooted-tree window whose live
@@ -93,10 +92,14 @@ class PieceCertificate:
     """
 
     kind: str
-    root: str | None = None
-    f: Mapping[str, Fraction] | None = None
+    root: str | None
+    f: Mapping[str, Fraction] | None
+    _fields = ("kind", "root", "f")
 
-    def __post_init__(self):
+    def __init__(
+        self, kind: str, root: str | None = None, f: Mapping[str, Fraction] | None = None
+    ):
+        self.__dict__.update(kind=kind, root=root, f=f)
         if self.kind not in ("tree-theorem", "function"):
             raise InvalidInputError(f"unknown certificate kind {self.kind!r}")
         if self.kind == "tree-theorem" and self.root is None:
@@ -105,19 +108,38 @@ class PieceCertificate:
             raise InvalidInputError("function certificate needs the function")
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionSpec:
+class DecompositionSpec(Frozen):
     ambient: Graph
     pieces: dict[str, frozenset[str]]
     s1: frozenset[str]
     s2: frozenset[str]
     radius: int
     rate: Fraction
-    certificates: dict[str, PieceCertificate] = field(default_factory=dict)
+    certificates: dict[str, PieceCertificate]
+    _fields = ("ambient", "pieces", "s1", "s2", "radius", "rate", "certificates")
+
+    def __init__(
+        self,
+        ambient: Graph,
+        pieces: dict[str, frozenset[str]],
+        s1: frozenset[str],
+        s2: frozenset[str],
+        radius: int,
+        rate: Fraction,
+        certificates: dict[str, PieceCertificate] | None = None,
+    ):
+        self.__dict__.update(
+            ambient=ambient,
+            pieces=pieces,
+            s1=s1,
+            s2=s2,
+            radius=radius,
+            rate=rate,
+            certificates={} if certificates is None else certificates,
+        )
 
 
-@dataclass(frozen=True)
-class PieceScan:
+class PieceScan(NamedTuple):
     """Recomputed second-class piece data (functions of ambient, pieces, R)."""
 
     contact: tuple[str, ...]  # V_s: vertices shared with the certified union
@@ -125,42 +147,79 @@ class PieceScan:
     components: tuple[tuple[str, ...], ...]  # leftover components needing certificates
 
 
-@dataclass(frozen=True, eq=False)
-class ValidationReport:
-    spec: DecompositionSpec = field(repr=False)  # the spec object that was validated
+class ValidationReport(Frozen):
+    spec: DecompositionSpec  # the spec object that was validated
     valid: bool
     strong: bool
     violations: tuple[str, ...]
     unverified: tuple[str, ...]  # frontier-crossing components tolerated without proof
     verified_lower: dict[str, Fraction]
     scans: dict[str, PieceScan]
+    # repr leaves out the spec
+    _fields = ("valid", "strong", "violations", "unverified", "verified_lower", "scans")
+
+    def __init__(
+        self,
+        spec: DecompositionSpec,
+        valid: bool,
+        strong: bool,
+        violations: tuple[str, ...],
+        unverified: tuple[str, ...],
+        verified_lower: dict[str, Fraction],
+        scans: dict[str, PieceScan],
+    ):
+        self.__dict__.update(
+            spec=spec,
+            valid=valid,
+            strong=strong,
+            violations=violations,
+            unverified=unverified,
+            verified_lower=verified_lower,
+            scans=scans,
+        )
 
 
-def _tree_from_graph(g: Graph, root: str) -> RootedTree:
-    """The piece rooted at ``root``, with its other frontier vertices live."""
+def _piece_tree(g: Graph, piece: frozenset[str], root: str) -> RootedTree:
+    """The piece of ``g`` induced on ``piece`` (vertices ``g`` lacks dropped),
+    rooted at ``root``, with its other frontier vertices live.  It is read
+    off the ambient adjacency: the piece is a tree when it has n - 1 inner
+    edges and a BFS reaches all of it, and a vertex's children are the new
+    neighbours that BFS finds there."""
     from .trees import RootedTree  # only tree pieces need the tree module
 
-    if len(g.edges) != len(g.vertices) - 1 or not g.is_connected:
+    adj = g.adjacency
+    piece = piece & adj.keys()
+    if sum(len(adj[v] & piece) for v in piece) != 2 * (len(piece) - 1):
         raise InvalidInputError("piece is not a tree")
-    if root not in g.index:
+    start = root if root in piece else next(iter(piece))
+    seen = {start}
+    level = [start]
+    children: dict[str, tuple[str, ...]] = {}
+    while level:
+        nxt = []
+        for x in level:
+            kids = tuple(sorted(y for y in adj[x] if y in piece and y not in seen))
+            seen.update(kids)
+            children[x] = kids
+            nxt.extend(kids)
+        level = nxt
+    if len(seen) != len(piece):
+        raise InvalidInputError("piece is not a tree")
+    if root not in piece:
         raise InvalidInputError(f"root {root!r} is not a vertex of the piece")
-    depth = g.bfs_distances([root])
-    children = {
-        x: tuple(sorted(y for y in g.adjacency[x] if depth[y] == depth[x] + 1))
-        for x in g.vertices
-    }
-    return RootedTree(root, children, g.frontier - {root})
+    return RootedTree(root, children, (g.frontier & piece) - {root})
 
 
 def _verify_certificate(
-    piece_graph: Graph, cert: PieceCertificate, rate: Fraction
+    g: Graph, piece: frozenset[str], cert: PieceCertificate, rate: Fraction
 ) -> tuple[bool, Fraction | None, str]:
-    """Recompute the certified lower bound on the induced piece."""
+    """Recompute the certified lower bound on the piece of ``g`` induced on
+    ``piece``."""
     if cert.kind == "tree-theorem":
         from .trees import complementedness_index, pseudo_regularity_index, theorem_lower_bound
 
         try:
-            tree = _tree_from_graph(piece_graph, cert.root)
+            tree = _piece_tree(g, piece, cert.root)
             pseudo = pseudo_regularity_index(tree)
             if pseudo.k is None:
                 return False, Fraction(0), "piece tree is not pseudo-regular in its window"
@@ -169,7 +228,7 @@ def _verify_certificate(
         except (InvalidInputError, EmptyWindowError) as exc:
             return False, None, f"tree certificate rejected: {exc}"
     else:
-        res = certificate_lower_bound(piece_graph, cert.f)
+        res = certificate_lower_bound(g.induced(piece), cert.f)
         if not res.certified:
             return False, Fraction(0), f"function certificate fails at {res.violating_vertex}"
         value = res.bound.lower.value
@@ -237,7 +296,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         if cert is None:
             violations.append(f"first-class piece {s!r} has no certificate")
             continue
-        ok, value, reason = _verify_certificate(g.induced(spec.pieces[s]), cert, spec.rate)
+        ok, value, reason = _verify_certificate(g, spec.pieces[s], cert, spec.rate)
         if value is not None:
             verified[s] = value
         if not ok:
@@ -270,7 +329,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
                         f"component {key!r} (starting {min(comp)!r}) has no certificate"
                     )
                 continue
-            ok, value, reason = _verify_certificate(g.induced(comp), cert, spec.rate)
+            ok, value, reason = _verify_certificate(g, comp, cert, spec.rate)
             if value is not None:
                 verified[key] = value
             if not ok:
@@ -329,11 +388,16 @@ def decomposition_bound(spec: DecompositionSpec, report: ValidationReport) -> Ch
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GraftResult:
+class GraftResult(Frozen):
     graph: Graph
     pieces: dict[str, frozenset[str]]  # "base" plus one copy piece per base vertex
     copy_roots: dict[str, str]  # piece id -> identified base vertex
+    _fields = ("graph", "pieces", "copy_roots")
+
+    def __init__(
+        self, graph: Graph, pieces: dict[str, frozenset[str]], copy_roots: dict[str, str]
+    ):
+        self.__dict__.update(graph=graph, pieces=pieces, copy_roots=copy_roots)
 
 
 def graft(base: Graph, attachment: Graph, port: str) -> GraftResult:
@@ -389,7 +453,10 @@ def graft_decomposition(
     The rate is the bound that theorem certifies on the attachment (any
     positive bound clears the threshold 0)."""
     ok, rate, reason = _verify_certificate(
-        attachment, PieceCertificate("tree-theorem", root=port), Fraction(0)
+        attachment,
+        frozenset(attachment.vertices),
+        PieceCertificate("tree-theorem", root=port),
+        Fraction(0),
     )
     if not ok:
         raise InvalidInputError(f"the attachment certifies no rate: {reason}")
@@ -412,8 +479,7 @@ def graft_decomposition(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConverseScanReport:
+class ConverseScanReport(NamedTuple):
     """Interior-Cheeger values across a family of windows.
 
     ``decay`` flags a non-increasing sequence whose last value dropped to at

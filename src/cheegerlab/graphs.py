@@ -15,12 +15,11 @@ discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 from operator import or_
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -29,6 +28,7 @@ from .errors import (
     InvalidInputError,
     InvalidSupportError,
 )
+from .frozen import FrozenValue
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,8 +54,7 @@ def edges_where(mask: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> s
     return {normalize_edge(rows[i], cols[j]) for i, j in zip(*mask.nonzero())}
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenValue):
     """Finite undirected simple graph with optional frontier markers.
 
     ``vertices`` keeps its declared order (serialization sorts); ``edges``
@@ -66,9 +65,16 @@ class Graph:
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    frontier: frozenset[str] = frozenset()
+    frontier: frozenset[str]
+    _fields = ("vertices", "edges", "frontier")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        vertices: tuple[str, ...],
+        edges: frozenset[tuple[str, str]],
+        frontier: frozenset[str] = frozenset(),
+    ):
+        self.__dict__.update(vertices=vertices, edges=edges, frontier=frontier)
         seen = set(self.vertices)
         if len(seen) != len(self.vertices):
             raise InvalidInputError("duplicate vertex identifiers")
@@ -344,23 +350,26 @@ def admissible_vertices(g: Graph) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundEndpoint:
+class BoundEndpoint(FrozenValue):
     """One certified endpoint of a Cheeger interval, with its provenance."""
 
     value: Fraction
     kind: str  # certificate | tree-theorem | decomposition-theorem | brute-force-window | trivial
-    witness: Any = None
-    horizon_certified: bool = False
+    witness: Any
+    horizon_certified: bool
+    _fields = ("value", "kind", "witness", "horizon_certified")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+    def __init__(
+        self, value: Rational, kind: str, witness: Any = None, horizon_certified: bool = False
+    ):
+        self.__dict__.update(
+            value=Fraction(value), kind=kind, witness=witness, horizon_certified=horizon_certified
+        )
         if self.value < 0:
             raise InvalidInputError("bound endpoints are non-negative")
 
 
-@dataclass(frozen=True)
-class CheegerBound:
+class CheegerBound(FrozenValue):
     """A certified interval [lower, upper] for a Cheeger constant.
 
     ``upper is None`` means +infinity (no upper evidence).  Every endpoint
@@ -368,9 +377,11 @@ class CheegerBound:
     """
 
     lower: BoundEndpoint
-    upper: BoundEndpoint | None = None
+    upper: BoundEndpoint | None
+    _fields = ("lower", "upper")
 
-    def __post_init__(self):
+    def __init__(self, lower: BoundEndpoint, upper: BoundEndpoint | None = None):
+        self.__dict__.update(lower=lower, upper=upper)
         if self.upper is not None and self.lower.value > self.upper.value:
             raise InvalidInputError(
                 f"inconsistent bound: lower {self.lower.value} > upper {self.upper.value}"
@@ -650,8 +661,7 @@ def green_identity_check(
     return lhs + cross / 2
 
 
-@dataclass(frozen=True)
-class CertificateResult:
+class CertificateResult(NamedTuple):
     """Outcome of a function-based lower-bound certificate."""
 
     certified: bool
@@ -701,8 +711,7 @@ def certificate_lower_bound(g: Graph, f: Mapping[str, Fraction]) -> CertificateR
     )
 
 
-@dataclass(frozen=True)
-class CorollaryCheck:
+class CorollaryCheck(NamedTuple):
     holds: bool
     ratio: Fraction
     c1: Fraction
@@ -740,8 +749,7 @@ def corollary_connected_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuasiIsometryReport:
+class QuasiIsometryReport(NamedTuple):
     holds: bool
     embedding_ok: bool
     fullness_ok: bool

@@ -26,8 +26,8 @@ case where every block is one edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def gromov_product(space: Graph | FiniteMetricSpace, x: str, y: str, o: str) -> 
     return Fraction(int(num), 2) if integral else float(num) / 2.0
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(NamedTuple):
     """Sharp four-point constant (or a sampled lower bound for it)."""
 
     delta: Fraction | float
@@ -259,8 +258,7 @@ def evaluate_witness(space: Graph | FiniteMetricSpace, witness: tuple[str, str, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoleDefectReport:
+class PoleDefectReport(NamedTuple):
     """Max distance from the depth-D ball to the union of ray prefixes.
 
     Rays are seen only up to the horizon: the covered set consists of every

@@ -312,19 +312,15 @@ def save_decomposition(path: str | Path, spec: DecompositionSpec) -> None:
     )
 
 
-def decomposition_ambient_path(path: str | Path) -> Path:
-    """The ambient graph file a decomposition document names, relative to the
-    document's directory."""
-    path = Path(path)
-    data = read_json(path)
-    if not isinstance(data, dict) or "ambient" not in data:
-        raise InvalidInputError("decomposition document misses 'ambient'")
-    return path.parent / str(data["ambient"])
+def decomposition_ambient_path(path: str | Path, data: dict) -> Path:
+    """The ambient graph file that the decomposition document ``data``, read
+    from ``path``, names, relative to the document's directory."""
+    return Path(path).parent / str(data["ambient"])
 
 
-def load_decomposition(path: str | Path) -> DecompositionSpec:
-    path = Path(path)
-    data = read_json(path)
+def decomposition_from_payload(data: dict, path: str | Path) -> DecompositionSpec:
+    """The decomposition document ``data``, read from ``path``, with the
+    ambient graph file it names loaded."""
     if not isinstance(data, dict):
         raise InvalidInputError("decomposition document must be an object")
     for field_name in ("ambient", "pieces", "S1", "S2", "R", "r"):
@@ -341,7 +337,7 @@ def load_decomposition(path: str | Path) -> DecompositionSpec:
         raise InvalidInputError("decomposition document: 'R' must be a non-negative integer")
     if not isinstance(data.get("certificates", {}), dict):
         raise InvalidInputError("decomposition document: 'certificates' must be an object")
-    ambient = load_graph(path.parent / str(data["ambient"]))
+    ambient = load_graph(decomposition_ambient_path(path, data))
     certs = {
         str(key): certificate_from_payload(cert)
         for key, cert in data.get("certificates", {}).items()
@@ -360,3 +356,7 @@ def load_decomposition(path: str | Path) -> DecompositionSpec:
         rate=parse_fraction(data["r"]),
         certificates=certs,
     )
+
+
+def load_decomposition(path: str | Path) -> DecompositionSpec:
+    return decomposition_from_payload(read_json(path), path)

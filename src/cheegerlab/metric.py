@@ -18,20 +18,19 @@ reason.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
+from .frozen import Frozen
 from .graphs import Graph, edges_where
 
 TRIANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteMetricSpace:
+class FiniteMetricSpace(Frozen):
     """Labeled point set with a symmetric distance matrix.
 
     ``resolution_floor`` is optional metadata set by constructions that know
@@ -48,9 +47,18 @@ class FiniteMetricSpace:
 
     points: tuple[str, ...]
     dist: np.ndarray
-    resolution_floor: float | None = None
+    resolution_floor: float | None
+    _fields = ("points", "dist", "resolution_floor")
+
+    def __init__(
+        self, points: tuple[str, ...], dist: np.ndarray, resolution_floor: float | None = None
+    ):
+        self.__dict__.update(points=points, dist=dist, resolution_floor=resolution_floor)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Every check, the O(n^3) triangle scan last; the one method that
+        ``_exact`` skips."""
         self._check_pairs()
         # Symmetry is checked, so the test of (j, i, k) is that of (i, j, k)
         # and the pairs i < j suffice: the worst violation at (i, j) is
@@ -210,8 +218,7 @@ def epsilon_net(space: FiniteMetricSpace, eps: float) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerfectnessCertificate:
+class PerfectnessCertificate(NamedTuple):
     """Verdict of an annulus-nonemptiness scan over a declared scale range.
 
     ``holds`` quantifies only over the checked epsilons (the caller grid
@@ -332,8 +339,7 @@ def two_point_to_one_point_constant(r_const: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeometryProfile:
+class GeometryProfile(NamedTuple):
     """Observed multiplicity bound: M exceeds every |A_eps ∩ B(x, K*eps)| seen."""
 
     m: int

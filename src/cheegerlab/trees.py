@@ -11,17 +11,17 @@ with D.  The analyses never re-root: the declared root is used as given.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping, NamedTuple
 
 from .errors import (
     BudgetExceededError,
     EmptyWindowError,
     InvalidInputError,
 )
+from .frozen import Frozen
 from .graphs import (
     DEFAULT_SUBSET_BUDGET,
     BoundEndpoint,
@@ -38,15 +38,16 @@ if TYPE_CHECKING:
     from .metric import FiniteMetricSpace
 
 
-@dataclass(frozen=True, eq=False)
-class RootedTree:
+class RootedTree(Frozen):
     """Finite rooted tree with horizon D and live-leaf markers."""
 
     root: str
     children: dict[str, tuple[str, ...]]
     live: frozenset[str]
+    _fields = ("root", "children", "live")
 
-    def __post_init__(self):
+    def __init__(self, root: str, children: dict[str, tuple[str, ...]], live: frozenset[str]):
+        self.__dict__.update(root=root, children=children, live=live)
         if self.root not in self.children:
             raise InvalidInputError("children map must cover the root")
         seen = {self.root}
@@ -171,8 +172,7 @@ def maximal_complete_subtree(t: RootedTree) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainWitness:
+class ChainWitness(NamedTuple):
     """A window set along a single-descendant chain with |dA| = 2, |A| = K."""
 
     k: int
@@ -180,8 +180,7 @@ class ChainWitness:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class PseudoRegularityResult:
+class PseudoRegularityResult(NamedTuple):
     k: int | None  # minimal K within the horizon, or None on defect
     horizon: int
     defect_vertex: str | None = None
@@ -248,14 +247,12 @@ def pseudo_regularity_index(t: RootedTree) -> PseudoRegularityResult:
     return PseudoRegularityResult(None, d, defect_vertex, len(chain) - 1, family)
 
 
-@dataclass(frozen=True)
-class DeadComponent:
+class DeadComponent(NamedTuple):
     attachment: str  # the unique complete-subtree vertex the branch hangs from
     vertices: tuple[str, ...]  # dead vertices only; |component| counts these + 1
 
 
-@dataclass(frozen=True)
-class ComplementednessResult:
+class ComplementednessResult(NamedTuple):
     c: int
     components: tuple[DeadComponent, ...]
 
@@ -284,8 +281,7 @@ def complementedness_index(t: RootedTree) -> ComplementednessResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EssentialBoundary:
+class EssentialBoundary(NamedTuple):
     non_essential: frozenset[str]
     essential: frozenset[str]
     inner: frozenset[str]  # vertices of A adjacent to the essential boundary
@@ -313,8 +309,7 @@ def essential_boundary(t: RootedTree, subset: Iterable[str]) -> EssentialBoundar
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeAnalysis:
+class TreeAnalysis(NamedTuple):
     horizon: int
     k: int | None
     c: int | None
@@ -395,15 +390,13 @@ def tree_cheeger_bounds(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaCounterexample:
+class LemmaCounterexample(NamedTuple):
     lemma: str
     vertices: tuple[str, ...]
     detail: str
 
 
-@dataclass(frozen=True)
-class LemmaSuiteReport:
+class LemmaSuiteReport(NamedTuple):
     sets_checked: int
     min_boundary_ratio: Fraction | None
     min_essential_ratio: Fraction | None

@@ -1,13 +1,18 @@
-"""What the CLI and the package load: the graph and tree commands run without
-numpy, the metric commands without the tree and decomposition modules, and
-every name the package exports still resolves."""
+"""What the CLI and the package load: no command loads ``dataclasses``, the
+graph and tree commands run without numpy or ``inspect``, the metric commands
+without the tree and decomposition modules, and every name the package
+exports still resolves.  Also what the validated types keep without
+``dataclasses``: equality, hashing and frozen fields."""
 
 import json
 import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import cheegerlab as cl
 from cheegerlab import io
@@ -52,19 +57,22 @@ METRIC_SIDE = [
 ]
 
 # Runs each argv list through cli.main in one interpreter and prints the exit
-# codes and whether numpy was loaded after the graph-side and after the
-# metric-side commands.
+# codes and which of numpy, dataclasses and inspect were loaded after the
+# graph-side and after the metric-side commands.
 SCRIPT = """
 import contextlib, io, json, sys
 from cheegerlab.cli import main
+
+def loaded():
+    return [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
 
 graph_side, metric_side = json.loads(sys.argv[1])
 out = {}
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     out["graph_codes"] = [main(argv) for argv in graph_side]
-    out["graph_numpy"] = "numpy" in sys.modules
+    out["graph_loaded"] = loaded()
     out["metric_codes"] = [main(argv) for argv in metric_side]
-    out["metric_numpy"] = "numpy" in sys.modules
+    out["metric_loaded"] = loaded()
 print(json.dumps(out))
 """
 
@@ -93,9 +101,10 @@ def test_graph_side_commands_never_load_numpy(tmp_path):
     io.write_canonical(tmp_path / "depth.json", {v: str(t.depth[v]) for v in t.vertices})
     out = run_fresh(SCRIPT, [GRAPH_SIDE, METRIC_SIDE], tmp_path)
     assert out["graph_codes"] == [0] * len(GRAPH_SIDE)
-    assert out["graph_numpy"] is False
+    assert out["graph_loaded"] == []
     assert out["metric_codes"] == [0] * len(METRIC_SIDE)
-    assert out["metric_numpy"] is True
+    # numpy itself loads inspect
+    assert "numpy" in out["metric_loaded"] and "dataclasses" not in out["metric_loaded"]
 
 
 # Runs each argv list through cli.main in one interpreter and prints, after
@@ -164,3 +173,79 @@ def test_perfectness_and_sampled_delta_never_load_numpy_ma(tmp_path):
         ["delta", "--in", "cantor:4", "--mode", "sampled", "--samples", "50"],
     ]
     assert run_fresh(MASKED_SCRIPT, runs, tmp_path) == [[0, False]] * len(runs)
+
+
+def _spec():
+    return cl.graft_decomposition(cl.grid_window(3, 3), cl.homogeneous_tree(3, 2).graph, "v")
+
+
+SPEC = _spec()
+
+# type -> (a factory called twice for two instances with equal fields, a
+# field to assign to); the first three compare field by field, the rest by
+# identity
+VALIDATED = {
+    "Graph": (lambda: cl.path_window(5), "frontier"),
+    "BoundEndpoint": (lambda: cl.BoundEndpoint(Fraction(1, 2), "trivial"), "value"),
+    "CheegerBound": (
+        lambda: cl.CheegerBound(cl.BoundEndpoint(0, "trivial"), cl.BoundEndpoint(1, "trivial")),
+        "upper",
+    ),
+    "RootedTree": (lambda: cl.homogeneous_tree(3, 2), "live"),
+    "PieceCertificate": (lambda: cl.PieceCertificate("tree-theorem", root="v"), "root"),
+    "DecompositionSpec": (_spec, "radius"),
+    "ValidationReport": (lambda: cl.validate(SPEC), "valid"),
+    "GraftResult": (
+        lambda: cl.graft(cl.grid_window(3, 3), cl.path_window(3, truncated=False), "1"),
+        "pieces",
+    ),
+    "FiniteMetricSpace": (lambda: cl.two_point(1.0), "points"),
+    "LeveledGraph": (lambda: cl.build_truncated(cl.cantor_sample(2), 1 / 9, 2), "r"),
+}
+FIELDWISE = {"Graph", "BoundEndpoint", "CheegerBound"}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_validated_type_keeps_equality_hashing_and_frozen_fields(name):
+    make, field = VALIDATED[name]
+    a, b = make(), make()
+    assert type(a) is type(b) and type(a).__name__ == name
+    assert a == a and hash(a) == hash(a)
+    if name in FIELDWISE:
+        assert a == b and hash(a) == hash(b) and not a != b
+        assert a != (getattr(a, field),)  # never equal to another type
+    else:
+        assert a != b and len({a, b}) == 2
+        assert hash(a) == object.__hash__(a)
+    before = getattr(a, field)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert getattr(a, field) is before
+
+
+def test_field_wise_types_differ_in_any_field():
+    assert cl.path_window(5) != cl.path_window(6)
+    g = cl.path_window(5, truncated=False)
+    assert g != cl.Graph(g.vertices, g.edges, frozenset({"1"}))
+    half = cl.BoundEndpoint(Fraction(1, 2), "trivial")
+    assert half != cl.BoundEndpoint(Fraction(1, 2), "certificate")
+    assert half != cl.BoundEndpoint(Fraction(1, 2), "trivial", horizon_certified=True)
+    assert cl.CheegerBound(half) != cl.CheegerBound(half, half)
+    assert repr(half) == (
+        "BoundEndpoint(value=Fraction(1, 2), kind='trivial', witness=None, "
+        "horizon_certified=False)"
+    )
+    assert repr(cl.validate(SPEC)).startswith("ValidationReport(valid=True, strong=")
+
+
+def test_records_are_named_tuples_with_field_reprs():
+    rep = cl.pseudo_regularity_index(cl.homogeneous_tree(3, 3))
+    assert isinstance(rep, tuple) and rep._fields[:2] == ("k", "horizon")
+    assert rep == cl.pseudo_regularity_index(cl.homogeneous_tree(3, 3))
+    assert repr(rep) == (
+        "PseudoRegularityResult(k=1, horizon=3, defect_vertex=None, defect_run=0, family=())"
+    )
+    with pytest.raises(AttributeError):
+        rep.k = 2
