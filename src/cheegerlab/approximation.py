@@ -12,20 +12,13 @@ so that window analyses stay honest.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConstructionError, EmptyWindowError, InvalidInputError
 from .frozen import Frozen
-from .graphs import (
-    BoundEndpoint,
-    CheegerBound,
-    CertificateResult,
-    Graph,
-    edges_where,
-)
+from .graphs import CertificateResult, Graph, _certificate, edges_where
 from .hyperbolicity import DeltaReport, delta_four_point, gromov_product
 from .metric import FiniteMetricSpace, greedy_separated, strongly_bounded_geometry_profile
 
@@ -261,38 +254,20 @@ def structural_checks(lg: LeveledGraph, delta_cap: float = 3.0) -> StructuralRep
 
 
 def level_certificate(lg: LeveledGraph) -> CertificateResult:
-    """Apply the gradient/Laplacian certificate with f = level function.
+    """The gradient/Laplacian certificate with f = level function over the
+    levels strictly between k0 and k_max, taken in vertex order.
 
-    Radial edges change f by exactly 1 and horizontal edges by 0, so c1 = 1;
-    c2 is the minimal averaged up-minus-down neighbor count over the interior
-    levels.  A pinched vertex (as many down- as up-neighbors, e.g. on a chain)
-    kills the certificate, which is exactly what happens over boundaries that
-    are not uniformly perfect.
-    """
-    if lg.k_max - lg.k0 < 2:
+    On a built approximation every edge changes f by -1, 0 or +1, so c1 = 1.
+    A pinched vertex (as many down- as up-neighbors, e.g. on a chain) kills
+    the certificate, which is exactly what happens over boundaries that are
+    not uniformly perfect."""
+    k0, k_max, level = lg.k0, lg.k_max, lg.level
+    if k_max - k0 < 2:
         raise InvalidInputError("need at least 3 levels for an interior")
-    interior = tuple(v for v in lg.graph.vertices if lg.k0 < lg.level[v] < lg.k_max)
+    interior = tuple(v for v in lg.graph.vertices if k0 < level[v] < k_max)
     if not interior:
         raise EmptyWindowError("no vertex lies strictly between the extreme levels")
-
-    def drift(v: str) -> Fraction:
-        steps = [lg.level[w] - lg.level[v] for w in lg.graph.adjacency[v]]
-        return Fraction(steps.count(1) - steps.count(-1), lg.graph.degree(v))
-
-    worst = min(interior, key=drift)  # the first minimizer in vertex order
-    c2 = drift(worst)
-    c1 = Fraction(1)
-    if c2 <= 0:
-        return CertificateResult(False, None, c1, c2, violating_vertex=worst)
-    value = c2 / (lg.graph.mu * c1)
-    endpoint = BoundEndpoint(
-        value,
-        "certificate",
-        witness={"function": "level", "c1": c1, "c2": c2},
-        horizon_certified=True,
-    )
-    return CertificateResult(True, CheegerBound(lower=endpoint), c1, c2,
-                             verified_region=interior)
+    return _certificate(lg.graph, level, interior, {"function": "level"}, True)
 
 
 # ---------------------------------------------------------------------------

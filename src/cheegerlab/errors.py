@@ -16,9 +16,10 @@ class InvalidInputError(CheegerLabError, ValueError):
 class BudgetExceededError(CheegerLabError):
     """An enumeration would exceed its configured budget.
 
-    Raised eagerly, before any work is done; partial answers are never
-    returned silently.  ``option`` names what raises the budget, or is None
-    for a fixed cap that nothing raises.
+    Raised before any work is done, except in ``lemma_suite``, whose
+    ``trees._connected_sets`` counts sets as it yields them and raises at the
+    first set past the budget; partial answers are never returned.
+    ``option`` names what raises the budget, or is None for a fixed cap.
     """
 
     def __init__(

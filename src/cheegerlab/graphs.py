@@ -16,7 +16,7 @@ discipline.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from math import comb
 from operator import or_
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -78,13 +78,14 @@ class Graph(FrozenValue):
         seen = set(self.vertices)
         if len(seen) != len(self.vertices):
             raise InvalidInputError("duplicate vertex identifiers")
-        for u, v in self.edges:
+        bad = [(u, v) for u, v in self.edges if u >= v or u not in seen or v not in seen]
+        if bad:  # only a failure sorts: the smallest offender, whatever the hash seed
+            u, v = min(bad)
             if u == v:
                 raise InvalidInputError(f"self-loop at {u!r}")
-            if (u, v) != normalize_edge(u, v):
+            if u > v:
                 raise InvalidInputError(f"edge {(u, v)!r} not in canonical order")
-            if u not in seen or v not in seen:
-                raise InvalidInputError(f"edge {(u, v)!r} has undeclared endpoint")
+            raise InvalidInputError(f"edge {(u, v)!r} has undeclared endpoint")
         if not self.frontier <= seen:
             raise InvalidInputError("frontier contains undeclared vertices")
 
@@ -621,13 +622,17 @@ def gradient(g: Graph, f: Mapping[str, Fraction], x: str, y: str) -> Fraction:
     return Fraction(0)
 
 
-def laplacian(g: Graph, f: Mapping[str, Fraction], x: str) -> Fraction:
-    """Averaged Laplacian (1/|N(x)|) * sum of f(y)-f(x) over neighbors y."""
+def laplacian(g: Graph, f: Mapping[str, Rational], x: str) -> Fraction:
+    """Averaged Laplacian (1/|N(x)|) * sum of f(y)-f(x) over neighbors y,
+    summed first and divided once, so an integer f stays in integer arithmetic."""
     nbrs = g.neighbors(x)
     if not nbrs:
         raise InvalidInputError(f"vertex {x!r} is isolated; Laplacian undefined")
-    total = sum((Fraction(f[y]) - Fraction(f[x]) for y in nbrs), Fraction(0))
-    return total / len(nbrs)
+    n = len(nbrs)
+    try:
+        return Fraction(sum(map(f.__getitem__, nbrs)) - n * f[x], n)
+    except TypeError:  # a value such as "1/2" or 0.5: exact through Fraction()
+        return Fraction(sum(map(Fraction, map(f.__getitem__, nbrs))) - n * Fraction(f[x]), n)
 
 
 def green_identity_check(
@@ -652,9 +657,8 @@ def green_identity_check(
             )
     lhs = Fraction(0)
     for x in g.vertices:
-        nbrs = g.adjacency[x]
-        if nbrs and g2[x] != 0:
-            lhs += sum((f[y] - f[x] for y in nbrs), Fraction(0)) * g2[x]
+        if g.adjacency[x] and g2[x] != 0:
+            lhs += laplacian(g, f, x) * g.degree(x) * g2[x]
     cross = Fraction(0)
     for u, v in g.edges:
         cross += 2 * (f[v] - f[u]) * (g2[v] - g2[u])  # both orientations
@@ -688,27 +692,39 @@ def certificate_lower_bound(g: Graph, f: Mapping[str, Fraction]) -> CertificateR
     interior = sorted(admissible_vertices(g))
     if not interior:
         raise EmptyWindowError("interior (V minus frontier and its neighbors) is empty")
+    return _certificate(g, f, interior, {"f": dict(f)}, bool(g.frontier))
 
-    c1 = max((abs(f[v] - f[u]) for u, v in g.edges), default=Fraction(0))
-    c2, worst_vertex = min((laplacian(g, f, x), x) for x in interior)
+
+def _certificate(
+    g: Graph, f: Mapping[str, Rational], interior: Sequence[str], function: dict, horizon: bool
+) -> CertificateResult:
+    """The gradient/Laplacian certificate of f over all edges of ``g`` and the
+    ``interior`` vertices; the endpoint's witness is ``function``, c1 and c2."""
+    c1, c2, worst = _gradient_laplacian(g, f, g.edges, interior)
     if c2 <= 0:
-        return CertificateResult(False, None, c1, c2, violating_vertex=worst_vertex)
+        return CertificateResult(False, None, c1, c2, violating_vertex=worst)
     if c1 == 0:  # c2 > 0 forces some neighbor value to differ, hence c1 > 0
-        raise ConstructionError("positive Laplacian with zero gradient", witness=worst_vertex)
-    value = c2 / (g.mu * c1)
+        raise ConstructionError("positive Laplacian with zero gradient", witness=worst)
     endpoint = BoundEndpoint(
-        value,
+        c2 / (g.mu * c1),
         "certificate",
-        witness={"f": dict(f), "c1": c1, "c2": c2},
-        horizon_certified=bool(g.frontier),
+        witness={**function, "c1": c1, "c2": c2},
+        horizon_certified=horizon,
     )
     return CertificateResult(
-        True,
-        CheegerBound(lower=endpoint),
-        c1,
-        c2,
-        verified_region=tuple(interior),
+        True, CheegerBound(lower=endpoint), c1, c2, verified_region=tuple(interior)
     )
+
+
+def _gradient_laplacian(
+    g: Graph, f: Mapping[str, Rational], edges: Iterable[tuple[str, str]], vertices: Sequence[str]
+) -> tuple[Fraction, Fraction, str]:
+    """c1, the largest |f(v) - f(u)| over ``edges`` (0 when there are none),
+    and c2, the least Laplacian of f over ``vertices``, with the first vertex
+    in their order that attains it."""
+    c1 = Fraction(max(map(abs, [f[v] - f[u] for u, v in edges]), default=0))
+    worst = min(vertices, key=partial(laplacian, g, f))
+    return c1, laplacian(g, f, worst), worst
 
 
 class CorollaryCheck(NamedTuple):
@@ -734,8 +750,7 @@ def corollary_connected_bound(
             )
     closure = a | bd
     edges = [(u, v) for u, v in g.edges if u in closure and v in closure]
-    c1 = max((abs(f[v] - f[u]) for u, v in edges), default=Fraction(0))
-    c2 = min(laplacian(g, f, x) for x in sorted(a))
+    c1, c2, _ = _gradient_laplacian(g, f, edges, sorted(a))
     ratio = Fraction(len(bd), len(a))
     if c1 > 0:
         holds = ratio >= c2 / c1

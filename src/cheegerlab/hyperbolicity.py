@@ -40,6 +40,10 @@ from .metric import FiniteMetricSpace, unique_sorted
 #: min(n, 3 * samples) * n of them (256 MB at this cap).
 MAX_SAMPLED_DISTANCE_CELLS = 2**26
 
+#: Sampled mode refuses more quadruples than this, whatever the budget; a
+#: run at the cap peaks about 180 MB above its start (64 MB for the draw).
+MAX_SAMPLES = 2**21
+
 #: Elements per block of the exhaustive scan; bounds its temporaries.
 _CHUNK_ELEMS = 1 << 16
 
@@ -96,9 +100,10 @@ def _pairing_values(dmat, rows, cols):
     s1 = dmat[ri, jj] + dmat[rk, ll]
     s2 = dmat[ri, kk] + dmat[rj, ll]
     s3 = dmat[ri, ll] + dmat[rj, kk]
-    top = np.maximum(s1, np.maximum(s2, s3))
-    low = np.minimum(s1, np.minimum(s2, s3))
-    return top - (s1 + s2 + s3 - top - low)  # largest minus second largest
+    hi, lo = np.maximum(s2, s3), np.minimum(s2, s3)
+    # largest minus second largest, both selected as the exhaustive scan
+    # selects them, so float sums round alike and no draw beats the scan
+    return np.maximum(s1, hi) - np.maximum(np.minimum(s1, hi), lo)
 
 
 def _scan(dmat: np.ndarray):
@@ -166,9 +171,9 @@ def delta_four_point(
     On a graph the exhaustive scan runs block by block, and ``budget`` bounds
     b^4 for the largest biconnected block b; it is checked before any
     distance is computed.  A metric space is scanned whole, against n^4.
-    In sampled mode ``budget`` bounds ``samples``, which must be at least 1,
-    before any quadruple is drawn; on a graph, MAX_SAMPLED_DISTANCE_CELLS
-    also bounds the BFS rows those samples may need.
+    In sampled mode ``budget`` and then MAX_SAMPLES bound ``samples``, which
+    must be at least 1, before any quadruple is drawn; on a graph,
+    MAX_SAMPLED_DISTANCE_CELLS also bounds the BFS rows those samples may need.
 
     Witness rule: blocks are taken in order of their sorted parent-index
     tuples, and the witness comes from the first block attaining the maximum.
@@ -186,6 +191,8 @@ def delta_four_point(
             raise InvalidInputError(f"sampled mode needs samples >= 1 (got {samples})")
         if samples > budget:
             raise BudgetExceededError(samples, budget, what="sampled quadruples")
+        if samples > MAX_SAMPLES:
+            raise BudgetExceededError(samples, MAX_SAMPLES, "sampled quadruples", option=None)
         if isinstance(space, Graph):
             n = len(space.vertices)
             cells = min(n, 3 * samples) * n

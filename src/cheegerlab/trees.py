@@ -80,16 +80,15 @@ class RootedTree(Frozen):
         if self.live:
             if horizon < 1:
                 raise InvalidInputError("horizon must be >= 1")
-            off = [v for v in self.live if depth[v] != horizon]
+            # an offender is named by walk order, whatever the hash seed
+            off = {v for v in self.live if depth[v] != horizon}
             if off:
-                raise InvalidInputError(
-                    f"live leaf {off[0]!r} not at the horizon depth {horizon}"
-                )
-            dead_deep = [v for v in leaves - self.live if depth[v] == horizon]
+                first = next(v for v in order if v in off)
+                raise InvalidInputError(f"live leaf {first!r} not at the horizon depth {horizon}")
+            dead_deep = {v for v in leaves - self.live if depth[v] == horizon}
             if dead_deep:
-                raise InvalidInputError(
-                    f"leaf {dead_deep[0]!r} reaches the horizon but is not live"
-                )
+                first = next(v for v in order if v in dead_deep)
+                raise InvalidInputError(f"leaf {first!r} reaches the horizon but is not live")
 
     # -- structure --------------------------------------------------------
 

@@ -231,6 +231,24 @@ def oracle_approximation_edges(points, dist, r, k0, k_max):
     return edges
 
 
+def oracle_level_certificate(vertices, edges, level, k0, k_max):
+    """The gradient/Laplacian certificate of the level function, from its
+    definition: c1 the largest |level step| over the edges, c2 the least
+    (1/deg v) * sum of level steps over the vertices v with k0 < level < k_max
+    (the first in ``vertices`` order on ties), and the bound c2/(mu*c1) when
+    c2 > 0, else None.  Returns (c1, c2, minimizer, bound)."""
+    adj = oracle_adjacency(edges)
+    c1 = max((abs(level[u] - level[v]) for u, v in edges), default=0)
+    mu = max(len(adj.get(v, ())) for v in vertices)
+    c2 = worst = None
+    for v in vertices:
+        if k0 < level[v] < k_max:
+            lap = sum(Fraction(level[w] - level[v], len(adj[v])) for w in adj[v])
+            if c2 is None or lap < c2:
+                c2, worst = lap, v
+    return c1, c2, worst, c2 / (mu * c1) if c2 > 0 else None
+
+
 @pytest.fixture
 def rng_seeds():
     return list(range(10))

@@ -2,6 +2,7 @@
 level certificates, releveling and boundary identification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,15 @@ import pytest
 import cheegerlab as cl
 from cheegerlab import FiniteMetricSpace, InvalidInputError
 from cheegerlab.cli import main
-from cheegerlab.io import canonical_json_bytes, leveled_from_payload, leveled_payload
+from cheegerlab.io import (
+    canonical_json_bytes,
+    leveled_from_payload,
+    leveled_payload,
+    load_leveled,
+    save_leveled,
+)
 
-from conftest import oracle_approximation_edges
+from conftest import oracle_approximation_edges, oracle_level_certificate
 
 
 def singleton():
@@ -216,6 +223,63 @@ def test_relevel_singleton_still_a_chain():
     lg = cl.build_truncated(singleton(), 1 / 6, 4, k0=0)
     coarse = cl.relevel(lg, 2)
     assert coarse.graph.mu <= 2
+
+
+def skipped_level_graph():
+    """A hand-built leveled graph whose edge b--x skips level 1: at x the
+    level steps are -2, +1, 0, 0, so the Laplacian is -1/4 and c1 = 2, while
+    counting only the +-1 steps would give x the drift +1/4."""
+    edges = [
+        ("a", "b"), ("b", "x"), ("x", "y1"), ("h1", "x"), ("h2", "x"), ("a", "h1"),
+        ("a", "h2"), ("h1", "y2"), ("h1", "y3"), ("h2", "y4"), ("h2", "y5"),
+    ]
+    deepest = [f"y{i}" for i in range(1, 6)]
+    g = cl.Graph.from_edges(edges, frontier=deepest)
+    level = {"b": 0, "a": 1, "x": 2, "h1": 2, "h2": 2, **{y: 3 for y in deepest}}
+    return cl.LeveledGraph(g, cl.two_point(1.0), 1 / 6, 0, 3, level, {v: "p" for v in g.vertices})
+
+
+def test_level_certificate_reads_the_real_gradient_and_laplacian(tmp_path):
+    lg = skipped_level_graph()
+    cert = cl.level_certificate(lg)
+    assert not cert.certified and cert.bound is None
+    assert (cert.c1, cert.c2, cert.violating_vertex) == (2, Fraction(-1, 4), "x")
+    # the document loader keeps such a graph as it is, and so does the certificate
+    save_leveled(tmp_path / "lg.json", lg)
+    assert cl.level_certificate(load_leveled(tmp_path / "lg.json")) == cert
+
+
+BUILT_APPROXIMATIONS = {
+    "cantor6-relevel2": lambda: cl.relevel(cl.build_truncated(cl.cantor_sample(6), 1 / 9, 4), 2),
+    "cantor7-k4": lambda: cl.build_truncated(cl.cantor_sample(7), 0.111111, 4),
+    "cantor7-k5-relevel2": lambda: cl.relevel(
+        cl.build_truncated(cl.cantor_sample(7), 0.111111, 5), 2
+    ),
+    "two-point": lambda: cl.build_truncated(cl.two_point(1.0), 1 / 6, 4),
+    "singleton-chain": lambda: cl.build_truncated(singleton(), 1 / 6, 4, k0=0),
+    "t3d6-ends": lambda: cl.build_truncated(
+        cl.end_space(cl.homogeneous_tree(3, 6)), math.exp(-2), 3
+    ),
+    "chain-ends": lambda: cl.build_truncated(cl.end_space(cl.growing_chain(6)), 1 / 6, 3, k0=0),
+}
+
+
+@pytest.mark.parametrize("name", [*BUILT_APPROXIMATIONS, "skipped-level"])
+def test_level_certificate_matches_the_literal_oracle(name):
+    lg = skipped_level_graph() if name == "skipped-level" else BUILT_APPROXIMATIONS[name]()
+    c1, c2, worst, bound = oracle_level_certificate(
+        lg.graph.vertices, lg.graph.edges, lg.level, lg.k0, lg.k_max
+    )
+    cert = cl.level_certificate(lg)
+    assert (cert.c1, cert.c2) == (c1, c2)
+    assert cert.certified == (bound is not None)
+    if bound is None:
+        assert cert.violating_vertex == worst
+    else:
+        assert cert.bound.lower.value == bound
+        assert cert.bound.lower.witness == {"function": "level", "c1": c1, "c2": c2}
+    if name != "skipped-level":  # every level step of a built approximation is -1, 0 or +1
+        assert c1 == 1
 
 
 # -- tree end spaces through the pipeline ---------------------------------------------------

@@ -2,6 +2,7 @@
 certificate re-verification, grafting and window scans."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import pytest
 
 import cheegerlab as cl
 from cheegerlab import DecompositionSpec, InvalidInputError, PieceCertificate
+from cheegerlab.cli import main as cli_main
+from cheegerlab.io import load_decomposition, save_decomposition
 
 SPEC_FIELDS = ("ambient", "pieces", "s1", "s2", "radius", "rate", "certificates")
 
@@ -247,6 +250,42 @@ def test_shared_edge_violation_is_the_same_under_every_hash_seed():
         assert "share the edge 2--3;" in proc.stdout, (seed, proc.stdout)
 
 
+@pytest.mark.parametrize(
+    "edges, live, named",
+    [
+        # live leaves b and d sit at depth 1, below the horizon 2 that c reaches
+        ([("r", "a"), ("a", "c"), ("r", "b"), ("r", "d")], ["b", "d"], "live leaf 'b'"),
+        # c is live at depth 2, and the dead leaves e and f reach depth 2 too
+        (
+            [("r", "a"), ("a", "c"), ("r", "b"), ("b", "e"), ("r", "d"), ("d", "f")],
+            ["c"], "leaf 'f'",  # the first in walk order: r, a, b, d, f, e, c
+        ),
+    ],
+)
+def test_decomp_report_names_the_same_tree_offender_under_every_hash_seed(
+    tmp_path, edges, live, named
+):
+    g = cl.Graph.from_edges(edges, frontier=live)
+    spec = DecompositionSpec(
+        ambient=g, pieces={"T": frozenset(g.vertices)}, s1=frozenset({"T"}), s2=frozenset(),
+        radius=0, rate=Fraction(1, 10),
+        certificates={"T": PieceCertificate("tree-theorem", root="r")},
+    )
+    save_decomposition(tmp_path / "spec.json", spec)
+    reports = set()
+    for seed in (0, 1, 2):  # these seeds iterate the offending sets in different orders
+        out = tmp_path / f"report{seed}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cheegerlab.cli", "decomp",
+             "--spec", str(tmp_path / "spec.json"), "--report", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 4, proc.stderr
+        reports.add(out.read_bytes())
+    assert len(reports) == 1
+    assert named in reports.pop().decode()
+
+
 def test_second_class_needs_contact():
     g = cl.path_window(6, truncated=False)
     pieces = {
@@ -318,6 +357,58 @@ def test_frontier_crossing_component_reported_unverified():
     )
     report = cl.validate(moved)
     assert not report.valid or report.unverified  # corner copies touch the window edge
+
+
+def leftover_spec(last_certificate):
+    """T3 d6 cut at v0.  The first-class piece A is the tree without v0's
+    descendants, certified by depth with f(v0) = -1 (1/9).  The second-class
+    piece B, the subtree at v0, shields only the ball of radius 1 around v0,
+    so its four depth-3 subtrees are leftover components B/0..B/3, each with
+    a certificate of its own; the last one is ``last_certificate``."""
+    t = cl.homogeneous_tree(3, 6)
+    below = frozenset(v for v in t.vertices if v.startswith("v0"))
+    a = frozenset(t.vertices) - below | {"v0"}
+    depth = {v: t.depth[v] for v in t.vertices}
+    return DecompositionSpec(
+        ambient=t.graph, pieces={"A": a, "B": below},
+        s1=frozenset({"A"}), s2=frozenset({"B"}), radius=1, rate=Fraction(1, 100),
+        certificates={
+            "A": PieceCertificate("function", f={**depth, "v0": -1}),
+            "B/0": PieceCertificate("function", f=depth),
+            "B/1": PieceCertificate("function", f=depth),
+            "B/2": PieceCertificate("tree-theorem", root="v010"),
+            "B/3": last_certificate,
+        },
+    )
+
+
+def test_leftover_components_are_reverified_and_give_the_general_bound(tmp_path):
+    zero = {v: 0 for v in cl.homogeneous_tree(3, 6).vertices}
+    bad = leftover_spec(PieceCertificate("function", f=zero))
+    report = cl.validate(bad)
+    assert not report.valid and not report.strong
+    assert report.violations == ("component 'B/3': function certificate fails at v011",)
+    assert [c[0] for c in report.scans["B"].components] == ["v000", "v001", "v010", "v011"]
+
+    spec = leftover_spec(PieceCertificate("tree-theorem", root="v011"))
+    report = cl.validate(spec)
+    assert report.valid and not report.strong and report.unverified == ()
+    assert report.verified_lower["A"] == report.verified_lower["B/0"] == Fraction(1, 9)
+    assert set(report.verified_lower) == {"A", "B/0", "B/1", "B/2", "B/3"}
+    bound = cl.decomposition_bound(spec, report)
+    assert bound.lower.value == cl.bound_general(3, 1, Fraction(1, 100))
+    assert bound.lower.witness["strong"] is False
+
+    # the function certificates survive the document round trip and the CLI
+    save_decomposition(tmp_path / "leftover.json", spec)
+    loaded = load_decomposition(tmp_path / "leftover.json")
+    assert loaded.certificates["A"].f == spec.certificates["A"].f
+    out = tmp_path / "report.json"
+    argv = ["decomp", "--spec", str(tmp_path / "leftover.json"), "--report", str(out)]
+    assert cli_main(argv) == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["valid"] and not results["strong"]
+    assert Fraction(results["bound"]["lower"]["value"]) == bound.lower.value
 
 
 def test_certificate_reverification_rejects_wrong_rate():

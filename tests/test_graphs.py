@@ -2,6 +2,7 @@
 certificates and the quasi-isometry checker."""
 
 import contextlib
+import os
 import subprocess
 import sys
 import time
@@ -53,6 +54,28 @@ def test_rejects_self_loop():
 def test_rejects_undeclared_endpoint():
     with pytest.raises(InvalidInputError):
         Graph(("a",), frozenset({("a", "b")}))
+
+
+def test_edge_errors_name_the_smallest_offender_under_every_hash_seed():
+    # ('a', 'x') and ('b', 'y') both have an undeclared endpoint; the edge set
+    # iterates in a different order under seeds 0 and 2
+    script = (
+        "import cheegerlab as cl\n"
+        "for edges in ({('a', 'x'), ('b', 'y'), ('a', 'b')}, {('b', 'a'), ('a', 'a')}):\n"
+        "    try:\n"
+        "        cl.Graph(('a', 'b'), frozenset(edges))\n"
+        "    except cl.InvalidInputError as exc:\n"
+        "        print(exc)\n"
+    )
+    for seed in (0, 1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "edge ('a', 'x') has undeclared endpoint", "self-loop at 'a'"
+        ], seed
 
 
 def test_rejects_disconnected_by_default():
@@ -735,6 +758,23 @@ def test_laplacian_depth_function_on_tree():
     assert cl.laplacian(g, f, "v0") == Fraction(1, 3)
     const = {v: 7 for v in g.vertices}
     assert cl.laplacian(g, const, "v1") == 0
+
+
+def test_laplacian_is_exact_on_every_value_fraction_accepts():
+    from decimal import Decimal
+
+    g = cl.Graph.from_edges([("a", "b"), ("b", "c"), ("b", "d")])
+    for f in (
+        {"a": 0, "b": 1, "c": 3, "d": 7},
+        {"a": "1/3", "b": "1/2", "c": "0", "d": "5/7"},
+        {"a": 0.1, "b": 0.2, "c": 0.3, "d": 0.7},
+        {"a": Decimal("0.1"), "b": 1, "c": Fraction(1, 3), "d": True},
+    ):
+        exact = sum(Fraction(f[y]) - Fraction(f["b"]) for y in "acd") / 3
+        got = cl.laplacian(g, f, "b")
+        assert type(got) is Fraction and got == exact
+    with pytest.raises(InvalidInputError, match="isolated"):
+        cl.laplacian(cl.Graph(("a",), frozenset()), {"a": 0}, "a")
 
 
 def test_green_identity_indicator_example():

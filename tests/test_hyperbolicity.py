@@ -244,6 +244,26 @@ def test_sampled_mode_is_a_lower_bound():
     assert again.delta == sampled.delta and again.witness == sampled.witness
 
 
+def test_sampled_mode_on_metric_spaces_is_a_reproducible_lower_bound():
+    cycle = cl.cycle_graph(9)
+    spaces = [  # integer distances add exactly in floats; Cantor distances do not
+        cl.FiniteMetricSpace(cycle.vertices, cycle.distance_matrix.astype(float)),
+        cl.cantor_sample(5),
+        cl.interval_sample(20),
+    ]
+    for space in spaces:
+        exact = cl.delta_four_point(space)
+        for seed in range(3):
+            rep = cl.delta_four_point(space, mode="sampled", seed=seed, samples=500)
+            assert rep.lower_bound_only and rep.sample_count == 500
+            assert rep.delta <= exact.delta
+            assert cl.evaluate_witness(space, rep.witness) == pytest.approx(rep.delta, abs=1e-12)
+            again = cl.delta_four_point(space, mode="sampled", seed=seed, samples=500)
+            assert (again.delta, again.witness) == (rep.delta, rep.witness)
+    rep = cl.delta_four_point(spaces[0], mode="sampled", samples=500)
+    assert rep.delta == cl.evaluate_witness(spaces[0], rep.witness) == 1.5
+
+
 def _sampled_on_the_full_matrix(g, seed, samples):
     """Sampled mode spelled out on the all-pairs matrix: the same draws, the
     largest minus second-largest pairing sum, and the first pairing among the

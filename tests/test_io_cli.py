@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cheegerlab as cl
@@ -437,6 +438,29 @@ def test_cli_sampled_delta_bounds_samples(samples, expected, capsys):
     argv = ["delta", "--in", "two_point:1.0", "--mode", "sampled", "--samples", samples]
     assert cli_main(argv) == expected
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("infile", ["two_point:1.0", "p9.json"])
+def test_sampled_delta_cap_is_checked_before_drawing(workdir, monkeypatch, capsys, infile):
+    monkeypatch.chdir(workdir)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("quadruples drawn past the sample cap")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    samples = cl.hyperbolicity.MAX_SAMPLES + 1
+    argv = ["delta", "--in", infile, "--mode", "sampled", "--samples", str(samples),
+            "--budget", str(2**40)]
+    assert cli_main(argv) == 3
+    assert (
+        f"{samples} sampled quadruples exceed the fixed cap of {samples - 1}; no option raises it"
+        in capsys.readouterr().err
+    )
+    monkeypatch.undo()
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(cl.hyperbolicity, "MAX_SAMPLES", 100)  # the cap itself still runs
+    assert cli_main([*argv[:-3], "100"]) == 0
+    assert cli_main([*argv[:-3], "101"]) == 3
 
 
 def test_endspace_point_budget_is_checked_before_allocating(monkeypatch, tmp_path):
