@@ -25,7 +25,6 @@ from .graphs import (
     Graph,
     admissible_vertices,
     certificate_lower_bound,
-    normalize_edge,
     window_bound,
 )
 
@@ -181,33 +180,47 @@ class ValidationReport(Frozen):
 
 def _piece_tree(g: Graph, piece: frozenset[str], root: str) -> RootedTree:
     """The piece of ``g`` induced on ``piece`` (vertices ``g`` lacks dropped),
-    rooted at ``root``, with its other frontier vertices live.  It is read
-    off the ambient adjacency: the piece is a tree when it has n - 1 inner
-    edges and a BFS reaches all of it, and a vertex's children are the new
-    neighbours that BFS finds there."""
+    rooted at ``root``, with its other frontier vertices live.
+
+    One walk in ``RootedTree``'s own order (pop a vertex, push its children)
+    reads each vertex's in-piece neighbours once: those other than its parent
+    are its children, sorted.  The piece is a tree exactly when no child was
+    reached before and the walk reaches every piece vertex: then every
+    in-piece edge joins a vertex to its parent, and an edge that did not
+    would close a cycle.  That is the proof ``RootedTree._walked`` asks for,
+    so only the live-leaf and horizon checks run again."""
     from .trees import RootedTree  # only tree pieces need the tree module
 
     adj = g.adjacency
     piece = piece & adj.keys()
-    if sum(len(adj[v] & piece) for v in piece) != 2 * (len(piece) - 1):
+    if not piece:
         raise InvalidInputError("piece is not a tree")
     start = root if root in piece else next(iter(piece))
-    seen = {start}
-    level = [start]
+    order = [start]
+    parent: dict[str, str] = {}
+    depth = {start: 0}
     children: dict[str, tuple[str, ...]] = {}
-    while level:
-        nxt = []
-        for x in level:
-            kids = tuple(sorted(y for y in adj[x] if y in piece and y not in seen))
-            seen.update(kids)
-            children[x] = kids
-            nxt.extend(kids)
-        level = nxt
-    if len(seen) != len(piece):
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        nbrs = adj[x] & piece
+        if x in parent:
+            nbrs = nbrs - {parent[x]}
+        kids = children[x] = tuple(sorted(nbrs))
+        below = depth[x] + 1
+        for c in kids:
+            if c in depth:
+                raise InvalidInputError("piece is not a tree")
+            order.append(c)
+            parent[c] = x
+            depth[c] = below
+        stack.extend(kids)
+    if len(order) != len(piece):
         raise InvalidInputError("piece is not a tree")
     if root not in piece:
         raise InvalidInputError(f"root {root!r} is not a vertex of the piece")
-    return RootedTree(root, children, (g.frontier & piece) - {root})
+    live = (g.frontier & piece) - {root}
+    return RootedTree._walked(root, children, live, tuple(order), parent, depth)
 
 
 def _verify_certificate(
@@ -268,12 +281,20 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
     for name in names:
         for v in spec.pieces[name]:
             pieces_at.setdefault(v, []).append(name)
+    # A shared edge has both ends in two or more pieces, so only edges at
+    # such vertices are read.
     shared: dict[tuple[str, str], tuple[str, str]] = {}  # piece pair -> smallest shared edge
-    for u, v in sorted(g.edges):
-        both = [name for name in pieces_at.get(u, ()) if v in spec.pieces[name]]
-        for i, a in enumerate(both):
-            for b in both[i + 1:]:
-                shared.setdefault((a, b), (u, v))
+    adj = g.adjacency
+    for u, at_u in pieces_at.items():
+        if len(at_u) < 2 or u not in adj:
+            continue
+        for v in adj[u]:
+            if u < v and len(pieces_at.get(v, ())) >= 2:
+                both = [name for name in at_u if v in spec.pieces[name]]
+                for i, a in enumerate(both):
+                    for b in both[i + 1:]:
+                        if (a, b) not in shared or (u, v) < shared[a, b]:
+                            shared[a, b] = (u, v)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             if (a, b) in shared:
@@ -410,6 +431,12 @@ def graft(base: Graph, attachment: Graph, port: str) -> GraftResult:
     in w, so a path between base vertices that enters that copy leaves it
     through w again, and cutting the excursion out gives a shorter path.  A
     shortest path therefore stays in the base, whose own distances it keeps.
+
+    Each copy is renamed through one name map, and its edges need no
+    sorting: two non-port names share the prefix ``w/`` and compare as the
+    attachment vertices do, and the port's name ``w`` is a prefix of every
+    other name in its copy, so an edge at the port only has to put the port
+    first.
     """
     if port not in attachment.index:
         raise InvalidInputError(f"port {port!r} is not an attachment vertex")
@@ -418,25 +445,22 @@ def graft(base: Graph, attachment: Graph, port: str) -> GraftResult:
     if not base.is_connected or not attachment.is_connected:
         raise InvalidInputError("graft needs connected inputs")
 
-    def copy_name(w: str, x: str) -> str:
-        return w if x == port else f"{w}/{x}"
-
+    others = [x for x in attachment.vertices if x != port]
+    att_edges = [(v, u) if v == port else (u, v) for u, v in attachment.edges]
     vertices = list(base.vertices)
     edges = set(base.edges)
     frontier = set(base.frontier)
     pieces: dict[str, frozenset[str]] = {"base": frozenset(base.vertices)}
     copy_roots: dict[str, str] = {}
     for w in base.vertices:
-        members = [w]
-        for x in attachment.vertices:
-            if x != port:
-                vertices.append(copy_name(w, x))
-                members.append(copy_name(w, x))
-        for u, v in attachment.edges:
-            edges.add(normalize_edge(copy_name(w, u), copy_name(w, v)))
-        frontier.update(copy_name(w, x) for x in attachment.frontier)
+        name = {x: f"{w}/{x}" for x in others}
+        name[port] = w
+        members = [name[x] for x in others]
+        vertices.extend(members)
+        edges.update([(name[u], name[v]) for u, v in att_edges])
+        frontier.update([name[x] for x in attachment.frontier])
         pid = f"copy:{w}"
-        pieces[pid] = frozenset(members)
+        pieces[pid] = frozenset(name.values())
         copy_roots[pid] = w
     result = Graph(tuple(vertices), frozenset(edges), frozenset(frontier))
 

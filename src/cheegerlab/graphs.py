@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from math import comb
-from operator import or_
+from operator import index, or_
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -97,12 +97,16 @@ class Graph(FrozenValue):
         frontier: Iterable[str] = (),
         require_connected: bool = True,
     ) -> "Graph":
-        edge_set = frozenset(normalize_edge(str(u), str(v)) for u, v in edges)
+        pairs = set()
+        for a, b in edges:  # one pass, one str() per endpoint
+            u, v = str(a), str(b)
+            pairs.add((u, v) if u <= v else (v, u))
+        edge_set = frozenset(pairs)
         if vertices is None:
             names = sorted({x for e in edge_set for x in e})
         else:
-            names = [str(v) for v in vertices]
-        g = cls(tuple(names), edge_set, frozenset(str(v) for v in frontier))
+            names = list(map(str, vertices))
+        g = cls(tuple(names), edge_set, frozenset(map(str, frontier)))
         if require_connected and not g.is_connected:
             raise InvalidInputError(
                 "graph is disconnected; pass require_connected=False for "
@@ -290,6 +294,19 @@ def relabeled(g: Graph, mapping: Mapping[str, str]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _rational(x: Any) -> Rational:
+    """``x`` as an int or a Fraction of Python ints: an integral value (a
+    bool, a numpy integer) through ``operator.index``, any other through
+    ``Fraction()``.  ``Fraction(np.int64(n))`` would keep a numpy numerator,
+    and its arithmetic wraps at 2^63."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    try:
+        return index(x)
+    except TypeError:
+        return Fraction(x)
+
+
 def vertex_function(
     g: Graph, values: Mapping[str, Rational | str] | Callable[[str], Rational]
 ) -> dict[str, Fraction]:
@@ -300,7 +317,7 @@ def vertex_function(
             raw = values(v) if callable(values) else values[v]
         except KeyError:
             raise InvalidInputError(f"function undefined at vertex {v!r}") from None
-        out[v] = Fraction(raw)
+        out[v] = Fraction(_rational(raw))
     return out
 
 
@@ -618,21 +635,26 @@ def gradient(g: Graph, f: Mapping[str, Fraction], x: str, y: str) -> Fraction:
     if x not in g.adjacency or y not in g.adjacency:
         raise InvalidInputError(f"unknown vertex in pair ({x!r}, {y!r})")
     if y in g.adjacency[x]:
-        return Fraction(f[y]) - Fraction(f[x])
+        return Fraction(_rational(f[y]) - _rational(f[x]))
     return Fraction(0)
 
 
 def laplacian(g: Graph, f: Mapping[str, Rational], x: str) -> Fraction:
     """Averaged Laplacian (1/|N(x)|) * sum of f(y)-f(x) over neighbors y,
-    summed first and divided once, so an integer f stays in integer arithmetic."""
-    nbrs = g.neighbors(x)
+    exact for every value ``Fraction()`` takes; integral values, numpy
+    integers among them, are read as Python ints, so they never wrap."""
+    return _laplacian(g, {y: _rational(f[y]) for y in (x, *g.neighbors(x))}, x)
+
+
+def _laplacian(g: Graph, f: Mapping[str, Rational], x: str) -> Fraction:
+    """:func:`laplacian` of a function whose values are ints and Fractions
+    already, as :func:`vertex_function` and the level function give: summed
+    first and divided once, so an integer f stays in integer arithmetic."""
+    nbrs = g.adjacency[x]
     if not nbrs:
         raise InvalidInputError(f"vertex {x!r} is isolated; Laplacian undefined")
     n = len(nbrs)
-    try:
-        return Fraction(sum(map(f.__getitem__, nbrs)) - n * f[x], n)
-    except TypeError:  # a value such as "1/2" or 0.5: exact through Fraction()
-        return Fraction(sum(map(Fraction, map(f.__getitem__, nbrs))) - n * Fraction(f[x]), n)
+    return Fraction(sum(map(f.__getitem__, nbrs)) - n * f[x], n)
 
 
 def green_identity_check(
@@ -658,7 +680,7 @@ def green_identity_check(
     lhs = Fraction(0)
     for x in g.vertices:
         if g.adjacency[x] and g2[x] != 0:
-            lhs += laplacian(g, f, x) * g.degree(x) * g2[x]
+            lhs += _laplacian(g, f, x) * g.degree(x) * g2[x]
     cross = Fraction(0)
     for u, v in g.edges:
         cross += 2 * (f[v] - f[u]) * (g2[v] - g2[u])  # both orientations
@@ -723,8 +745,8 @@ def _gradient_laplacian(
     and c2, the least Laplacian of f over ``vertices``, with the first vertex
     in their order that attains it."""
     c1 = Fraction(max(map(abs, [f[v] - f[u] for u, v in edges]), default=0))
-    worst = min(vertices, key=partial(laplacian, g, f))
-    return c1, laplacian(g, f, worst), worst
+    worst = min(vertices, key=partial(_laplacian, g, f))
+    return c1, _laplacian(g, f, worst), worst
 
 
 class CorollaryCheck(NamedTuple):

@@ -3,7 +3,11 @@ graphs and decompositions.
 
 Dumps are canonical: sorted object keys, two-space indent, a trailing
 newline, vertex/edge arrays sorted, rationals rendered as fraction strings.
-Loading re-validates every structural invariant.  Metric-space point order
+The bytes are exactly those of ``json.dumps(..., sort_keys=True, indent=2,
+allow_nan=False)``, written by :func:`canonical_json_bytes` without the
+stdlib's generator encoder (the one ``indent`` forces), which it keeps for
+what it does not render itself.  Loading re-validates every structural
+invariant.  Metric-space point order
 and tree child order are preserved (greedy scans depend on them); everything
 else is order-free.
 """
@@ -27,8 +31,88 @@ if TYPE_CHECKING:
     from .trees import RootedTree
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT = float.__repr__
+_INT = int.__repr__
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
 def canonical_json_bytes(payload: Any) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"``, built without the generator encoder that
+    ``indent`` forces: the same string escaper and float and int reprs, one
+    ``join`` per list of strings, of floats or of string pairs.  Whatever it
+    does not render itself (keys that are not strings, NaN, infinities,
+    unknown types, nesting too deep) goes to ``json.dumps``, which writes or
+    rejects it as it always has."""
+    try:
+        text = _json_value(payload, "\n")
+    except (TypeError, ValueError, RecursionError):
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode()
+
+
+def _json_value(o: Any, nl: str) -> str:
+    """``o`` rendered at the nesting whose line break and indent is ``nl``;
+    the type tests follow ``json.encoder`` in kind and order."""
+    if isinstance(o, str):
+        return _ESCAPE(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _INT(o)
+    if isinstance(o, float):
+        text = _FLOAT(o)
+        if text in _NON_FINITE:
+            raise ValueError(text)
+        return text
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return "[" + inner + _json_items(o, inner) + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # a key that is not a string fails _ESCAPE (or the sort) with TypeError
+        body = ("," + inner).join(
+            [_ESCAPE(k) + ": " + _json_value(v, inner) for k, v in sorted(o.items())]
+        )
+        return "{" + inner + body + nl + "}"
+    raise TypeError(type(o).__name__)
+
+
+def _json_items(seq: list | tuple, nl: str) -> str:
+    """The items of a non-empty list joined at indent ``nl``: a list of
+    strings, of floats or of string pairs in one pass, any other item by
+    item.  A fast path that meets an item of another type stops with
+    TypeError and the list is redone item by item."""
+    sep = "," + nl
+    first = seq[0]
+    try:
+        if type(first) is str:
+            return sep.join(map(_ESCAPE, seq))
+        if type(first) is float:
+            texts = list(map(_FLOAT, seq))
+            if any(text in texts for text in _NON_FINITE):
+                raise ValueError("non-finite float")
+            return sep.join(texts)
+        if (
+            type(first) is list
+            and len(first) == 2
+            and {*map(type, seq)} == {list}
+            and {*map(len, seq)} == {2}
+        ):
+            pair = nl + "  "
+            head, mid, tail = "[" + pair, "," + pair, nl + "]"
+            return sep.join([head + _ESCAPE(u) + mid + _ESCAPE(v) + tail for u, v in seq])
+    except TypeError:
+        pass
+    return sep.join([_json_value(x, nl) for x in seq])
 
 
 def write_canonical(path: str | Path, payload: Any) -> None:
@@ -78,14 +162,12 @@ def graph_from_payload(data: dict) -> Graph:
     for key in ("vertices", "edges", "frontier"):
         if not isinstance(data.get(key, []), list):
             raise InvalidInputError(f"graph document: {key!r} must be a list")
-    for e in data["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
-            raise InvalidInputError(f"graph document: edge {e!r} is not a pair [u, v]")
-    return Graph.from_edges(
-        [(str(u), str(v)) for u, v in data["edges"]],
-        vertices=[str(v) for v in data["vertices"]],
-        frontier=[str(v) for v in data.get("frontier", [])],
-    )
+    edges = data["edges"]
+    if {*map(type, edges)} - {list} or {*map(len, edges)} - {2}:
+        for e in edges:  # name the first offender
+            if not isinstance(e, list) or len(e) != 2:
+                raise InvalidInputError(f"graph document: edge {e!r} is not a pair [u, v]")
+    return Graph.from_edges(edges, vertices=data["vertices"], frontier=data.get("frontier", []))
 
 
 def save_graph(path: str | Path, g: Graph) -> None:
@@ -346,12 +428,9 @@ def decomposition_from_payload(data: dict, path: str | Path) -> DecompositionSpe
 
     return DecompositionSpec(
         ambient=ambient,
-        pieces={
-            str(name): frozenset(str(v) for v in verts)
-            for name, verts in pieces.items()
-        },
-        s1=frozenset(str(s) for s in data["S1"]),
-        s2=frozenset(str(s) for s in data["S2"]),
+        pieces={str(name): frozenset(map(str, verts)) for name, verts in pieces.items()},
+        s1=frozenset(map(str, data["S1"])),
+        s2=frozenset(map(str, data["S2"])),
         radius=radius,
         rate=parse_fraction(data["r"]),
         certificates=certs,

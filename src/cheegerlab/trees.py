@@ -70,11 +70,37 @@ class RootedTree(Frozen):
         if len(seen) != len(self.children):
             extra = sorted(set(self.children) - seen)
             raise InvalidInputError(f"unreachable vertices: {extra[:3]}")
-        object.__setattr__(self, "_order", tuple(order))
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_depth", depth)
+        self._keep_walk(tuple(order), parent, depth)
+
+    @classmethod
+    def _walked(
+        cls,
+        root: str,
+        children: dict[str, tuple[str, ...]],
+        live: frozenset[str],
+        order: tuple[str, ...],
+        parent: dict[str, str],
+        depth: dict[str, int],
+    ) -> RootedTree:
+        """A tree whose caller has already walked ``children`` from ``root``
+        as ``__init__`` does (pop a vertex, visit its children in order, push
+        them) and proved that the walk reaches every key exactly once;
+        ``order``, ``parent`` and ``depth`` are that walk's.  The live-leaf
+        and horizon checks still run.  Only a caller whose docstring gives
+        that proof may call it."""
+        tree = object.__new__(cls)
+        tree.__dict__.update(root=root, children=children, live=live)
+        tree._keep_walk(order, parent, depth)
+        return tree
+
+    def _keep_walk(
+        self, order: tuple[str, ...], parent: dict[str, str], depth: dict[str, int]
+    ) -> None:
+        """Keep the walk and check the live markers against it: they sit on
+        leaves at the horizon, and every leaf there is live."""
+        self.__dict__.update(_order=order, _parent=parent, _depth=depth)
         horizon = max(depth.values())
-        leaves = {v for v in seen if not self.children[v]}
+        leaves = {v for v in order if not self.children[v]}
         if not self.live <= leaves:
             raise InvalidInputError("live markers must sit on leaves")
         if self.live:
@@ -107,6 +133,19 @@ class RootedTree(Frozen):
     @cached_property
     def horizon(self) -> int:
         return max(self._depth.values())
+
+    @cached_property
+    def _complete_subtree(self) -> frozenset[str]:
+        """See :func:`maximal_complete_subtree`; computed once per tree."""
+        keep: set[str] = set()
+        for leaf in self.live:
+            x = leaf
+            while x not in keep:
+                keep.add(x)
+                if x == self.root:
+                    break
+                x = self._parent[x]
+        return frozenset(keep)
 
     def sphere(self, t: int) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self._depth[v] == t)
@@ -155,15 +194,7 @@ def maximal_complete_subtree(t: RootedTree) -> frozenset[str]:
     """Vertices on some root-to-live-leaf path: the unique maximal subtree in
     which every root-anchored segment extends to the horizon.  Empty when the
     tree is bounded (no live leaves)."""
-    keep: set[str] = set()
-    for leaf in t.live:
-        x = leaf
-        while x not in keep:
-            keep.add(x)
-            if x == t.root:
-                break
-            x = t.parent[x]
-    return frozenset(keep)
+    return t._complete_subtree
 
 
 # ---------------------------------------------------------------------------

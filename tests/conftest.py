@@ -7,6 +7,7 @@ library results are checked against code that shares nothing with them.
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -247,6 +248,53 @@ def oracle_level_certificate(vertices, edges, level, k0, k_max):
             if c2 is None or lap < c2:
                 c2, worst = lap, v
     return c1, c2, worst, c2 / (mu * c1) if c2 > 0 else None
+
+
+def oracle_json_bytes(payload):
+    """The canonical document bytes straight from the standard library."""
+    return (json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n").encode()
+
+
+def oracle_piece_tree(g, piece, root):
+    """The tree piece in two steps: the piece is a tree when it has n - 1
+    inner edges and a BFS from the root (any vertex, when the root lies
+    outside) reaches all of it; a vertex's children are the new neighbours
+    BFS finds there, sorted; then the validating ``RootedTree`` walks the
+    children map again."""
+    from cheegerlab import InvalidInputError, RootedTree
+
+    adj = g.adjacency
+    piece = piece & adj.keys()
+    if sum(len(adj[v] & piece) for v in piece) != 2 * (len(piece) - 1):
+        raise InvalidInputError("piece is not a tree")
+    start = root if root in piece else next(iter(piece))
+    seen = {start}
+    level = [start]
+    children = {}
+    while level:
+        nxt = []
+        for x in level:
+            kids = tuple(sorted(y for y in adj[x] if y in piece and y not in seen))
+            seen.update(kids)
+            children[x] = kids
+            nxt.extend(kids)
+        level = nxt
+    if len(seen) != len(piece):
+        raise InvalidInputError("piece is not a tree")
+    if root not in piece:
+        raise InvalidInputError(f"root {root!r} is not a vertex of the piece")
+    return RootedTree(root, children, (g.frontier & piece) - {root})
+
+
+def oracle_shared_edges(edges, pieces):
+    """{(a, b): smallest edge with both ends in pieces a and b} over the
+    piece-name pairs a < b that share an edge, one pair at a time."""
+    out = {}
+    for a, b in combinations(sorted(pieces), 2):
+        common = [e for e in edges if set(e) <= pieces[a] & pieces[b]]
+        if common:
+            out[a, b] = min(common)
+    return out
 
 
 @pytest.fixture

@@ -10,9 +10,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cheegerlab as cl
 from cheegerlab import DecompositionSpec, InvalidInputError, PieceCertificate
+from cheegerlab.decomposition import _piece_tree
+from cheegerlab.graphs import normalize_edge
+from conftest import oracle_piece_tree, oracle_shared_edges
 from cheegerlab.cli import main as cli_main
 from cheegerlab.io import load_decomposition, save_decomposition
 
@@ -458,6 +462,113 @@ def test_tree_piece_live_leaves_are_its_frontier_copies():
         root = spec.certificates[pid].root
         tree = cl.decomposition._piece_tree(spec.ambient, spec.pieces[pid], root)
         assert tree.live == {f"{root}/{x}" for x in att.live}
+
+
+def _piece_tree_outcome(build, g, piece, root):
+    try:
+        t = build(g, piece, root)
+    except InvalidInputError as exc:
+        return "error", str(exc)
+    return t.root, t.children, t.vertices, t.parent, t.depth, t.live, t.horizon
+
+
+@st.composite
+def embedded_pieces(draw):
+    """A random tree on x0.. (root x0) inside an ambient graph with extra
+    vertices and edges; the piece is the tree, give or take a vertex, and
+    extra edges may close cycles inside it."""
+    n = draw(st.integers(1, 12))
+    extra = draw(st.integers(0, 5))
+    names = [f"x{i}" for i in range(n + extra)]
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    edges = {normalize_edge(names[p], names[i]) for i, p in enumerate(parents, 1)}
+    for u, v in draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                              max_size=6)):
+        if u != v:
+            edges.add(normalize_edge(u, v))
+    depth = [0] * n
+    for i, p in enumerate(parents, 1):
+        depth[i] = depth[p] + 1
+    deepest = [names[i] for i in range(n) if depth[i] == max(depth)]
+    frontier = draw(st.one_of(
+        st.just(deepest), st.lists(st.sampled_from(names), max_size=4), st.just([])
+    ))
+    g = cl.Graph.from_edges(edges, vertices=names, frontier=frontier, require_connected=False)
+    piece = set(names[:n])
+    piece ^= set(draw(st.lists(st.sampled_from(names + ["zz"]), max_size=2)))
+    root = draw(st.sampled_from(["x0", "x0", "zz", *names]))
+    return g, frozenset(piece), root
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedded_pieces())
+def test_piece_tree_matches_the_two_step_oracle(case):
+    g, piece, root = case
+    assert _piece_tree_outcome(_piece_tree, g, piece, root) == _piece_tree_outcome(
+        oracle_piece_tree, g, piece, root
+    )
+
+
+def test_piece_tree_rejects_what_the_oracle_rejects():
+    square = cl.cycle_graph(4)
+    two_parts = cl.Graph.from_edges(
+        [("a", "b"), ("b", "c"), ("a", "c")], vertices="abcd", require_connected=False
+    )
+    path = cl.path_window(5, truncated=False)
+    cases = [
+        (square, frozenset(square.vertices), "0", "piece is not a tree"),
+        (two_parts, frozenset("abcd"), "a", "piece is not a tree"),  # n - 1 edges
+        (path, frozenset(), "1", "piece is not a tree"),
+        (path, frozenset({"zz", "yy"}), "zz", "piece is not a tree"),
+        (path, frozenset({"1", "3"}), "1", "piece is not a tree"),
+        (path, frozenset({"1", "2", "zz"}), "2", None),  # unknown vertices are dropped
+        (path, frozenset({"1", "2"}), "3", "root '3' is not a vertex of the piece"),
+        (path, frozenset({"1", "2", "3"}), "zz", "root 'zz' is not a vertex of the piece"),
+        (square, frozenset(square.vertices), "zz", "piece is not a tree"),
+    ]
+    for g, piece, root, message in cases:
+        got = _piece_tree_outcome(_piece_tree, g, piece, root)
+        assert got == _piece_tree_outcome(oracle_piece_tree, g, piece, root)
+        assert (got[1] if got[0] == "error" else None) == message
+
+
+def test_piece_tree_matches_the_oracle_on_graft_pieces():
+    for base, att in (
+        (cl.grid_window(3, 3), cl.homogeneous_tree(3, 3)),
+        (cl.grid_window(4, 4), cl.random_branching_tree(3, 0)),
+        (cl.grid_window(3, 3), cl.grafted_dead_branches(cl.homogeneous_tree(3, 4), 2)),
+    ):
+        spec = cl.graft_decomposition(base, att.graph, "v")
+        for pid, piece in spec.pieces.items():
+            root = spec.certificates[pid].root if pid in spec.certificates else "0,0"
+            got = _piece_tree_outcome(_piece_tree, spec.ambient, piece, root)
+            assert got == _piece_tree_outcome(oracle_piece_tree, spec.ambient, piece, root)
+            assert (got[0] == "error") == (pid == "base")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_shared_edges_match_the_pairwise_oracle(data):
+    n = data.draw(st.integers(2, 9))
+    names = [str(i) for i in range(n)]
+    edges = {
+        normalize_edge(u, v)
+        for u, v in data.draw(st.lists(st.tuples(st.sampled_from(names),
+                                                 st.sampled_from(names)), max_size=14))
+        if u != v
+    }
+    g = cl.Graph.from_edges(edges, vertices=names, require_connected=False)
+    pieces = {
+        f"p{i}": frozenset(data.draw(st.lists(st.sampled_from(names + ["zz"]), min_size=1)))
+        for i in range(data.draw(st.integers(1, 5)))
+    }
+    spec = DecompositionSpec(g, pieces, frozenset(pieces), frozenset(), 0, Fraction(1), {})
+    got = [v for v in cl.validate(spec).violations if "share the edge" in v]
+    want = [
+        f"pieces {a!r} and {b!r} share the edge {u}--{v}; intersections must be vertex sets"
+        for (a, b), (u, v) in oracle_shared_edges(g.edges, pieces).items()
+    ]
+    assert got == want
 
 
 def test_graft_decomposition_rate_needs_a_certified_attachment():

@@ -777,6 +777,21 @@ def test_laplacian_is_exact_on_every_value_fraction_accepts():
         cl.laplacian(cl.Graph(("a",), frozenset()), {"a": 0}, "a")
 
 
+def test_numpy_integers_stay_exact_past_int64():
+    # at the parent the numpy numerators wrapped at 2^63 (RuntimeWarning, an
+    # error under the test settings)
+    g = cl.Graph.from_edges([("a", "b"), ("b", "c"), ("b", "d")])
+    big = np.int64(2**62)
+    f = {"a": big, "b": np.int64(0), "c": big, "d": big}
+    assert cl.laplacian(g, f, "b") == 2**62
+    assert cl.laplacian(g, {**f, "b": np.uint64(2**63)}, "b") == 2**62 - 2**63
+    assert cl.gradient(g, {**f, "b": -big}, "b", "a") == 2**63
+    exact = cl.vertex_function(g, f)
+    assert all(type(x.numerator) is int for x in exact.values())
+    assert cl.laplacian(g, exact, "b") == 2**62
+    assert cl.green_identity_check(g, f, {v: 1 for v in "abcd"}) == 0
+
+
 def test_green_identity_indicator_example():
     g = p5()
     ind = {v: 1 if v == "3" else 0 for v in g.vertices}

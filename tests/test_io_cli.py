@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cheegerlab as cl
 from cheegerlab import cli, graphs, io
 from cheegerlab.cli import main as cli_main
+from conftest import oracle_json_bytes
 
 
 @pytest.fixture
@@ -147,6 +149,108 @@ def test_leveled_loader_rejects_non_object_documents(tmp_path):
             io.load_leveled(path)
 
 
+
+
+# -- the canonical writer -----------------------------------------------------------
+
+# every code point, lone surrogates and control characters included
+TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF), max_size=8)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, 1e16]),
+)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200), FLOATS, TEXT
+)
+
+
+def _json_trees(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(TEXT, children, max_size=5),
+    )
+
+
+JSON_TREES = st.recursive(
+    st.one_of(
+        SCALARS,
+        # the shapes the writer joins in one pass, and ones that start like them
+        st.lists(TEXT, max_size=6),
+        st.lists(FLOATS, max_size=6),
+        st.lists(st.lists(TEXT, min_size=2, max_size=2), max_size=4),
+        st.lists(st.tuples(TEXT, TEXT), max_size=4),
+        st.lists(st.one_of(TEXT, FLOATS, st.integers(), st.booleans()), max_size=6),
+        st.lists(st.lists(TEXT, max_size=3), max_size=4),
+        st.lists(st.one_of(st.lists(TEXT, min_size=2, max_size=2), TEXT), max_size=4),
+    ),
+    _json_trees,
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_TREES)
+def test_canonical_writer_matches_the_stdlib(payload):
+    assert io.canonical_json_bytes(payload) == oracle_json_bytes(payload)
+
+
+def _same_error(payload, kind):
+    with pytest.raises(kind) as want:
+        oracle_json_bytes(payload)
+    with pytest.raises(kind) as got:
+        io.canonical_json_bytes(payload)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_writer_rejects_non_finite_floats(bad):
+    for payload in (bad, [1.0, bad], {"a": [0.5, 2.0, bad]}, {"a": {"b": bad}}, [[1.0], [bad]]):
+        _same_error(payload, ValueError)
+
+
+def test_canonical_writer_leaves_other_values_to_the_stdlib():
+    for payload in (
+        Fraction(1, 3), {"a": [Fraction(1, 2)]}, ["a", Fraction(1)], {1: 2, "b": 3}, {None: 1, True: 2}
+    ):
+        _same_error(payload, TypeError)
+    loop: list = ["a"]
+    loop.append(loop)
+    _same_error(loop, ValueError)
+    # keys that are not strings: the stdlib renders them, so the bytes match
+    for payload in ({1: "a", 2: ["b"]}, {True: 1, False: 2.5}, {0.5: [1]}, {None: {}}):
+        assert io.canonical_json_bytes(payload) == oracle_json_bytes(payload)
+
+
+def test_every_saved_document_is_the_stdlib_bytes(tmp_path, monkeypatch):
+    t = cl.homogeneous_tree(3, 3)
+    spec = cl.graft_decomposition(cl.grid_window(3, 3), t.graph, "v")
+    f = {v: Fraction(t.depth[v], 3) for v in t.vertices}
+    spec = cl.DecompositionSpec(
+        ambient=spec.ambient, pieces=spec.pieces, s1=spec.s1, s2=spec.s2, radius=1,
+        rate=spec.rate,
+        certificates={**spec.certificates, "base/0": cl.PieceCertificate("function", f=f)},
+    )
+    lg = cl.build_truncated(cl.cantor_sample(4), 1 / 9, 3)
+    saves = [
+        (io.save_graph, "graph.json", cl.path_window(9)),
+        (io.save_metric, "cantor8.json", cl.cantor_sample(8)),
+        (io.save_metric, "ends.json", cl.end_space(t)),
+        (io.save_tree, "tree.json", cl.grafted_dead_branches(t, 1)),
+        (io.save_leveled, "leveled.json", lg),
+        (io.save_decomposition, "d.json", spec),
+    ]
+    for side in ("fast", "stdlib"):
+        (tmp_path / side).mkdir()
+        if side == "stdlib":
+            monkeypatch.setattr(io, "canonical_json_bytes", oracle_json_bytes)
+        for save, name, obj in saves:
+            save(tmp_path / side / name, obj)
+    names = sorted(p.name for p in (tmp_path / "fast").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "stdlib").iterdir())
+    assert "d.ambient.json" in names
+    for name in names:
+        assert (tmp_path / "fast" / name).read_bytes() == (tmp_path / "stdlib" / name).read_bytes()
 
 
 def _report_fields(report):

@@ -148,6 +148,8 @@ def test_complete_subtree_excludes_pruned_branch():
     keep = cl.maximal_complete_subtree(t)
     assert keep == set(cl.homogeneous_tree(3, 4).vertices)
     assert all("~d" not in v for v in keep)
+    # one computation per tree, shared by every analysis that reads it
+    assert cl.maximal_complete_subtree(t) is keep
 
 
 def test_complete_subtree_maximality_by_mutation():
