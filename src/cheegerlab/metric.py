@@ -29,6 +29,9 @@ from .graphs import Graph, edges_where
 
 TRIANGLE_TOL = 1e-9
 
+#: Largest distance whose sum with any other stays a finite float.
+_MAX_DISTANCE = float(np.finfo(float).max) / 2
+
 
 class FiniteMetricSpace(Frozen):
     """Labeled point set with a symmetric distance matrix.
@@ -38,7 +41,8 @@ class FiniteMetricSpace(Frozen):
     regular samples); it is advisory and does not affect the metric.  When
     given it must be a finite positive number, since reports carry it as JSON.
 
-    Construction checks the distances: finite, zero on the diagonal, symmetric,
+    Construction checks the distances: finite and at most half the largest
+    float (so sums of two stay finite), zero on the diagonal, symmetric,
     positive off it, and the triangle inequality up to ``TRIANGLE_TOL``.  That
     last check is an O(n^3) scan.  The private ``_exact`` path skips it, and
     only for the generators whose output is a metric by construction (integer
@@ -105,6 +109,9 @@ class FiniteMetricSpace(Frozen):
             raise InvalidInputError("resolution_floor must be a finite positive number")
         if not np.isfinite(d).all():
             raise InvalidInputError("distances must be finite")
+        if d.max() > _MAX_DISTANCE:
+            # the triangle check and every four-point sum add two distances
+            raise InvalidInputError(f"distances must be at most {_MAX_DISTANCE!r}")
         if (d.diagonal() != 0).any():
             raise InvalidInputError("dist(x,x) must be 0")
         if not (d == d.T).all():

@@ -148,6 +148,19 @@ def test_rejects_non_finite_distances():
             FiniteMetricSpace(("a", "b"), np.array([[0.0, bad], [bad, 0.0]]))
 
 
+def test_rejects_distances_whose_sum_overflows():
+    """Four-point sums add two distances; above half the largest float they
+    would overflow, on both construction paths and from the CLI generator."""
+    half = float(np.finfo(float).max) / 2
+    assert cl.two_point(half).diameter == half
+    big = np.nextafter(half, np.inf)
+    with pytest.raises(InvalidInputError, match="at most"):
+        FiniteMetricSpace(("a", "b"), np.array([[0.0, big], [big, 0.0]]))
+    with pytest.raises(InvalidInputError, match="at most"):
+        cl.two_point(big)
+    assert cl.delta_four_point(cl.two_point(half)).delta == 0
+
+
 @pytest.mark.parametrize("floor", [np.inf, np.nan, 0.0, -1.0])
 def test_rejects_resolution_floor_that_is_not_finite_and_positive(floor):
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
