@@ -88,18 +88,9 @@ def _k0_for(space: FiniteMetricSpace, r: float) -> int:
     return k
 
 
-def build_truncated(
-    space: FiniteMetricSpace,
-    r: float,
-    k_max: int,
-    k0: int | None = None,
-) -> LeveledGraph:
-    """Build the truncated hyperbolic approximation of ``space`` down to level
-    ``k_max`` with parameter r <= 1/6.
-
-    For a singleton space the base level cannot be derived from the diameter
-    and must be passed explicitly; the result is then a chain (a ray prefix).
-    """
+def _checked_k0(space: FiniteMetricSpace, r: float, k_max: int, k0: int | None) -> int:
+    """The base level ``build_truncated`` uses, after every check of its
+    parameters; no level is built."""
     if not 0 < r <= MAX_PARAMETER:
         raise InvalidInputError("the parameter must satisfy 0 < r <= 1/6")
     if len(space.points) < 1:
@@ -117,7 +108,22 @@ def build_truncated(
         raise InvalidInputError(f"k0={k0} does not dominate the diameter")
     if k_max < k0:
         raise InvalidInputError(f"need k_max >= k0 = {k0}")
+    return k0
 
+
+def build_truncated(
+    space: FiniteMetricSpace,
+    r: float,
+    k_max: int,
+    k0: int | None = None,
+) -> LeveledGraph:
+    """Build the truncated hyperbolic approximation of ``space`` down to level
+    ``k_max`` with parameter r <= 1/6.
+
+    For a singleton space the base level cannot be derived from the diameter
+    and must be passed explicitly; the result is then a chain (a ray prefix).
+    """
+    k0 = _checked_k0(space, r, k_max, k0)
     d = space.dist
     idx = space.index
     levels = {k: greedy_separated(space, r**k) for k in range(k0, k_max + 1)}
@@ -166,19 +172,34 @@ def _level_violations(lg: LeveledGraph) -> tuple[list[str], list[str]]:
     return skips, no_upper
 
 
-def relevel(lg: LeveledGraph, s: int) -> LeveledGraph:
-    """Coarsened rebuild with parameter r^s, keeping every s-th level."""
+class Truncation(NamedTuple):
+    """A truncated approximation before it is built: the space and the
+    parameters of ``build_truncated`` (``k0`` None derives it), which is all
+    that ``relevel`` reads of a ``LeveledGraph``."""
+
+    space: FiniteMetricSpace
+    r: float
+    k0: int | None
+    k_max: int
+
+
+def relevel(lg: LeveledGraph | Truncation, s: int) -> LeveledGraph:
+    """Coarsened rebuild with parameter r^s, keeping every s-th level.
+
+    The parameters of ``lg`` are checked first, with the messages of
+    ``build_truncated``; given as a ``Truncation``, the approximation that
+    is coarsened is never built.
+    """
+    k0 = _checked_k0(lg.space, lg.r, lg.k_max, lg.k0)
     if s < 1:
         raise InvalidInputError("need s >= 1")
     if s == 1:
-        return build_truncated(lg.space, lg.r, lg.k_max, k0=lg.k0)
-    new_r = lg.r**s
+        return build_truncated(lg.space, lg.r, lg.k_max, k0=k0)
     new_kmax = math.floor(lg.k_max / s)
-    k0 = None
-    if lg.space.diameter <= 0:
-        k0 = math.ceil(lg.k0 / s)
-        new_kmax = max(new_kmax, k0)
-    return build_truncated(lg.space, new_r, new_kmax, k0=k0)
+    if lg.space.diameter > 0:
+        return build_truncated(lg.space, lg.r**s, new_kmax)
+    new_k0 = math.ceil(k0 / s)
+    return build_truncated(lg.space, lg.r**s, max(new_kmax, new_k0), k0=new_k0)
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,10 @@ def _bound_payload(bound: CheegerBound) -> dict:
 #: this many points, before allocating.  The generators skip the O(n^3)
 #: triangle check, so memory is what the cap bounds: at 2^11 points each n x n
 #: float matrix is 32 MiB.  Measured there on 2 vCPUs (Python 3.11, numpy 2.4):
-#: a sample builds in 0.1 s with a tracemalloc peak of 68 MiB; ``net --in
-#: interval:2048`` takes 0.3 s and peaks at 101 MB RSS; ``perfect --in
-#: cantor:11`` takes 3.6 s, nearly all of it the one-point scan, and peaks at
-#: 197 MB RSS.
+#: a sample builds in 0.1-0.2 s with a tracemalloc peak of 37 MiB (one matrix
+#: and its temporaries); ``net --in interval:2048`` takes 0.4 s and peaks at
+#: 69 MB RSS; ``perfect --in cantor:11`` takes 0.6-0.7 s in either form, the
+#: scan 0.2 s of it, and peaks at 75 MB RSS.
 MAX_GENERATOR_POINTS = 2**11
 
 
@@ -262,12 +262,19 @@ def _cmd_endspace(args) -> tuple[dict, int]:
 
 
 def _cmd_approx(args) -> tuple[dict, int]:
-    from .approximation import build_truncated, level_certificate, relevel, structural_checks
+    from .approximation import (
+        Truncation,
+        build_truncated,
+        level_certificate,
+        relevel,
+        structural_checks,
+    )
 
     space, src = _load_metric_input(args.infile)
-    lg = build_truncated(space, args.r, args.k_max, k0=args.k0)
-    if args.s != 1:
-        lg = relevel(lg, args.s)
+    if args.s == 1:
+        lg = build_truncated(space, args.r, args.k_max, k0=args.k0)
+    else:  # the s = 1 approximation is checked, not built
+        lg = relevel(Truncation(space, args.r, args.k0, args.k_max), args.s)
     checks = structural_checks(lg, delta_cap=args.delta_cap)
     cert = level_certificate(lg) if lg.k_max - lg.k0 >= 2 else None
     if args.out:

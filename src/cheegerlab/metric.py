@@ -116,8 +116,7 @@ class FiniteMetricSpace(Frozen):
             raise InvalidInputError("dist(x,x) must be 0")
         if not (d == d.T).all():
             raise InvalidInputError("distance matrix must be symmetric")
-        off = d[~np.eye(n, dtype=bool)]
-        if off.size and (off <= 0).any():
+        if np.count_nonzero(d <= 0) > n:  # the n zeros of the diagonal, and more
             raise InvalidInputError("dist(x,y) must be positive for x != y")
 
     @cached_property
@@ -169,9 +168,10 @@ def _integer_line_space(
     callers have diameter at most 1, far inside ``TRIANGLE_TOL``.
     """
     ts = np.asarray(list(offsets), dtype=float)
-    return FiniteMetricSpace._exact(
-        tuple(names), np.abs(ts[:, None] - ts[None, :]) * scale, resolution_floor
-    )
+    dist = np.subtract.outer(ts, ts)  # in place from here: one n x n array
+    np.abs(dist, out=dist)
+    dist *= scale
+    return FiniteMetricSpace._exact(tuple(names), dist, resolution_floor)
 
 
 def unique_sorted(a: np.ndarray) -> np.ndarray:
@@ -242,6 +242,22 @@ class PerfectnessCertificate(NamedTuple):
     checked_eps: int = 0
 
 
+#: Rows the perfectness scan takes at once: a few n-long arrays per row.
+_BLOCK_ROWS = 64
+
+
+def _realized_distances(d: np.ndarray, floor: float, eps0: float) -> np.ndarray:
+    """The distinct d(x, y), x < y, within [floor, eps0], sorted.  Each block
+    of rows gives its own distinct values first, so no array of all n^2 / 2
+    pairs is ever formed."""
+    n = len(d)
+    found = []
+    for lo in range(0, n, _BLOCK_ROWS):
+        sub = d[lo : lo + _BLOCK_ROWS, lo + 1 :]  # x = lo + i meets y = x + 1 at sub[i, i]
+        found.append(unique_sorted(sub[np.triu((sub >= floor) & (sub <= eps0))]))
+    return unique_sorted(np.concatenate(found))
+
+
 def _perfectness_scan(
     space: FiniteMetricSpace, constant: float, form: str, eps0: float, floor: float,
     grid: Iterable[float],
@@ -250,12 +266,23 @@ def _perfectness_scan(
     its radius (one-point form) or its diameter (two-point form), for every
     checked eps and every point x.
 
-    Points at distance exactly eps are all in the closed ball, so it is the
-    first c = #B(x, eps) points of x's stable sort order, and x comes first.
+    The scan works on the gaps of each point's sorted row, not on the scales.
+    Points at distance exactly eps are all in the closed ball, so every eps in
+    [row[i], row[i + 1]) sees the same ball, the first i + 1 points of x's
+    sort order, of radius row[i] (the last gap runs to infinity; a gap inside
+    a run of equal values is empty).  IEEE division by a positive constant is
+    monotone, so ``eps_list / constant`` is non-decreasing and the scales of
+    the gap that fail, those with not row[i] > eps / constant, form a suffix
+    of it, non-empty exactly when the gap's last scale fails.  So one
+    ``searchsorted`` per row value finds where each gap starts, one gather
+    tests its last scale, and one more ``searchsorted`` finds where the first
+    non-empty suffix starts: the row's first failing scale.  These are the
+    very floats a per-scale test of the ball's radius compares.
     The diameter is at least the radius (column 0 of ``_ball_diameters``'s
-    submatrix holds the very floats of x's row), so the two-point form measures
-    diameters only at the scales the radius leaves undecided, and only up to
-    the largest such ball.
+    submatrix holds the very floats of x's row), so its failing suffix lies
+    inside the radius's.  The two-point form therefore measures diameters only
+    for rows whose radius fails below the current limit, and only up to the
+    largest ball whose suffix is open there, then runs the same suffix test.
     The witness is the failure at the smallest eps, and among those the one at
     the lowest point index.
     """
@@ -264,22 +291,42 @@ def _perfectness_scan(
     grid = np.asarray([float(e) for e in grid], dtype=float)
     if not ((grid >= floor) & (grid <= eps0)).all():
         raise InvalidInputError("grid values must lie within [resolution_floor, eps0]")
-    upper = space.dist[np.triu_indices(len(space.points), k=1)]
-    realized = upper[(upper >= floor) & (upper <= eps0)]
-    eps_list = unique_sorted(np.concatenate([grid, realized, [floor, eps0]]))
-    order = np.argsort(space.dist, axis=1, kind="stable")
-    rows = np.take_along_axis(space.dist, order, axis=1)
+    d, n = space.dist, len(space.points)
+    eps_list = unique_sorted(
+        np.concatenate([grid, _realized_distances(d, floor, eps0), [floor, eps0]])
+    )
+    shrunk = eps_list / constant
     limit, witness = len(eps_list), None
-    for x, row in enumerate(rows):
-        eps = eps_list[:limit]  # a later point's failure counts only at an earlier scale
-        last = np.searchsorted(row, eps, side="right") - 1  # the ball is row[:last + 1]
-        bad = np.flatnonzero(~(row[last] > eps / constant))
-        if bad.size and form == "two-point":
-            diam = _ball_diameters(space.dist, order[x, : last[bad].max() + 1])
-            bad = bad[~(diam[last[bad]] > eps[bad] / constant)]
-        if bad.size:
-            limit = int(bad[0])
-            witness = (space.points[x], float(eps[limit]))
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = np.sort(d[lo : lo + _BLOCK_ROWS], axis=1)
+        # gap i holds the scales lower[i] <= j < stop[i]; its suffix is
+        # non-empty iff the gap's last scale fails
+        lower = np.searchsorted(eps_list, rows)
+        stop = np.empty_like(lower)
+        stop[:, :-1] = lower[:, 1:]
+        stop[:, -1] = len(eps_list)
+        open_ = (lower < stop) & ~(rows > shrunk[stop - 1])
+        gap = open_.argmax(axis=1)  # each row's first open gap, if any
+        at = np.arange(len(rows)), gap
+        first = np.maximum(lower[at], np.searchsorted(shrunk, rows[at]))
+        first[~open_[at]] = len(eps_list)
+        for b in np.flatnonzero(first < limit):  # the limit only falls
+            if not first[b] < limit:
+                continue
+            fail = int(first[b])
+            if form == "two-point":
+                # the gaps whose suffix starts below the limit
+                gaps = np.flatnonzero(
+                    open_[b] & (lower[b] < limit) & ~(rows[b] > shrunk[limit - 1])
+                )
+                ids = np.argsort(d[lo + b], kind="stable")[: gaps[-1] + 1]
+                diam = _ball_diameters(d, ids)
+                start = np.maximum(lower[b, gaps], np.searchsorted(shrunk, diam[gaps]))
+                fail = int(np.where(start < stop[b, gaps], start, limit).min())
+                if not fail < limit:
+                    continue
+            limit = fail  # a later point's failure counts only at an earlier scale
+            witness = (space.points[lo + b], float(eps_list[limit]))
     return PerfectnessCertificate(
         constant, form, eps0, floor, witness is None, witness, len(eps_list)
     )
@@ -302,7 +349,7 @@ def uniformly_perfect_check(
 
 def _ball_diameters(d: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """[k] = the largest distance among the points ids[:k + 1]."""
-    return np.maximum.accumulate(np.tril(d[ids][:, ids]).max(axis=1))
+    return np.maximum.accumulate(np.tril(d[np.ix_(ids, ids)]).max(axis=1))
 
 
 def two_point_perfectness_check(

@@ -197,6 +197,35 @@ def oracle_greedy_separated(points, dist, r):
     return tuple(points[i] for i in kept)
 
 
+def oracle_perfectness(points, dist, constant, form, eps0, floor, grid=()):
+    """(holds, witness, checked_eps) of a perfectness check, scale by scale.
+
+    The checked scales are floor, eps0, the grid and every d(x, y), x != y,
+    within [floor, eps0].  For each in increasing order and each point x in
+    index order, the closed ball B(x, eps) is listed; the one-point form asks
+    for a ball point beyond eps / constant (its radius above it), the
+    two-point form for two ball points more than eps / constant apart (its
+    diameter above it).  The first (point, eps) where that fails is the
+    witness."""
+    d = [[float(v) for v in row] for row in dist]
+    n = len(d)
+    scales = sorted(
+        {d[x][y] for x in range(n) for y in range(n) if x != y and floor <= d[x][y] <= eps0}
+        | {float(floor), float(eps0)}
+        | {float(e) for e in grid}
+    )
+    for eps in scales:
+        for x in range(n):
+            ball = [y for y in range(n) if d[x][y] <= eps]
+            if form == "one-point":
+                reaches = any(d[x][y] > eps / constant for y in ball)
+            else:
+                reaches = any(d[a][b] > eps / constant for a in ball for b in ball)
+            if not reaches:
+                return False, (points[x], eps), len(scales)
+    return True, None, len(scales)
+
+
 def oracle_net_edges(points, dist, eps):
     """Edges of the eps-net: pairs of greedy eps-separated points at distance
     <= 2*eps, one pair at a time."""

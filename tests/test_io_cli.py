@@ -806,6 +806,57 @@ def test_cli_approx_rejects_s_below_one(workdir, capsys, s):
     assert "s >= 1" in capsys.readouterr().err
 
 
+# each input with the exit code and message of the s = 1 build, which checks
+# its parameters before the coarsened one is built
+@pytest.mark.parametrize("args, message", [
+    (["--in", "cantor:5", "--r", "0.3", "--k-max", "4"],
+     "the parameter must satisfy 0 < r <= 1/6"),
+    (["--in", "cantor:5", "--r", "0", "--k-max", "4"], "the parameter must satisfy 0 < r <= 1/6"),
+    (["--in", "cantor:5", "--r", "1e-200", "--k-max", "4"],
+     "level 4: the radius 2*r^k is not a finite positive float"),
+    (["--in", "cantor:5", "--r", "0.1", "--k-max", "1000"],
+     "level 1000: the radius 2*r^k is not a finite positive float"),
+    (["--in", "cantor:5", "--r", "0.1", "--k-max", "4", "--k0", "-400"],
+     "level -400: the radius 2*r^k is not a finite positive float"),
+    (["--in", "cantor:5", "--r", "0.1", "--k-max", "-1"], "need k_max >= k0 = 0"),
+    (["--in", "cantor:5", "--r", "0.1", "--k-max", "4", "--k0", "1"],
+     "k0=1 does not dominate the diameter"),
+    (["--in", "one.json", "--r", "0.1", "--k-max", "4"],
+     "degenerate (singleton) space has no natural base level; pass k0 explicitly"),
+    (["--in", "one.json", "--r", "0.1", "--k-max", "4", "--k0", "5"], "need k_max >= k0 = 5"),
+])
+def test_cli_approx_coarsened_rejects_with_the_unit_build_message(
+    workdir, capsys, monkeypatch, args, message
+):
+    from cheegerlab import approximation
+
+    io.save_metric(workdir / "one.json", cl.FiniteMetricSpace(("o",), np.zeros((1, 1))))
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(approximation, "build_truncated", None)  # never reached
+    code, blob = run_cli(["approx", *args, "--s", "2"], workdir)
+    assert (code, blob) == (2, b"")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_approx_coarsened_builds_once(workdir, monkeypatch):
+    from cheegerlab import approximation
+
+    calls = []
+    build = approximation.build_truncated
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(approximation, "build_truncated", counting)
+    argv = ["approx", "--in", "cantor:7", "--r", str(1 / 9), "--k-max", "5", "--s", "2"]
+    code, blob = run_cli(argv, workdir)
+    assert code == 0
+    assert calls == [((1 / 9) ** 2, 2)]
+    lg = cl.relevel(build(cl.cantor_sample(7), 1 / 9, 5), 2)
+    assert json.loads(blob)["results"]["vertices"] == len(lg.graph.vertices)
+
+
 def test_cli_decomp_matches_library(workdir):
     code, blob = run_cli(["decomp", "--spec", str(workdir / "graft.json")], workdir)
     assert code == 0
