@@ -429,38 +429,27 @@ def _check_max_size(max_size: int, n: int) -> None:
         )
 
 
-def _connected_bitsets(adj: list[int], carry: list[int], max_size: int):
-    """Yield ``(set, acc)`` once for each connected set of at most ``max_size``
-    vertices; vertex i is bit i, ``adj[i]`` its neighbours, ``acc`` the OR of
-    ``carry`` over the set.  Exclusive-neighbourhood extension (ESU; Wernicke,
-    IEEE/ACM TCBB 2006) on an explicit stack, twice as fast as recursion.
-
-    An int L sent back is a limit: each set reached after it whose ``acc`` has
-    more than L bits is neither yielded nor grown.  Every set grown from a set
-    holds it, so its ``acc`` holds the smaller ``acc`` too, and the sets left
-    out are exactly the unlimited enumeration's sets over L.  A plain ``for``
-    loop sends None and gets every connected set, in the same order."""
-    limit = reduce(or_, carry, 0).bit_length()  # no acc has more bits
+def _connected_bitsets(adj: list[int], max_size: int):
+    """Yield each connected set of at most ``max_size`` vertices once, as a bit
+    set: vertex i is bit i and ``adj[i]`` its neighbours.  Exclusive-
+    neighbourhood extension (ESU; Wernicke, IEEE/ACM TCBB 2006) on an explicit
+    stack, twice as fast as recursion: each set grows only by vertices above
+    its lowest one that no earlier member neighbours."""
     for v in range(len(adj)):
         above = -(2 << v)  # every bit position greater than v
-        stack = [(0, 0, 1 << v, 0, 0)]  # (set, its neighbours, extension, acc, size)
+        stack = [(0, 0, 1 << v, 0)]  # (set, its neighbours, extension, size)
         while stack:
-            sub, nbrs, ext, acc, size = stack.pop()
+            sub, nbrs, ext, size = stack.pop()
             low = ext & -ext
             ext ^= low
             if ext:
-                stack.append((sub, nbrs, ext, acc, size))
+                stack.append((sub, nbrs, ext, size))
             w = low.bit_length() - 1
             sub |= low
-            acc |= carry[w]
-            if acc.bit_count() > limit:
-                continue
-            sent = yield sub, acc
-            if sent is not None:
-                limit = sent
+            yield sub
             grown = ext | (adj[w] & above & ~nbrs)
             if size + 1 < max_size and grown:
-                stack.append((sub, nbrs | adj[w], grown, acc, size + 1))
+                stack.append((sub, nbrs | adj[w], grown, size + 1))
 
 
 def _lex_less(x: int, y: int) -> bool:
@@ -468,6 +457,64 @@ def _lex_less(x: int, y: int) -> bool:
     lowest differing bit j, the set holding j is first unless the other stops below j."""
     j = (x ^ y) & -(x ^ y)
     return bool(x & j and y >= j << 1 or y & j and x < j)
+
+
+def _window_scan(square: list[int], closed: list[int], max_size: int):
+    """The scan below full cap: ``(b, s, lex_min, least, tied, judged)`` for
+    b/s the least ratio |N[S]|/|S| - 1 over the sets S of at most ``max_size``
+    vertices connected in ``square`` (G^2; vertex i is bit i), with N[S] the OR
+    of ``closed`` over S; ``lex_min`` its lex-smallest minimizer, ``least``
+    the least size of one, ``tied`` the ``(set, N[set], size)`` of every
+    minimizer below the cap, and ``judged`` how many sets came within the
+    limit thr[m].  The enumeration is :func:`_connected_bitsets`'s, except that each
+    popped set builds all its children at once and judges each as it is built.
+    """
+    m = max_size
+    # thr[k]: the largest |N[S]| with which a k-set ties or beats the best so
+    # far; before the first set, every N[S] fits
+    thr = [reduce(or_, closed, 0).bit_count()] * (m + 1)
+    limit = thr[m]
+    best_b, best_s, lex_min, least, tied, judged = 1, 0, 0, 0, [], 0
+    for v in range(len(square)):
+        above = -(2 << v)  # every bit position greater than v
+        stack = [(0, 0, 1 << v, 0, 0)]  # (set, its neighbours, extension, N[set], size)
+        # not ``while stack``: CPython 3.11 specializes a function's bytecode
+        # only after eight calls or unconditional backward jumps, and a
+        # conditional loop ends in a conditional one, so the one call a CLI
+        # process makes would run its costly first roots unspecialized
+        while True:
+            if not stack:
+                break
+            sub, nbrs, ext, acc, size = stack.pop()
+            size += 1  # each child's size
+            cut, grow, rest = thr[size], size < m, 0
+            while ext:  # highest bit first, so the lowest child is popped first
+                w = ext.bit_length() - 1
+                low = 1 << w
+                ext ^= low
+                grown = acc | closed[w]
+                c = grown.bit_count()
+                if c <= limit:
+                    judged += 1
+                    child = sub | low
+                    if c <= cut:
+                        b = c - size
+                        if b * best_s < best_b * size:
+                            best_b, best_s, lex_min, least, tied = b, size, child, size, []
+                            thr = [(b + size) * k // size for k in range(m + 1)]
+                            cut, limit = thr[size], thr[m]
+                        elif _lex_less(child, lex_min):
+                            lex_min = child
+                        if size < least:
+                            least = size
+                        if grow:
+                            tied.append((child, grown, size))
+                    if grow:
+                        x = rest | (square[w] & above & ~nbrs)
+                        if x:
+                            stack.append((child, nbrs | square[w], x, grown, size))
+                rest |= low
+    return best_b, best_s, lex_min, least, tied, judged
 
 
 def interior_cheeger_bruteforce(
@@ -507,15 +554,20 @@ def interior_cheeger_bruteforce(
     mediant of theirs, and the minimizers are the unions of far-apart
     G^2-connected ones.
 
-    The scan is a branch and bound on the closed neighbourhood N[S] = S + dS,
-    whose size the enumerator already holds as the bit count of ``acc``.  Let
-    m = ``max_size`` and b/s the best ratio so far.  Every set S' of at most m
-    vertices with |N[S']| > L = floor(m(b + s)/s) has ratio
+    The scan (:func:`_window_scan`) is a branch and bound on the closed
+    neighbourhood N[S] = S + dS, carried as a bit set along the enumeration.
+    Let m = ``max_size`` and b/s the best ratio so far, and keep the table
+    thr[k] = floor((b + s)k/s) for k <= m.  A k-set S ties or beats the best
+    exactly when |N[S]|/k - 1 <= b/s, that is |N[S]| <= (b + s)k/s, that is
+    |N[S]| <= thr[k] (|N[S]| is an integer), so each set is judged by one
+    comparison as it is built.  A set S' with |N[S']| > thr[m] has ratio
     |N[S']|/|S'| - 1 >= |N[S']|/m - 1 > b/s, so it can neither beat nor tie the
-    best, and nor can any set grown from it, as N[S'] only grows.  The oracle
-    sends L to the enumerator each time the best ratio falls.  Ties are never
-    lost: a minimizer M of ratio r <= b/s has |N[M]| = |M|(1 + r) <= m(1 + b/s),
-    so |N[M]| <= L, and the sets M grows from have smaller N[.].
+    best, and nor can any set grown from it, as N[S'] only grows; it is
+    dropped and not grown.  The table is rebuilt each time the best ratio
+    falls, and its entries only fall.  Ties are never lost: a minimizer M of
+    ratio r <= b/s has |N[M]| = |M|(1 + r) <= thr[|M|] <= thr[m] at every
+    moment of the scan, and the sets M grows from have smaller N[.], so none
+    of them is dropped either.
     """
     adm = sorted(admissible_vertices(g))
     if not adm:
@@ -549,29 +601,9 @@ def interior_cheeger_bruteforce(
         for i, v in enumerate(adm)
     ]
 
-    # ratio best_b/best_s (first above all), its lex-smallest minimizer, the least
-    # size of one, and the minimizers below the cap; ``limit`` is the closed-
-    # neighbourhood size past which a set loses to the best, sent when it falls
-    best_b, best_s, lex_min, least, tied = 1, 0, 0, 0, []
-    sets = _connected_bitsets(square, [closed[v] for v in adm], max_size)
-    limit = None
-    while True:
-        try:
-            sub, acc = sets.send(limit)
-        except StopIteration:
-            break
-        s = sub.bit_count()
-        b, limit = acc.bit_count() - s, None
-        if b * best_s < best_b * s:
-            best_b, best_s, lex_min, least, tied = b, s, sub, s, []
-            limit = max_size * (b + s) // s
-        elif b * best_s > best_b * s:
-            continue
-        elif _lex_less(sub, lex_min):
-            lex_min = sub
-        least = min(least, s)
-        if s < max_size:
-            tied.append((sub, acc, s))
+    best_b, best_s, lex_min, least, tied, _ = _window_scan(
+        square, [closed[v] for v in adm], max_size
+    )
 
     # Unions of pairwise distance->=3 minimizers, parts in lex order.  Extensions
     # add only bits above the last part's lowest, so a union that differs from

@@ -348,8 +348,15 @@ def uniformly_perfect_check(
 
 
 def _ball_diameters(d: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """[k] = the largest distance among the points ids[:k + 1]."""
-    return np.maximum.accumulate(np.tril(d[np.ix_(ids, ids)]).max(axis=1))
+    """[k] = the largest distance among the points ids[:k + 1].  Row k's
+    largest distance to ids[:k + 1] is taken block by block, ``_BLOCK_ROWS``
+    rows at a time, so no m x m submatrix is formed."""
+    row_max = np.empty(len(ids))
+    for lo in range(0, len(ids), _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        # row lo + i keeps the columns up to lo + i; distances are >= 0
+        row_max[lo:hi] = np.tril(d[np.ix_(ids[lo:hi], ids[:hi])], lo).max(axis=1)
+    return np.maximum.accumulate(row_max)
 
 
 def two_point_perfectness_check(

@@ -444,8 +444,7 @@ def _connected_sets(g: Graph, allowed: list[str], max_size: int, budget: int):
     tuples of names in ``allowed`` order."""
     rank = {v: i for i, v in enumerate(allowed)}
     adj = [sum(1 << rank[u] for u in g.adjacency[v] if u in rank) for v in allowed]
-    sets = _connected_bitsets(adj, [0] * len(allowed), max_size)
-    for produced, (sub, _) in enumerate(sets, 1):
+    for produced, sub in enumerate(_connected_bitsets(adj, max_size), 1):
         if produced > budget:
             raise BudgetExceededError(produced, budget, "connected sets", option="budget=")
         yield tuple(v for i, v in enumerate(allowed) if sub >> i & 1)

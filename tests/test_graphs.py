@@ -1,7 +1,6 @@
 """Graph core: boundaries, ratios, the brute-force oracle, discrete calculus,
 certificates and the quasi-isometry checker."""
 
-import contextlib
 import os
 import subprocess
 import sys
@@ -410,64 +409,69 @@ def test_interior_union_search_with_many_far_apart_ties():
 
 
 ENUMERATE = graphs._connected_bitsets
+SCAN = graphs._window_scan
 
 
 @pytest.fixture
-def oracle_counts(monkeypatch):
-    """Count the sets the window oracle draws from the subset enumerator and
-    the limits it sends back; keep the enumerator's arguments."""
-    counts = {"drawn": 0, "limits": 0, "args": None}
+def scan_counts(monkeypatch):
+    """Count the window oracle's scans and the sets they judged; keep the
+    last scan's arguments."""
+    counts = {"scans": 0, "judged": 0, "args": None}
 
     def counting(*args):
+        result = SCAN(*args)
+        counts["scans"] += 1
+        counts["judged"] += result[-1]
         counts["args"] = args
-        inner = ENUMERATE(*args)
-        limit = None
-        while True:
-            try:
-                item = inner.send(limit)
-            except StopIteration:
-                return
-            counts["drawn"] += 1
-            limit = yield item
-            counts["limits"] += limit is not None
+        return result
 
-    monkeypatch.setattr(graphs, "_connected_bitsets", counting)
+    monkeypatch.setattr(graphs, "_window_scan", counting)
     return counts
 
 
-def unlimited_count(counts):
-    """Number of sets the enumerator yields on the oracle's arguments when no
-    limit is sent."""
-    return sum(1 for _ in ENUMERATE(*counts["args"]))
+def plain_count(counts):
+    """Number of sets the plain enumerator yields on the scan's G^2 and cap:
+    every set the scan would judge with no limit."""
+    square, _, max_size = counts["args"]
+    return sum(1 for _ in ENUMERATE(square, max_size))
 
 
 @st.composite
 def enumerator_inputs(draw):
-    """A graph on up to 9 vertices as neighbour bitmasks, per-vertex carries
-    over 3 more bits, a size cap and a limit."""
+    """A graph on up to 9 vertices as neighbour bitmasks, and a size cap."""
     n = draw(st.integers(1, 9))
     adj = [0] * n
     for i, j in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
         if i != j:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-    carry = draw(st.lists(st.integers(0, 2 ** (n + 3) - 1), min_size=n, max_size=n))
-    return adj, carry, draw(st.integers(1, n)), draw(st.integers(0, n + 3))
+    return adj, draw(st.integers(1, n))
+
+
+def is_connected_bits(adj, verts):
+    """Whether the vertices ``verts`` induce a connected subgraph of ``adj``."""
+    seen, todo = {verts[0]}, [verts[0]]
+    while todo:
+        u = todo.pop()
+        for w in verts:
+            if adj[u] >> w & 1 and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == len(verts)
 
 
 @given(enumerator_inputs())
 @settings(max_examples=200, deadline=None)
-def test_enumerator_limit_drops_exactly_the_sets_over_it(inputs):
-    adj, carry, max_size, limit = inputs
-    unlimited = list(ENUMERATE(adj, carry, max_size))
-    sets = ENUMERATE(adj, carry, max_size)
-    drawn = [next(sets)]
-    with contextlib.suppress(StopIteration):
-        drawn.append(sets.send(limit))
-        drawn.extend(sets)  # a for loop sends None, which keeps the limit
-    # the first set is drawn before the limit is sent
-    assert drawn == unlimited[:1] + [(sub, acc) for sub, acc in unlimited[1:]
-                                     if acc.bit_count() <= limit]
+def test_enumerator_yields_exactly_the_connected_sets_up_to_the_cap(inputs):
+    adj, max_size = inputs
+    sets = list(ENUMERATE(adj, max_size))
+    expected = {
+        sum(1 << i for i in verts)
+        for k in range(1, max_size + 1)
+        for verts in combinations(range(len(adj)), k)
+        if is_connected_bits(adj, verts)
+    }
+    assert len(sets) == len(set(sets)) and set(sets) == expected
 
 
 PRUNED_WINDOWS = {
@@ -480,13 +484,13 @@ PRUNED_WINDOWS = {
 @pytest.mark.parametrize(
     "name, cap", [*(("grid8", cap) for cap in range(2, 7)), ("grid9", 4), ("grid9", 5), ("T3d6", 5)]
 )
-def test_pruned_oracle_matches_literal_oracle(oracle_counts, name, cap):
+def test_pruned_oracle_matches_literal_oracle(scan_counts, name, cap):
     g = PRUNED_WINDOWS[name]()
     bound = cl.interior_cheeger_bruteforce(g, cap)
     adm = cl.admissible_vertices(g)
     expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, cap)
     assert (bound.upper.value, bound.upper.witness["set"]) == expected
-    assert oracle_counts["drawn"] < unlimited_count(oracle_counts)
+    assert scan_counts["judged"] < plain_count(scan_counts)
 
 
 def random_window(seed):
@@ -522,12 +526,12 @@ def test_pruned_oracle_on_random_windows_below_the_admissible_count(seed, cap_se
 
 
 @pytest.mark.parametrize("seed, cap", [(1, 4), (128, 3), (282, 4)])
-def test_pruned_oracle_keeps_union_witnesses(oracle_counts, seed, cap):
+def test_pruned_oracle_keeps_union_witnesses(scan_counts, seed, cap):
     g = random_window(seed)
     adm = cl.admissible_vertices(g)
     bound = cl.interior_cheeger_bruteforce(g, cap)
     witness = set(bound.upper.witness["set"])
-    assert oracle_counts["drawn"] < unlimited_count(oracle_counts)
+    assert scan_counts["judged"] < plain_count(scan_counts)
     assert sum(1 for part in g.components() if part & witness) > 1
     expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, cap)
     assert (bound.upper.value, bound.upper.witness["set"]) == expected
@@ -545,11 +549,10 @@ def test_pruned_oracle_keeps_ties_at_the_cap():
     )
 
 
-def test_oracle_work_on_grid9_at_cap9(oracle_counts):
-    # with no limit the enumerator yields all 1,899,059 sets connected in G^2
+def test_oracle_work_on_grid9_at_cap9(scan_counts):
+    # with no limit the scan would judge all 1,899,059 sets connected in G^2
     bound = cl.interior_cheeger_bruteforce(cl.grid_window(9, 9), 9)
-    assert oracle_counts["drawn"] <= 60_000
-    assert oracle_counts["limits"] == 11  # one per fall of the best ratio, not one per set
+    assert scan_counts["scans"] == 1 and scan_counts["judged"] <= 60_000
     assert bound.upper.value == Fraction(11, 9)
     assert bound.upper.witness["set"] == (
         "g2.2", "g2.3", "g2.4", "g3.2", "g3.3", "g3.4", "g3.5", "g4.3", "g4.4"
@@ -623,11 +626,15 @@ def test_every_minimizer_lies_inside_the_maximal_one(g):
     assert all(a <= maximal for a in minimizers)
 
 
-def test_full_cap_draws_no_set_from_the_enumerator(oracle_counts):
+def test_full_cap_draws_no_set_from_the_enumerator(scan_counts, monkeypatch):
+    def enumerate_nothing(*args):
+        raise AssertionError("the full cap enumerated sets")
+
+    monkeypatch.setattr(graphs, "_connected_bitsets", enumerate_nothing)
     g = cl.grid_window(8, 8)
     bound = cl.interior_cheeger_bruteforce(g, 16)
     assert bound.upper.value == 1
-    assert oracle_counts["drawn"] == 0 and oracle_counts["args"] is None
+    assert scan_counts["scans"] == 0 and scan_counts["args"] is None
 
 
 @pytest.mark.parametrize("depth, m", [(4, 10), (5, 22)])

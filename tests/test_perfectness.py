@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cheegerlab as cl
-from cheegerlab import FiniteMetricSpace
+from cheegerlab import FiniteMetricSpace, metric
 
 from conftest import oracle_perfectness
 
@@ -178,3 +178,37 @@ def test_the_scan_keeps_no_square_array():
     finally:
         tracemalloc.stop()
     assert peak < space.dist.nbytes
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 130, 200])
+def test_ball_diameters_match_the_whole_submatrix(m):
+    # the blocked running maximum gives the floats of the m x m formula
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(200, 3))
+    d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))
+    for ids in (np.arange(m), rng.permutation(200)[:m]):
+        whole = np.maximum.accumulate(np.tril(d[np.ix_(ids, ids)]).max(axis=1))
+        assert np.array_equal(metric._ball_diameters(d, ids), whole)
+
+
+def test_a_failing_two_point_check_keeps_no_square_ball():
+    # the failing row's ball holds 512 points: its 512 x 512 submatrix and a
+    # tril copy of it alone would take 4 MiB
+    space = cl.cantor_sample(10)
+    calls = []
+    measure = metric._ball_diameters
+
+    def counting(d, ids):
+        calls.append(len(ids))
+        return measure(d, ids)
+
+    tracemalloc.start()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric, "_ball_diameters", counting)
+            cert = cl.two_point_perfectness_check(space, 1.5, 1.0, space.resolution_floor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not cert.holds and calls == [512]
+    assert peak < space.dist.nbytes / 2
