@@ -37,12 +37,15 @@ def main():
     show("even-depth-branching tree", cl.tree_cheeger_bounds(cl.even_branching_tree(8)))
 
     # A single live chain never doubles: the analysis refuses to emit a
-    # positive bound and instead exhibits window sets with ratio 2/K.
+    # positive bound and instead exhibits the defect chain.  Its first k
+    # vertices form a window set with |dA| = 2, so ratio 2/k.
     chain = cl.growing_chain(10)
     analysis = cl.tree_cheeger_bounds(chain)
     show("single live chain", analysis)
-    print("   defect family ratios:",
-          ", ".join(str(w.ratio) for w in analysis.pseudo.family[:6]), "...")
+    defect = analysis.pseudo.chain
+    ratios = [cl.cheeger_ratio(chain.graph, set(defect[:k])) for k in range(1, len(defect))]
+    assert ratios == [Fraction(2, k) for k in range(1, len(defect))]
+    print("   defect family ratios:", ", ".join(map(str, ratios[:6])), "...")
 
     # The depth function also certifies the 3-regular tree from first
     # principles: gradient 1, interior Laplacian at least 1/3, degree 3.

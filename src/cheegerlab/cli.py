@@ -218,20 +218,13 @@ def _cmd_tree(args) -> tuple[dict, int]:
         {"tree": _input_record(args.infile)},
         {"max_size": args.max_size, "budget": args.budget},
     )
-    results = {
+    report["results"] = {
         "K": analysis.k,
         "C": analysis.c,
         "complete_subtree_size": len(analysis.t_infty),
         "bound": _bound_payload(analysis.bounds),
         "sandwich_lower": str(analysis.sandwich_lower) if analysis.sandwich_lower else None,
     }
-    if analysis.pseudo and analysis.pseudo.k is None:
-        results["defect_vertex"] = analysis.pseudo.defect_vertex
-        results["defect_family"] = [
-            {"K": w.k, "ratio": str(w.ratio), "set": list(w.vertices)}
-            for w in analysis.pseudo.family
-        ]
-    report["results"] = results
     report["disclosures"] = {"horizon": analysis.horizon}
     return report, EXIT_OK
 

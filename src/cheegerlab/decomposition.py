@@ -409,6 +409,17 @@ def decomposition_bound(spec: DecompositionSpec, report: ValidationReport) -> Ch
 # ---------------------------------------------------------------------------
 
 
+#: ``graft`` refuses a result with more vertices plus edges than this, before
+#: it builds any copy: the count is a product of two inputs.  Measured with
+#: the CLI on 2 vCPUs (Python 3.11): ``graft`` of grid_window(30, 30) and
+#: homogeneous_tree(3, 5) (84,600 vertices, 85,440 edges) takes 0.7 s and
+#: peaks at 95 MB RSS; with homogeneous_tree(3, 6) (171,000 and 171,840) it
+#: takes 1.5 s and 160 MB, or 3.1 s and 180 MB with ``--out`` and
+#: ``--decomposition``.  That is about 0.4 KB per vertex or edge, so the cap
+#: holds a graft near 250 MB.
+MAX_GRAFT_ELEMENTS = 2**19
+
+
 class GraftResult(Frozen):
     graph: Graph
     pieces: dict[str, frozenset[str]]  # "base" plus one copy piece per base vertex
@@ -436,8 +447,14 @@ def graft(base: Graph, attachment: Graph, port: str) -> GraftResult:
     sorting: two non-port names share the prefix ``w/`` and compare as the
     attachment vertices do, and the port's name ``w`` is a prefix of every
     other name in its copy, so an edge at the port only has to put the port
-    first.
+    first.  A result past :data:`MAX_GRAFT_ELEMENTS` is refused up front.
     """
+    n = len(base.vertices)
+    size = n * len(attachment.vertices) + len(base.edges) + n * len(attachment.edges)
+    if size > MAX_GRAFT_ELEMENTS:
+        raise BudgetExceededError(
+            size, MAX_GRAFT_ELEMENTS, "graft vertices and edges", option=None
+        )
     if port not in attachment.index:
         raise InvalidInputError(f"port {port!r} is not an attachment vertex")
     if port in attachment.frontier:

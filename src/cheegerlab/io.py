@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -136,8 +138,22 @@ def fraction_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
 def parse_fraction(text: str | int) -> Fraction:
+    """The rational a numeral or fraction string names.
+
+    ``Fraction`` builds 10**|e| for a decimal exponent e, in time that grows
+    faster than |e|, so an exponent whose magnitude exceeds Python's int-digit
+    limit is refused, as a numeral with that many digits already is (no check
+    when the limit is off).
+    """
     try:
+        exponent = _EXPONENT.search(text) if isinstance(text, str) else None
+        limit = sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"decimal exponent beyond the {limit}-digit limit")
         return Fraction(text)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"bad rational {text!r}: {exc}") from None

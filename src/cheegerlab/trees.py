@@ -202,20 +202,10 @@ def maximal_complete_subtree(t: RootedTree) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 
 
-class ChainWitness(NamedTuple):
-    """A window set along a single-descendant chain with |dA| = 2, |A| = K."""
-
-    k: int
-    vertices: tuple[str, ...]
-    ratio: Fraction
-
-
 class PseudoRegularityResult(NamedTuple):
     k: int | None  # minimal K within the horizon, or None on defect
     horizon: int
-    defect_vertex: str | None = None
-    defect_run: int = 0
-    family: tuple[ChainWitness, ...] = ()
+    chain: tuple[str, ...] = ()  # on a defect: the defect vertex, then its single-child chain
 
 
 def _single_child_runs(t: RootedTree, members: Container[str]) -> dict[str, int]:
@@ -254,6 +244,14 @@ def pseudo_regularity_index(t: RootedTree) -> PseudoRegularityResult:
     j < run(a) and at least two from j = run(a) on, unless the run ends at a
     horizon leaf; then run(a) = horizon - depth(a) + 1 exceeds every k
     testable at a.  So the condition holds at a exactly when run(a) <= K.
+
+    On a defect, ``chain`` is the longest single-child chain off a non-root
+    vertex of T_inf (ties to the shallower, then the smaller name): chain[0]
+    is the defect vertex, every later vertex is the only child of the one
+    before, and the run is len(chain) - 1.  It states the 2/K family by a
+    rule: for k = 1 .. len(chain) - 1 the prefix A = chain[:k] has
+    |dA| = 2 and ratio 2/k, since its boundary is the defect vertex's parent
+    plus chain[k].
     """
     tinf = maximal_complete_subtree(t)
     if not tinf:
@@ -270,11 +268,7 @@ def pseudo_regularity_index(t: RootedTree) -> PseudoRegularityResult:
     # the live ray to a horizon leaf puts a non-root vertex in tinf (horizon >= 1)
     runs = _single_child_runs(t, t.children)
     defect_vertex = min(tinf - {t.root}, key=lambda a: (-runs[a], depth[a], a))
-    chain = _single_child_chain(t, defect_vertex)
-    family = tuple(
-        ChainWitness(k, tuple(chain[:k]), Fraction(2, k)) for k in range(1, len(chain))
-    )
-    return PseudoRegularityResult(None, d, defect_vertex, len(chain) - 1, family)
+    return PseudoRegularityResult(None, d, tuple(_single_child_chain(t, defect_vertex)))
 
 
 class DeadComponent(NamedTuple):
@@ -367,9 +361,10 @@ def tree_cheeger_bounds(
     The lower endpoint comes from the (K, C) theorem when K exists within the
     horizon (flagged horizon-certified: the constants are verified on the
     prefix only); a pseudo-regularity defect pins the lower endpoint to 0 and
-    reports the 2/K witness family.  The upper endpoint is the window minimum
-    over admissible sets from :func:`~cheegerlab.graphs.window_bound`, capped
-    at ``max_size`` (largest size within the budget when omitted).
+    reports the defect chain, whose prefixes are the 2/K witness family.  The
+    upper endpoint is the window minimum over admissible sets from
+    :func:`~cheegerlab.graphs.window_bound`, capped at ``max_size`` (largest
+    size within the budget when omitted).
     """
     g = t.graph
     if not t.live:
@@ -402,10 +397,7 @@ def tree_cheeger_bounds(
         lower = BoundEndpoint(
             Fraction(0),
             "tree-theorem",
-            witness={
-                "defect_vertex": pseudo.defect_vertex,
-                "family_ratios": [str(w.ratio) for w in pseudo.family],
-            },
+            witness={"defect_chain": list(pseudo.chain)},
             horizon_certified=True,
         )
         sandwich = None

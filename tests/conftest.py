@@ -138,15 +138,15 @@ def oracle_random_branching(depth, seed, min_children=2, max_children=3):
 
 
 def oracle_pseudo_regularity(root, children, live):
-    """(K, horizon, defect vertex, defect run, family) of a rooted tree.
+    """(K, horizon, defect chain) of a rooted tree.
 
     T_inf is the union of the root paths of the live leaves.  K is the least
     k in [1, horizon] such that every T_inf vertex a at depth <= horizon - k
     has at least two T_inf vertices exactly k levels deeper whose root path
     passes through a.  Without such a k, the single-child chain is walked
     from every non-root T_inf vertex; the defect vertex has the longest,
-    ties going to the shallower and then the smaller name, and the family
-    lists its prefixes of 1..run vertices, each with ratio 2/length."""
+    ties going to the shallower and then the smaller name, and the defect
+    chain is that vertex's chain (empty when K exists)."""
     parent = {c: p for p, kids in children.items() for c in kids}
     paths = {}
     for v in children:
@@ -163,7 +163,7 @@ def oracle_pseudo_regularity(root, children, live):
             for a in tinf
             if depth[a] <= horizon - k
         ):
-            return k, horizon, None, 0, []
+            return k, horizon, ()
     chains = {}
     for a in tinf - {root}:
         chain = [a]
@@ -171,10 +171,7 @@ def oracle_pseudo_regularity(root, children, live):
             chain.append(children[chain[-1]][0])
         chains[a] = chain
     vertex = min(chains, key=lambda a: (-len(chains[a]), depth[a], a))
-    chain = chains[vertex]
-    run = len(chain) - 1
-    family = [(k, tuple(chain[:k]), Fraction(2, k)) for k in range(1, run + 1)]
-    return None, horizon, vertex, run, family
+    return None, horizon, tuple(chains[vertex])
 
 
 def oracle_triangle_worst(dist):

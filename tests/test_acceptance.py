@@ -121,13 +121,11 @@ def test_criterion_3_zero_detection():
         analysis = cl.tree_cheeger_bounds(t)
         assert analysis.k is None
         assert analysis.bounds.lower.value == 0  # no positive bound emitted
-        family = analysis.pseudo.family
-        assert [w.ratio for w in family] == [
-            Fraction(2, k) for k in range(1, len(family) + 1)
-        ]
+        chain = analysis.pseudo.chain
+        assert chain == tuple(f"g{i}" for i in range(1, depth + 1))
         g = t.graph
-        for w in family:
-            assert cl.cheeger_ratio(g, set(w.vertices)) == Fraction(2, w.k)
+        for k in range(1, len(chain)):
+            assert cl.cheeger_ratio(g, set(chain[:k])) == Fraction(2, k)
 
     windows = [cl.path_window(n) for n in range(9, 26, 2)]
     scan = cl.converse_scan(windows)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,33 @@ def test_graft_delta_monotone():
     d_base = cl.delta_four_point(base).delta
     d_graft = cl.delta_four_point(result.graph).delta
     assert d_graft >= d_base
+
+
+def test_graft_size_budget(monkeypatch):
+    base, att = cl.grid_window(3, 3), cl.homogeneous_tree(3, 2).graph
+    size = 9 * 10 + 12 + 9 * 9  # vertices, base edges, copy edges
+    result = cl.graft(base, att, "v").graph
+    assert len(result.vertices) + len(result.edges) == size
+    monkeypatch.setattr(cl.decomposition, "MAX_GRAFT_ELEMENTS", size)
+    cl.graft(base, att, "v")
+    monkeypatch.setattr(cl.decomposition, "MAX_GRAFT_ELEMENTS", size - 1)
+    with pytest.raises(cl.BudgetExceededError, match=f"{size} graft vertices and edges"):
+        cl.graft(base, att, "v")
+
+
+def test_graft_budget_is_checked_before_any_copy(monkeypatch):
+    # a lowered cap keeps the graft small should the check come too late:
+    # the 100 copies of a 94-vertex tree take about 4 MiB to build
+    base, att = cl.grid_window(10, 10), cl.homogeneous_tree(3, 4).graph
+    monkeypatch.setattr(cl.decomposition, "MAX_GRAFT_ELEMENTS", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(cl.BudgetExceededError):
+            cl.graft(base, att, "v")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_graft_rejects_frontier_port():

@@ -728,6 +728,37 @@ def test_cli_unreadable_or_mistyped_documents_exit_invalid(workdir, make_argv):
     assert cli_main(make_argv(workdir)) == 2
 
 
+@pytest.mark.parametrize("sign", ["", "+", "-"])
+def test_cli_decimal_exponent_past_the_digit_limit_exits_invalid(workdir, capsys, sign):
+    # Fraction would spend time superlinear in the exponent building 10**|e|
+    limit = sys.get_int_max_str_digits()
+    inside, past = f"1e{sign}{limit}", f"1e{sign}{limit + 1}"
+    assert io.parse_fraction(inside) == Fraction(10) ** (-limit if sign == "-" else limit)
+    p9 = str(workdir / "p9.json")
+    code, blob = run_cli(["scan", "--in", p9, "--lower", inside], workdir)
+    assert code == 0 and json.loads(blob)["results"]["lower_respected"] is (sign == "-")
+    for argv in (
+        ["scan", "--in", p9, "--lower", past],
+        ["certify", "--in", p9, "--function", _write(workdir, "f.json", json.dumps({"1": past}))],
+        _decomposition_with(workdir, r=past),
+        _with_certificate(workdir, {"kind": "function", "f": {"1": past}}),
+    ):
+        assert cli_main(argv) == 2
+        assert "exponent beyond the" in capsys.readouterr().err
+
+
+def test_cli_graft_past_the_size_budget_exits_budget(workdir, tmp_path, capsys):
+    io.save_graph(workdir / "base.json", cl.grid_window(30, 30))
+    io.save_graph(workdir / "att.json", cl.homogeneous_tree(3, 8).graph)
+    out = tmp_path / "big.json"
+    for extra in ([], ["--decomposition", str(tmp_path / "dec.json")]):
+        code = cli_main(["graft", "--base", str(workdir / "base.json"), "--attachment",
+                         str(workdir / "att.json"), "--port", "v", "--out", str(out), *extra])
+        assert code == 3
+        assert "graft vertices and edges exceed the fixed cap" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "dec.json").exists()
+
+
 def test_cli_decomp_bound_too_large_to_render_exits_budget(workdir, capsys):
     assert cli_main(_decomposition_with(workdir, R=100_000)) == 3
     assert "digits in the exact bound" in capsys.readouterr().err

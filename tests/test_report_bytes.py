@@ -4,7 +4,8 @@ Each command runs in-process in a fresh directory, on inputs written by
 ``io.save_*`` under relative names, so no report carries an absolute path.
 The table changes only when a report or a file format changes on purpose.
 Sampled ``delta`` is left out: numpy does not pin its Generator stream
-across versions.
+across versions.  A second table runs every command on inputs from each
+generator family and bounds each report by the bytes it reads.
 """
 
 import contextlib
@@ -62,7 +63,7 @@ EXPECTED = {
     "report:tree-dead":
         [0, "deea735611f4a5a174a6819f3b463774d395d6b6a66177625ba361349af965e7"],
     "report:tree-chain":
-        [0, "0925763f3182af65cbbadd8c04d87d4775a49c457d74267bf195d7dbd5ab0a35"],
+        [0, "c9d1f6fdf27524ce1dbb41b38bdb7b57b6a2c0a1e3cb8743f986a435c4dbe325"],
     "report:endspace":
         [0, "a7a6603a227539fb5e722f8abe94f34794264f24b2fb484c9fd64e54f4c1971f"],
     "report:approx":
@@ -133,3 +134,38 @@ def run_all() -> dict:
 def test_report_and_file_bytes_are_pinned(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_all() == EXPECTED
+
+
+# the pinned runs plus a tree from every family, a long chain among them,
+# and ``certify``; a report may grow with what it reads, no faster
+LINEAR_INPUTS = {
+    **INPUTS,
+    "position.json": (io.write_canonical, lambda: {str(i): i for i in range(1, 14)}),
+    "interval.json": (io.save_metric, lambda: cl.interval_sample(33)),
+    "even.json": (io.save_tree, lambda: cl.even_branching_tree(6)),
+    "comb.json": (io.save_tree, lambda: cl.comb_tree(10, 2)),
+    "full.json": (io.save_tree, lambda: cl.full_branching_tree(2, 5)),
+    "rand.json": (io.save_tree, lambda: cl.random_tree(60, 1)),
+    "chain2000.json": (io.save_tree, lambda: cl.growing_chain(2000)),
+}
+LINEAR_RUNS = {
+    **RUNS,
+    **{f"tree-{name}": ["tree", "--in", f"{name}.json", "--max-size", "4"]
+       for name in ("even", "comb", "full", "rand")},
+    "tree-chain2000": ["tree", "--in", "chain2000.json"],
+    "certify": ["certify", "--in", "p13.json", "--function", "position.json"],
+    "net-interval": ["net", "--in", "interval.json", "--eps", "0.1"],
+}
+
+
+def test_every_report_is_linear_in_its_input(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, (save, make) in LINEAR_INPUTS.items():
+        save(name, make())
+    for run, argv in LINEAR_RUNS.items():
+        read = sum(Path(a).stat().st_size for a in argv if Path(a).is_file())
+        with contextlib.redirect_stdout(StringIO()) as out, contextlib.redirect_stderr(StringIO()):
+            code = cli_main(argv)
+        assert code in (0, 4), run
+        written = len(out.getvalue().encode())
+        assert written <= 3 * read + 4096, (run, written, read)

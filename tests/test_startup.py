@@ -245,7 +245,7 @@ def test_records_are_named_tuples_with_field_reprs():
     assert isinstance(rep, tuple) and rep._fields[:2] == ("k", "horizon")
     assert rep == cl.pseudo_regularity_index(cl.homogeneous_tree(3, 3))
     assert repr(rep) == (
-        "PseudoRegularityResult(k=1, horizon=3, defect_vertex=None, defect_run=0, family=())"
+        "PseudoRegularityResult(k=1, horizon=3, chain=())"
     )
     with pytest.raises(AttributeError):
         rep.k = 2

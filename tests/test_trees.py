@@ -3,6 +3,7 @@ complementedness, essential boundaries, the tree bound, the lemma suite and
 end spaces."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -193,13 +194,24 @@ def test_growing_chain_defect_and_family():
     t = cl.growing_chain(8)
     res = cl.pseudo_regularity_index(t)
     assert res.k is None
-    assert res.defect_vertex == "g1"
-    assert [w.ratio for w in res.family] == [Fraction(2, k) for k in range(1, res.defect_run + 1)]
+    assert res.chain == tuple(f"g{i}" for i in range(1, 9))
     g = t.graph
-    for w in res.family:
-        members = set(w.vertices)
-        assert len(members) == w.k
-        assert cl.cheeger_ratio(g, members) == w.ratio  # |boundary| = 2 exactly
+    for k in range(1, len(res.chain)):
+        assert cl.cheeger_ratio(g, set(res.chain[:k])) == Fraction(2, k)  # |boundary| = 2 exactly
+
+
+def test_defect_chain_is_stored_once():
+    # the 2/K family is stated by the chain's prefixes, never listed: a list
+    # of every prefix's vertices would hold n(n-1)/2 names, 97 MiB here
+    t = cl.growing_chain(5000)
+    tracemalloc.start()
+    try:
+        res = cl.pseudo_regularity_index(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.chain) == 5000
+    assert peak < 5 * 2**20
 
 
 def _pseudo_regularity_trees():
@@ -222,9 +234,9 @@ def test_pseudo_regularity_matches_literal_oracle():
     defects = 0
     for t in trees:
         res = cl.pseudo_regularity_index(t)
-        got = (res.k, res.horizon, res.defect_vertex, res.defect_run,
-               [(w.k, w.vertices, w.ratio) for w in res.family])
-        assert got == oracle_pseudo_regularity(t.root, t.children, t.live)
+        assert res == oracle_pseudo_regularity(t.root, t.children, t.live)
+        for k in range(1, len(res.chain)):  # the family the chain states
+            assert cl.cheeger_ratio(t.graph, set(res.chain[:k])) == Fraction(2, k)
         defects += res.k is None
     assert 0 < defects < len(trees)  # both outcomes are exercised
 
@@ -321,11 +333,14 @@ def test_theorem_formula_k2_c3():
 
 
 def test_growing_chain_bound_zero_with_family():
-    analysis = cl.tree_cheeger_bounds(cl.growing_chain(9))
+    t = cl.growing_chain(9)
+    analysis = cl.tree_cheeger_bounds(t)
     assert analysis.k is None
     assert analysis.bounds.lower.value == 0
-    ratios = analysis.bounds.lower.witness["family_ratios"]
-    assert ratios == [str(Fraction(2, k)) for k in range(1, len(ratios) + 1)]
+    chain = analysis.bounds.lower.witness["defect_chain"]
+    assert chain == [f"g{i}" for i in range(1, 10)]
+    for k in range(1, len(chain)):
+        assert cl.cheeger_ratio(t.graph, set(chain[:k])) == Fraction(2, k)
 
 
 def test_bounded_tree_has_zero_cheeger():
