@@ -54,17 +54,15 @@ def _jsonable(x: Any) -> Any:
 
 
 def _bound_payload(bound: CheegerBound) -> dict:
-    def endpoint(e):
-        if e is None:
-            return None
-        return {
-            "value": str(e.value),
+    return {
+        side: None if e is None else {
+            "value": e.value,
             "provenance": e.kind,
             "horizon_certified": e.horizon_certified,
-            "witness": _jsonable(e.witness),
+            "witness": e.witness,
         }
-
-    return {"lower": endpoint(bound.lower), "upper": endpoint(bound.upper)}
+        for side, e in (("lower", bound.lower), ("upper", bound.upper))
+    }
 
 
 #: Generator specs and ``endspace`` (one point per live leaf) refuse above
@@ -128,7 +126,7 @@ def _input_record(path: str) -> dict:
 
 
 def _emit(report: dict, args, started: float) -> None:
-    blob = io.canonical_json_bytes(report)
+    blob = io.canonical_json_bytes(_jsonable(report))
     if args.report:
         Path(args.report).write_bytes(blob)
     sys.stdout.write(blob.decode())
@@ -136,7 +134,7 @@ def _emit(report: dict, args, started: float) -> None:
 
 
 def _base_report(command: str, inputs: dict, params: dict, seed: int | None = None) -> dict:
-    report = {"command": command, "inputs": inputs, "parameters": _jsonable(params)}
+    report = {"command": command, "inputs": inputs, "parameters": params}
     if seed is not None:
         report["seed"] = seed
     return report
@@ -153,7 +151,7 @@ def _cmd_cheeger(args) -> tuple[dict, int]:
         {"max_size": bound.upper.witness["max_size"], "budget": args.budget},
     )
     report["results"] = {
-        "interior_cheeger_upper": str(bound.upper.value),
+        "interior_cheeger_upper": bound.upper.value,
         "bound": _bound_payload(bound),
     }
     report["disclosures"] = {
@@ -178,8 +176,8 @@ def _cmd_certify(args) -> tuple[dict, int]:
     )
     report["results"] = {
         "certified": res.certified,
-        "c1": str(res.c1),
-        "c2": str(res.c2) if res.c2 is not None else None,
+        "c1": res.c1,
+        "c2": res.c2,
         "violating_vertex": res.violating_vertex,
         "bound": _bound_payload(res.bound) if res.bound else None,
     }
@@ -200,8 +198,8 @@ def _cmd_delta(args) -> tuple[dict, int]:
         seed=args.seed,
     )
     report["results"] = {
-        "delta": str(rep.delta) if isinstance(rep.delta, Fraction) else rep.delta,
-        "witness": list(rep.witness),
+        "delta": rep.delta,
+        "witness": rep.witness,
         "mode": rep.mode,
         "lower_bound_only": rep.lower_bound_only,
     }
@@ -223,7 +221,7 @@ def _cmd_tree(args) -> tuple[dict, int]:
         "C": analysis.c,
         "complete_subtree_size": len(analysis.t_infty),
         "bound": _bound_payload(analysis.bounds),
-        "sandwich_lower": str(analysis.sandwich_lower) if analysis.sandwich_lower else None,
+        "sandwich_lower": analysis.sandwich_lower or None,
     }
     report["disclosures"] = {"horizon": analysis.horizon}
     return report, EXIT_OK
@@ -255,19 +253,10 @@ def _cmd_endspace(args) -> tuple[dict, int]:
 
 
 def _cmd_approx(args) -> tuple[dict, int]:
-    from .approximation import (
-        Truncation,
-        build_truncated,
-        level_certificate,
-        relevel,
-        structural_checks,
-    )
+    from .approximation import Truncation, level_certificate, relevel, structural_checks
 
     space, src = _load_metric_input(args.infile)
-    if args.s == 1:
-        lg = build_truncated(space, args.r, args.k_max, k0=args.k0)
-    else:  # the s = 1 approximation is checked, not built
-        lg = relevel(Truncation(space, args.r, args.k0, args.k_max), args.s)
+    lg = relevel(Truncation(space, args.r, args.k0, args.k_max), args.s)
     checks = structural_checks(lg, delta_cap=args.delta_cap)
     cert = level_certificate(lg) if lg.k_max - lg.k0 >= 2 else None
     if args.out:
@@ -280,17 +269,17 @@ def _cmd_approx(args) -> tuple[dict, int]:
         "k0": lg.k0,
         "k_max": lg.k_max,
         "vertices": len(lg.graph.vertices),
-        "level_sizes": {str(k): len(lg.level_vertices(k)) for k in range(lg.k0, lg.k_max + 1)},
+        "level_sizes": {k: len(lg.level_vertices(k)) for k in range(lg.k0, lg.k_max + 1)},
         "structural_ok": checks.structural_ok,
-        "delta": str(checks.delta.delta),
+        "delta": checks.delta.delta,
         "delta_ok": checks.delta_ok,
         "max_degree": checks.max_degree,
         "degree_cap": checks.degree_cap,
-        "violations": list(checks.violations),
+        "violations": checks.violations,
         "level_certificate": {
             "certified": cert.certified,
-            "c2": str(cert.c2),
-            "lower": str(cert.bound.lower.value) if cert.bound else None,
+            "c2": cert.c2,
+            "lower": cert.bound.lower.value if cert.bound else None,
             "pinched_vertex": cert.violating_vertex,
         }
         if cert
@@ -335,7 +324,7 @@ def _cmd_perfect(args) -> tuple[dict, int]:
     )
     report["results"] = {
         "holds": cert.holds,
-        "witness": list(cert.witness) if cert.witness else None,
+        "witness": cert.witness or None,
         "checked_eps": cert.checked_eps,
     }
     report["disclosures"] = {
@@ -355,14 +344,14 @@ def _cmd_decomp(args) -> tuple[dict, int]:
     report = _base_report(
         "decomp",
         {"spec": _input_record(args.spec), "ambient": _input_record(ambient.as_posix())},
-        {"R": spec.radius, "r": str(spec.rate)},
+        {"R": spec.radius, "r": spec.rate},
     )
     results: dict[str, Any] = {
         "valid": result.valid,
         "strong": result.strong,
-        "violations": list(result.violations),
-        "unverified_components": list(result.unverified),
-        "verified_lower": {k: str(v) for k, v in sorted(result.verified_lower.items())},
+        "violations": result.violations,
+        "unverified_components": result.unverified,
+        "verified_lower": result.verified_lower,
     }
     if result.valid:
         bound = decomposition_bound(spec, result)
@@ -416,12 +405,12 @@ def _cmd_scan(args) -> tuple[dict, int]:
         {"max_size": args.max_size, "budget": args.budget, "ambient_lower": args.lower},
     )
     report["results"] = {
-        "values": [str(v) for v in rep.values],
+        "values": rep.values,
         "nonincreasing": rep.nonincreasing,
         "decay": rep.decay,
-        "floor": str(rep.floor),
+        "floor": rep.floor,
         "lower_respected": rep.lower_respected,
-        "witnesses": [list(w) for w in rep.witnesses],
+        "witnesses": rep.witnesses,
     }
     return report, EXIT_OK
 

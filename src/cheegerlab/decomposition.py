@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import BudgetExceededError, ConstructionError, EmptyWindowError, InvalidInputError
@@ -259,60 +260,57 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
     verified: dict[str, Fraction] = {}
     scans: dict[str, PieceScan] = {}
 
-    ids = set(spec.pieces)
-    if not spec.s1 or (spec.s1 | spec.s2) != ids or spec.s1 & spec.s2:
+    if not spec.s1 or (spec.s1 | spec.s2) != spec.pieces.keys() or spec.s1 & spec.s2:
         violations.append("class labels must partition the piece ids with S1 non-empty")
     if spec.radius < 0 or spec.rate <= 0:
         violations.append("need R >= 0 and r > 0")
 
-    covered = set()
-    vertex_set = set(g.vertices)
-    for name, verts in spec.pieces.items():
-        if not verts <= vertex_set:
-            bad = sorted(verts - vertex_set)[0]
-            violations.append(f"piece {name!r} contains unknown vertex {bad!r}")
-        covered |= verts
-    missing = vertex_set - covered
-    if missing:
-        violations.append(f"cover misses vertex {sorted(missing)[0]!r}")
-
     names = sorted(spec.pieces)
-    pieces_at: dict[str, list[str]] = {}
+    pieces_at: dict[str, list[str]] = {}  # vertex -> the pieces that hold it, by name
     for name in names:
         for v in spec.pieces[name]:
             pieces_at.setdefault(v, []).append(name)
-    # A shared edge has both ends in two or more pieces, so only edges at
-    # such vertices are read.
-    shared: dict[tuple[str, str], tuple[str, str]] = {}  # piece pair -> smallest shared edge
     adj = g.adjacency
+    unknown: dict[str, str] = {}  # piece -> its smallest unknown vertex
+    for v in sorted(pieces_at.keys() - adj.keys(), reverse=True):
+        unknown.update(dict.fromkeys(pieces_at[v], v))
+    for name in spec.pieces:
+        if name in unknown:
+            violations.append(f"piece {name!r} contains unknown vertex {unknown[name]!r}")
+    missing = adj.keys() - pieces_at.keys()
+    if missing:
+        violations.append(f"cover misses vertex {min(missing)!r}")
+
+    # A shared edge has both ends in two or more pieces, so only edges at
+    # such vertices are read, and of the two piece lists the shorter.
+    shared: dict[tuple[str, str], tuple[str, str]] = {}  # piece pair -> smallest shared edge
     for u, at_u in pieces_at.items():
         if len(at_u) < 2 or u not in adj:
             continue
         for v in adj[u]:
-            if u < v and len(pieces_at.get(v, ())) >= 2:
-                both = [name for name in at_u if v in spec.pieces[name]]
-                for i, a in enumerate(both):
-                    for b in both[i + 1:]:
-                        if (a, b) not in shared or (u, v) < shared[a, b]:
-                            shared[a, b] = (u, v)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            if (a, b) in shared:
-                u, v = shared[a, b]
-                violations.append(
-                    f"pieces {a!r} and {b!r} share the edge {u}--{v}; "
-                    "intersections must be vertex sets"
-                )
-            if spec.pieces[a] <= spec.pieces[b]:
-                violations.append(f"piece {a!r} is contained in {b!r}")
-            if spec.pieces[b] <= spec.pieces[a]:
-                violations.append(f"piece {b!r} is contained in {a!r}")
+            at_v = pieces_at.get(v, ())
+            if u < v and len(at_v) >= 2:
+                scan, end = (at_u, v) if len(at_u) <= len(at_v) else (at_v, u)
+                both = [name for name in scan if end in spec.pieces[name]]
+                for pair in combinations(both, 2):
+                    shared[pair] = min(shared.get(pair, (u, v)), (u, v))
+    # (a, b, rank) with a < b -> message: the shared edge, "a in b", "b in a"
+    found = {
+        (a, b, 0): f"pieces {a!r} and {b!r} share the edge {u}--{v}; "
+        "intersections must be vertex sets"
+        for (a, b), (u, v) in shared.items()
+    }
+    # A piece that holds piece a holds a's rarest vertex (any piece, if a is empty).
+    for a in names:
+        verts = spec.pieces[a]
+        for b in pieces_at[min(verts, key=lambda v: len(pieces_at[v]))] if verts else names:
+            if b != a and verts <= spec.pieces[b]:
+                found[(a, b, 1) if a < b else (b, a, 2)] = f"piece {a!r} is contained in {b!r}"
+    violations += [found[key] for key in sorted(found)]
 
-    certified_union: set[str] = set()
-    for s in sorted(spec.s1):
-        certified_union |= spec.pieces.get(s, frozenset())
+    certified_union = {v for v, at in pieces_at.items() if not spec.s1.isdisjoint(at)}
 
-    for s in sorted(spec.s1 & ids):  # a label naming no piece is reported above
+    for s in sorted(spec.s1 & spec.pieces.keys()):  # a label naming no piece is reported above
         cert = spec.certificates.get(s)
         if cert is None:
             violations.append(f"first-class piece {s!r} has no certificate")
@@ -324,8 +322,8 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
             violations.append(f"piece {s!r}: {reason}")
 
     strong = True
-    for s in sorted(spec.s2):
-        verts = spec.pieces.get(s, frozenset())
+    for s in sorted(spec.s2):  # read on its known vertices: unknown ones are reported above
+        verts = spec.pieces.get(s, frozenset()) & adj.keys()
         piece = g.induced(verts)
         contact = sorted(verts & certified_union)
         if not contact:
@@ -334,7 +332,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
             continue
         dist = piece.bfs_distances(contact)
         shield = sorted(v for v, d in dist.items() if d <= spec.radius)
-        rest = frozenset(verts) - set(shield)
+        rest = verts - set(shield)
         comps = piece.components(rest)
         if rest:
             strong = False

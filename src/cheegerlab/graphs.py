@@ -155,16 +155,14 @@ class Graph(FrozenValue):
             raise InvalidInputError(f"unknown vertex {min(unknown)!r}")
         out = []
         while remaining:
-            start = min(remaining)
-            remaining.remove(start)
-            comp = [start]
+            comp = [remaining.pop()]
             for x in comp:
                 for y in self.adjacency[x]:
                     if y in remaining:
                         remaining.remove(y)
                         comp.append(y)
             out.append(frozenset(comp))
-        return out
+        return sorted(out, key=min)
 
     def induced(self, verts: Iterable[str]) -> "Graph":
         """Subgraph induced on ``verts``, in this graph's vertex order, keeping

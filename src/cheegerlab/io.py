@@ -147,7 +147,9 @@ def parse_fraction(text: str | int) -> Fraction:
     ``Fraction`` builds 10**|e| for a decimal exponent e, in time that grows
     faster than |e|, so an exponent whose magnitude exceeds Python's int-digit
     limit is refused, as a numeral with that many digits already is (no check
-    when the limit is off).
+    when the limit is off).  An error shows at most the first 40 characters
+    of the input, and only the first clause of the reason: ``Fraction``'s
+    own message goes on to repeat the whole input.
     """
     try:
         exponent = _EXPONENT.search(text) if isinstance(text, str) else None
@@ -155,8 +157,14 @@ def parse_fraction(text: str | int) -> Fraction:
         if exponent and limit and abs(int(exponent[1])) > limit:
             raise ValueError(f"decimal exponent beyond the {limit}-digit limit")
         return Fraction(text)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise InvalidInputError(f"bad rational {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except (ValueError, TypeError, OverflowError) as exc:
+        reason = str(exc).split(":")[0]
+    shown = repr(text)
+    if len(shown) > 40:
+        shown = f"{str(text)[:40]!r}... ({len(str(text))} characters)"
+    raise InvalidInputError(f"bad rational {shown}: {reason}")
 
 
 # -- graphs -----------------------------------------------------------------

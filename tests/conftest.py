@@ -323,6 +323,42 @@ def oracle_shared_edges(edges, pieces):
     return out
 
 
+def oracle_piece_clauses(vertices, edges, pieces):
+    """The structural violations of a decomposition with pieces ``pieces``
+    (name -> vertex set), in report order, with every pair of pieces
+    compared: each piece's smallest unknown vertex (in the pieces' own
+    order), the smallest uncovered vertex, then per name pair a < b the
+    smallest shared edge, "a in b" and "b in a"."""
+    out = []
+    for name, verts in pieces.items():
+        unknown = sorted(set(verts) - set(vertices))
+        if unknown:
+            out.append(f"piece {name!r} contains unknown vertex {unknown[0]!r}")
+    missing = sorted(set(vertices) - set().union(*pieces.values()))
+    if missing:
+        out.append(f"cover misses vertex {missing[0]!r}")
+    shared = oracle_shared_edges(edges, pieces)
+    for a, b in combinations(sorted(pieces), 2):
+        if (a, b) in shared:
+            u, v = shared[a, b]
+            out.append(
+                f"pieces {a!r} and {b!r} share the edge {u}--{v}; "
+                "intersections must be vertex sets"
+            )
+        if pieces[a] <= pieces[b]:
+            out.append(f"piece {a!r} is contained in {b!r}")
+        if pieces[b] <= pieces[a]:
+            out.append(f"piece {b!r} is contained in {a!r}")
+    return out
+
+
+def oracle_components(edges, within):
+    """Components of the subgraph induced on ``within``: one BFS from every
+    vertex, duplicates merged, ordered by their smallest vertex."""
+    inner = [e for e in edges if set(e) <= set(within)]
+    return sorted({frozenset(bfs_dist(inner, v)) for v in within}, key=min)
+
+
 @pytest.fixture
 def rng_seeds():
     return list(range(10))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import cheegerlab as cl
 from cheegerlab import DecompositionSpec, InvalidInputError, PieceCertificate
 from cheegerlab.decomposition import _piece_tree
 from cheegerlab.graphs import normalize_edge
-from conftest import oracle_piece_tree, oracle_shared_edges
+from conftest import oracle_piece_clauses, oracle_piece_tree
 from cheegerlab.cli import main as cli_main
 from cheegerlab.io import load_decomposition, save_decomposition
 
@@ -333,13 +334,13 @@ def test_second_class_needs_contact():
     assert any("does not meet" in v for v in report.violations)
 
 
-def test_unknown_vertex_in_second_class_piece_is_invalid_input():
+def test_unknown_vertex_in_second_class_piece_is_a_violation():
+    # the second-class scan reads the piece on its known vertices only
     spec = cl.graft_decomposition(cl.grid_window(3, 3), cl.homogeneous_tree(3, 2).graph, "v")
     pieces = {**spec.pieces, "base": spec.pieces["base"] | {"zz"}}
-    bad = DecompositionSpec(spec.ambient, pieces, spec.s1, spec.s2, spec.radius,
-                            spec.rate, spec.certificates)
-    with pytest.raises(InvalidInputError, match="'zz'"):
-        cl.validate(bad)
+    report = cl.validate(respec(spec, pieces=pieces))
+    assert report.violations == ("piece 'base' contains unknown vertex 'zz'",)
+    assert report.scans == cl.validate(spec).scans
 
 
 def test_tree_certificate_rooted_outside_its_piece_is_a_violation():
@@ -574,10 +575,10 @@ def test_piece_tree_matches_the_oracle_on_graft_pieces():
             assert (got[0] == "error") == (pid == "base")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_shared_edges_match_the_pairwise_oracle(data):
-    n = data.draw(st.integers(2, 9))
+def test_piece_clauses_match_the_all_pairs_oracle(data):
+    n = data.draw(st.integers(1, 8))
     names = [str(i) for i in range(n)]
     edges = {
         normalize_edge(u, v)
@@ -586,17 +587,48 @@ def test_shared_edges_match_the_pairwise_oracle(data):
         if u != v
     }
     g = cl.Graph.from_edges(edges, vertices=names, require_connected=False)
-    pieces = {
-        f"p{i}": frozenset(data.draw(st.lists(st.sampled_from(names + ["zz"]), min_size=1)))
-        for i in range(data.draw(st.integers(1, 5)))
-    }
+    pieces = {}
+    for i in range(data.draw(st.integers(1, 6))):
+        if pieces and data.draw(st.booleans()):  # a duplicate of an earlier piece
+            verts = pieces[data.draw(st.sampled_from(sorted(pieces)))]
+        else:  # possibly empty, possibly naming unknown vertices
+            verts = frozenset(data.draw(st.lists(st.sampled_from(names + ["zz", "yy"]))))
+        pieces[data.draw(st.sampled_from(["a", "b", "c"])) + str(i)] = verts
     spec = DecompositionSpec(g, pieces, frozenset(pieces), frozenset(), 0, Fraction(1), {})
-    got = [v for v in cl.validate(spec).violations if "share the edge" in v]
-    want = [
-        f"pieces {a!r} and {b!r} share the edge {u}--{v}; intersections must be vertex sets"
-        for (a, b), (u, v) in oracle_shared_edges(g.edges, pieces).items()
+    got = [v for v in cl.validate(spec).violations if "has no certificate" not in v]
+    assert got == oracle_piece_clauses(g.vertices, g.edges, pieces)
+
+
+def _path_spec(n):
+    """n two-vertex pieces along the path 1..n+1, plus a copy of piece 5."""
+    pieces = {f"p{i}": frozenset({str(i), str(i + 1)}) for i in range(1, n + 1)}
+    pieces["dup"] = pieces["p5"]
+    g = cl.path_window(n + 1, truncated=False)
+    return DecompositionSpec(g, pieces, frozenset(pieces), frozenset(), 0, Fraction(1), {})
+
+
+def _hub_spec(n):
+    """n two-vertex pieces that meet at one hub vertex, plus a copy of piece 5."""
+    pieces = {f"p{i}": frozenset({"h", f"x{i}"}) for i in range(n)}
+    pieces["dup"] = pieces["p5"]
+    g = cl.Graph.from_edges([("h", f"x{i}") for i in range(n)])
+    return DecompositionSpec(g, pieces, frozenset(pieces), frozenset(), 0, Fraction(1), {})
+
+
+@pytest.mark.parametrize(
+    "make, n, edge", [(_path_spec, 12_000, "5--6"), (_hub_spec, 20_000, "h--x5")]
+)
+def test_pair_clauses_of_many_pieces_are_read_off_the_index(make, n, edge):
+    # comparing every pair of pieces would make 72M checks for the path, 200M for the hub
+    spec = make(n)
+    started = time.perf_counter()
+    report = cl.validate(spec)
+    assert time.perf_counter() - started < 5.0
+    assert [v for v in report.violations if "has no certificate" not in v] == [
+        f"pieces 'dup' and 'p5' share the edge {edge}; intersections must be vertex sets",
+        "piece 'dup' is contained in 'p5'",
+        "piece 'p5' is contained in 'dup'",
     ]
-    assert got == want
 
 
 def test_graft_decomposition_rate_needs_a_certified_attachment():

@@ -29,6 +29,7 @@ from conftest import (
     oracle_adjacency,
     oracle_blocks,
     oracle_boundary,
+    oracle_components,
     oracle_min_ratio,
     oracle_min_ratio_witness,
 )
@@ -155,6 +156,26 @@ def test_components_of_graph_and_of_vertex_subset():
     assert cl.path_window(5).components() == [frozenset("12345")]
     with pytest.raises(InvalidInputError):
         g.components({"a", "q"})
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_components_match_the_literal_oracle(data):
+    names = [f"v{i}" for i in range(data.draw(st.integers(1, 12)))]
+    pairs = data.draw(st.sets(st.tuples(st.sampled_from(names), st.sampled_from(names))))
+    g = Graph.from_edges([e for e in pairs if e[0] != e[1]], names, require_connected=False)
+    within = data.draw(st.sets(st.sampled_from(names)))
+    assert g.components(within) == oracle_components(g.edges, within)
+    assert g.components() == oracle_components(g.edges, names)
+
+
+def test_many_isolated_vertices_decide_connectivity_in_linear_time():
+    # a start vertex taken as the minimum of all that is left makes this quadratic
+    g = Graph(tuple(f"v{i}" for i in range(20_000)), frozenset(), frozenset())
+    started = time.perf_counter()
+    assert not g.is_connected
+    assert time.perf_counter() - started < 1.0
+    assert [min(c) for c in g.components()[:3]] == ["v0", "v1", "v10"]
 
 
 @pytest.mark.parametrize("name", sorted(BFS_GRAPHS))

@@ -297,6 +297,20 @@ def test_frontierless_tree_piece_exits_falsified(tmp_path, capsys):
         assert any("no live leaf" in v for v in results["violations"])
 
 
+def test_second_class_piece_with_an_unknown_vertex_exits_falsified(tmp_path):
+    spec = cl.DecompositionSpec(
+        ambient=cl.path_window(4, truncated=False),
+        pieces={"A": frozenset({"1", "2"}), "B": frozenset({"2", "3", "4", "zz"})},
+        s1=frozenset({"A"}), s2=frozenset({"B"}), radius=1, rate=Fraction(1, 2),
+        certificates={"A": cl.PieceCertificate("function", f={"1": 0, "2": 1})},
+    )
+    io.save_decomposition(tmp_path / "d.json", spec)
+    code, blob = run_cli(["decomp", "--spec", str(tmp_path / "d.json")], tmp_path)
+    assert code == 4
+    results = json.loads(blob)["results"]
+    assert results["violations"][0] == "piece 'B' contains unknown vertex 'zz'"
+
+
 def test_loader_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -745,6 +759,16 @@ def test_cli_decimal_exponent_past_the_digit_limit_exits_invalid(workdir, capsys
     ):
         assert cli_main(argv) == 2
         assert "exponent beyond the" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["x" * 100_000, "1" * 5_000, "1" * 4_000 + "/0", "1/0"])
+def test_cli_bad_rational_message_is_short(workdir, capsys, text):
+    # Fraction's own message repeats its whole input
+    assert cli_main(["scan", "--in", str(workdir / "p9.json"), "--lower", text]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 200 and err.startswith(f"error: bad rational {text[:40]!r}")
+    if len(text) > 40:
+        assert f"({len(text)} characters)" in err
 
 
 def test_cli_graft_past_the_size_budget_exits_budget(workdir, tmp_path, capsys):
