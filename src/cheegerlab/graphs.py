@@ -450,29 +450,31 @@ def _connected_bitsets(adj: list[int], max_size: int):
                 stack.append((sub, nbrs | adj[w], grown, size + 1))
 
 
-def _lex_less(x: int, y: int) -> bool:
-    """Whether bit set ``x`` sorts before ``y`` as an increasing tuple: at their
-    lowest differing bit j, the set holding j is first unless the other stops below j."""
-    j = (x ^ y) & -(x ^ y)
-    return bool(x & j and y >= j << 1 or y & j and x < j)
+def _members(x: int) -> list[int]:
+    """The set bits of ``x``, lowest first: the lists compare as the sets sort
+    as increasing tuples, a proper prefix first."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def _window_scan(square: list[int], closed: list[int], max_size: int):
-    """The scan below full cap: ``(b, s, lex_min, least, tied, judged)`` for
-    b/s the least ratio |N[S]|/|S| - 1 over the sets S of at most ``max_size``
-    vertices connected in ``square`` (G^2; vertex i is bit i), with N[S] the OR
-    of ``closed`` over S; ``lex_min`` its lex-smallest minimizer, ``least``
-    the least size of one, ``tied`` the ``(set, N[set], size)`` of every
-    minimizer below the cap, and ``judged`` how many sets came within the
-    limit thr[m].  The enumeration is :func:`_connected_bitsets`'s, except that each
-    popped set builds all its children at once and judges each as it is built.
-    """
+    """The scan below full cap: ``(b, s, tied, judged)`` for b/s the least
+    ratio |N[S]|/|S| - 1 over the sets S of at most ``max_size`` vertices
+    connected in ``square`` (G^2; vertex i is bit i), with N[S] the OR of
+    ``closed`` over S; ``tied`` the ``(set, N[set], size)`` of every minimizer,
+    and ``judged`` how many sets came within the limit thr[m].  The enumeration
+    is :func:`_connected_bitsets`'s, except that each popped set builds all its
+    children at once and judges each as it is built."""
     m = max_size
     # thr[k]: the largest |N[S]| with which a k-set ties or beats the best so
     # far; before the first set, every N[S] fits
     thr = [reduce(or_, closed, 0).bit_count()] * (m + 1)
     limit = thr[m]
-    best_b, best_s, lex_min, least, tied, judged = 1, 0, 0, 0, [], 0
+    best_b, best_s, tied, judged = 1, 0, [], 0
     for v in range(len(square)):
         above = -(2 << v)  # every bit position greater than v
         stack = [(0, 0, 1 << v, 0, 0)]  # (set, its neighbours, extension, N[set], size)
@@ -498,21 +500,16 @@ def _window_scan(square: list[int], closed: list[int], max_size: int):
                     if c <= cut:
                         b = c - size
                         if b * best_s < best_b * size:
-                            best_b, best_s, lex_min, least, tied = b, size, child, size, []
+                            best_b, best_s, tied = b, size, []
                             thr = [(b + size) * k // size for k in range(m + 1)]
                             cut, limit = thr[size], thr[m]
-                        elif _lex_less(child, lex_min):
-                            lex_min = child
-                        if size < least:
-                            least = size
-                        if grow:
-                            tied.append((child, grown, size))
+                        tied.append((child, grown, size))
                     if grow:
                         x = rest | (square[w] & above & ~nbrs)
                         if x:
                             stack.append((child, nbrs | square[w], x, grown, size))
                 rest |= low
-    return best_b, best_s, lex_min, least, tied, judged
+    return best_b, best_s, tied, judged
 
 
 def interior_cheeger_bruteforce(
@@ -550,7 +547,8 @@ def interior_cheeger_bruteforce(
     Below full cap a scan enumerates the sets connected in G^2 (distance <= 2
     joins): a set's G^2-components lie at distance >= 3, so its ratio is a
     mediant of theirs, and the minimizers are the unions of far-apart
-    G^2-connected ones.
+    G^2-connected ones.  The scan returns every G^2-connected minimizer; they
+    are sorted once, and the witness is the least of them and their unions.
 
     The scan (:func:`_window_scan`) is a branch and bound on the closed
     neighbourhood N[S] = S + dS, carried as a bit set along the enumeration.
@@ -584,12 +582,11 @@ def interior_cheeger_bruteforce(
 
         p, q, maximal = min_closed_ratio([closed[v] for v in adm])
         prefix = covered = 0
-        for i in range(n):
-            if maximal >> i & 1:
-                prefix |= 1 << i
-                covered |= closed[adm[i]]
-                if covered.bit_count() * q == p * prefix.bit_count():
-                    break
+        for i in _members(maximal):
+            prefix |= 1 << i
+            covered |= closed[adm[i]]
+            if covered.bit_count() * q == p * prefix.bit_count():
+                break
         else:
             raise ConstructionError(f"no prefix of the maximal minimizer has ratio {p}/{q}")
         return _oracle_result(g, adm, prefix, Fraction(p - q, q), max_size)
@@ -599,15 +596,14 @@ def interior_cheeger_bruteforce(
         for i, v in enumerate(adm)
     ]
 
-    best_b, best_s, lex_min, least, tied, _ = _window_scan(
-        square, [closed[v] for v in adm], max_size
-    )
+    best_b, best_s, tied, _ = _window_scan(square, [closed[v] for v in adm], max_size)
+    tied.sort(key=lambda t: _members(t[0]))
+    lex_min, least = tied[0][0], min(t[2] for t in tied)
 
     # Unions of pairwise distance->=3 minimizers, parts in lex order.  Extensions
     # add only bits above the last part's lowest, so a union that differs from
     # lex_min on those bits cannot lead below lex_min.
-    tied = sorted((t for t in tied if t[2] + least <= max_size),
-                  key=lambda t: [i for i in range(n) if t[0] >> i & 1])
+    tied = [t for t in tied if t[2] + least <= max_size]
     stack = [(0, 0, 0, 0, 0)]  # (next part, union, its closed neighbourhood, size, bits fixed)
     while stack:
         start, union, covered, size, fixed = stack.pop()
@@ -618,7 +614,7 @@ def interior_cheeger_bruteforce(
             if acc & covered or size + s > max_size:
                 continue
             grown = union | sub
-            if _lex_less(grown, lex_min):
+            if _members(grown) < _members(lex_min):
                 lex_min = grown
             if size + s + least <= max_size:
                 stack.append((i + 1, grown, covered | acc, size + s, (sub & -sub) * 2 - 1))
@@ -629,12 +625,16 @@ def _oracle_result(
     g: Graph, adm: list[str], witness_bits: int, value: Fraction, max_size: int
 ) -> CheegerBound:
     """The window oracle's result: ``value`` with the admissible vertices of
-    ``witness_bits`` (bit i is ``adm[i]``) as witness."""
-    witness = tuple(v for i, v in enumerate(adm) if witness_bits >> i & 1)
+    ``witness_bits`` (bit i is ``adm[i]``) as witness, re-verified: a witness
+    whose recounted ratio |dA|/|A| on ``g`` is not ``value`` raises ConstructionError."""
+    witness = tuple(adm[i] for i in _members(witness_bits))
+    b = len(boundary(g, witness))
+    if not witness or Fraction(b, len(witness)) != value:
+        raise ConstructionError(f"window witness has ratio {b}/{len(witness)}, not {value}")
     upper = BoundEndpoint(
         value,
         "brute-force-window",
-        witness={"set": witness, "boundary_size": len(boundary(g, witness)), "max_size": max_size},
+        witness={"set": witness, "boundary_size": b, "max_size": max_size},
         horizon_certified=bool(g.frontier),
     )
     return CheegerBound(lower=BoundEndpoint(Fraction(0), "trivial"), upper=upper)

@@ -19,6 +19,7 @@ from operator import or_
 from typing import Sequence
 
 from .errors import ConstructionError
+from .graphs import _members
 
 
 class SelectionNetwork:
@@ -30,18 +31,14 @@ class SelectionNetwork:
     def __init__(self, closed: Sequence[int]):
         self.n = n = len(closed)
         covered = reduce(or_, closed, 0)
-        node = {}
-        for j in range(covered.bit_length()):
-            if covered >> j & 1:
-                node[j] = n + 1 + len(node)
+        node = {j: n + 1 + k for k, j in enumerate(_members(covered))}
         self.t = t = n + 1 + len(node)
         self.tails = [0] * n
         self.heads = list(range(1, n + 1))
         for i, bits in enumerate(closed):
-            for j in range(bits.bit_length()):
-                if bits >> j & 1:
-                    self.tails.append(i + 1)
-                    self.heads.append(node[j])
+            for j in _members(bits):
+                self.tails.append(i + 1)
+                self.heads.append(node[j])
         self.first_sink = len(self.tails)
         self.tails += node.values()
         self.heads += [t] * len(node)
@@ -160,7 +157,7 @@ def min_closed_ratio(closed: Sequence[int]) -> tuple[int, int, int]:
         side = sum(1 << i for i in range(net.n) if not reach[i + 1])
         if sum(flow[:net.n]) == p * net.n:
             break
-        covered = reduce(or_, (closed[i] for i in range(net.n) if side >> i & 1), 0)
+        covered = reduce(or_, map(closed.__getitem__, _members(side)), 0)
         if covered.bit_count() * q >= p * side.bit_count():
             raise ConstructionError(f"a cut below {p}/{q} gave no set of smaller ratio")
         p, q = covered.bit_count(), side.bit_count()

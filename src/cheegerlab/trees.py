@@ -29,6 +29,7 @@ from .graphs import (
     Graph,
     _check_max_size,
     _connected_bitsets,
+    _members,
     boundary,
     normalize_edge,
     window_bound,
@@ -439,7 +440,7 @@ def _connected_sets(g: Graph, allowed: list[str], max_size: int, budget: int):
     for produced, sub in enumerate(_connected_bitsets(adj, max_size), 1):
         if produced > budget:
             raise BudgetExceededError(produced, budget, "connected sets", option="budget=")
-        yield tuple(v for i, v in enumerate(allowed) if sub >> i & 1)
+        yield tuple(map(allowed.__getitem__, _members(sub)))
 
 
 def lemma_suite(

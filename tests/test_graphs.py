@@ -620,13 +620,37 @@ def test_full_cap_matches_literal_oracle_on_small_windows(g):
     assert (bound.upper.value, bound.upper.witness["set"]) == expected
 
 
-def maximal_minimizer(g):
-    """U from the selection cut, as admissible vertex names."""
+def admissible_closed(g):
+    """The admissible vertices in name order, and each one's closed
+    neighbourhood as a bit set: the admissible vertices first, in name order."""
     adm = sorted(cl.admissible_vertices(g))
     bit = {v: i for i, v in enumerate(adm + sorted(set(g.vertices) - set(adm)))}
-    closed = [sum(1 << bit[w] for w in g.adjacency[v] | {v}) for v in adm]
+    return adm, [sum(1 << bit[w] for w in g.adjacency[v] | {v}) for v in adm]
+
+
+def maximal_minimizer(g):
+    """U from the selection cut, as admissible vertex names."""
+    adm, closed = admissible_closed(g)
     p, q, maximal = selection_cut.min_closed_ratio(closed)
     return Fraction(p - q, q), {v for i, v in enumerate(adm) if maximal >> i & 1}
+
+
+@given(st.sets(st.integers(0, 80)), st.sets(st.integers(0, 80)))
+def test_members_lists_the_set_bits_in_lex_order(a, b):
+    x, y = sum(1 << i for i in a), sum(1 << i for i in b)
+    literal = [i for i in range(x.bit_length()) if x >> i & 1]
+    assert graphs._members(x) == literal == sorted(a)
+    assert (graphs._members(x) < graphs._members(y)) == (tuple(sorted(a)) < tuple(sorted(b)))
+
+
+def test_selection_network_build_is_not_quadratic():
+    # the network build walks each closed neighbourhood's set bits; testing
+    # every bit position instead is quadratic in the window
+    _, closed = admissible_closed(cl.random_tree(8000, 0).graph)
+    start = time.perf_counter()
+    p, q, _ = selection_cut.min_closed_ratio(closed)
+    assert time.perf_counter() - start < 4
+    assert (p, q) == (7999, 7998)
 
 
 @given(st.one_of(st.integers(0, 10**6).map(random_window), small_windows()))
@@ -671,12 +695,7 @@ def test_full_cap_on_the_3_regular_tree_is_m_plus_2_over_m(depth, m):
 
 
 def test_flow_verifier_rejects_broken_flows():
-    g = cl.homogeneous_tree(3, 3).graph
-    adm = sorted(cl.admissible_vertices(g))
-    bit = {v: i for i, v in enumerate(adm + sorted(set(g.vertices) - set(adm)))}
-    net = selection_cut.SelectionNetwork(
-        [sum(1 << bit[w] for w in g.adjacency[v] | {v}) for v in adm]
-    )
+    net = selection_cut.SelectionNetwork(admissible_closed(cl.homogeneous_tree(3, 3).graph)[1])
     p, q = 10, 4  # the ball of radius 1 has 4 vertices and a closed neighbourhood of 10
     flow, _ = net.max_flow(p, q)
     net.verify(p, q, flow)

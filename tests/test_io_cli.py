@@ -409,6 +409,24 @@ def test_cli_exit_codes(workdir):
     assert json.loads(blob)["results"]["witness"] == ["p", 0.25]
 
 
+def test_cli_cheeger_exits_falsified_when_the_scan_reports_a_tie_off_its_ratio(
+    tmp_path, monkeypatch, capsys
+):
+    # the witness is re-verified: a scan naming a set whose ratio is not the
+    # reported minimum is a finding (exit 4), not a reported bound
+    scan = graphs._window_scan
+
+    def lying(square, closed, max_size):
+        b, s, _, judged = scan(square, closed, max_size)
+        return b, s, [(1, closed[0], 1)], judged  # one interior vertex: ratio 4
+
+    monkeypatch.setattr(graphs, "_window_scan", lying)
+    io.save_graph(tmp_path / "g.json", cl.grid_window(9, 9))
+    code, blob = run_cli(["cheeger", "--in", str(tmp_path / "g.json")], tmp_path)
+    assert (code, blob) == (4, b"")
+    assert "window witness has ratio 4/1, not 11/9" in capsys.readouterr().err
+
+
 def test_cli_malformed_graph_documents_exit_invalid(workdir):
     bad = workdir / "bad.json"
     bad.write_text('{"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}')
