@@ -47,18 +47,24 @@ _EXPORTS = {
         "boundary",
         "certificate_lower_bound",
         "cheeger_ratio",
-        "corollary_connected_bound",
         "cycle_graph",
         "gradient",
-        "green_identity_check",
         "grid_window",
-        "interior_cheeger_bruteforce",
         "laplacian",
         "path_window",
-        "quasi_isometry_check",
         "relabeled",
         "vertex_function",
+    ),
+    "window": (
+        "interior_cheeger_bruteforce",
         "window_bound",
+    ),
+    "lemmas": (
+        "boundary_identification_check",
+        "corollary_connected_bound",
+        "green_identity_check",
+        "lemma_suite",
+        "quasi_isometry_check",
     ),
     "hyperbolicity": (
         "DeltaReport",
@@ -96,7 +102,6 @@ _EXPORTS = {
         "grafted_dead_branches",
         "growing_chain",
         "homogeneous_tree",
-        "lemma_suite",
         "maximal_complete_subtree",
         "pseudo_regularity_index",
         "random_branching_tree",
@@ -108,7 +113,6 @@ _EXPORTS = {
     ),
     "approximation": (
         "LeveledGraph",
-        "boundary_identification_check",
         "build_truncated",
         "level_certificate",
         "relevel",

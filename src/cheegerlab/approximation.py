@@ -19,16 +19,10 @@ import numpy as np
 from .errors import ConstructionError, EmptyWindowError, InvalidInputError
 from .frozen import Frozen
 from .graphs import CertificateResult, Graph, _certificate, edges_where
-from .hyperbolicity import DeltaReport, delta_four_point, gromov_product
+from .hyperbolicity import DeltaReport, delta_four_point
 from .metric import FiniteMetricSpace, greedy_separated, strongly_bounded_geometry_profile
 
 MAX_PARAMETER = 1.0 / 6.0
-
-#: Default additive slack for the boundary-identification report: a measured
-#: regression constant, not a theorem value.  Across the reference builds
-#: (Cantor samples at r = 1/9, tree end spaces at r = e^-2) the largest
-#: deviation observed was exactly 1.0; the default leaves headroom.
-DEFAULT_BOUNDARY_SLACK = 2.0
 
 
 def _vertex_name(k: int, point: str) -> str:
@@ -134,18 +128,24 @@ def build_truncated(
     level_map = {v: k for k in levels for v in names[k]}
     center = {v: p for k in levels for v, p in zip(names[k], levels[k])}
 
+    # Both products are read only as ``> 0`` and ``== 0``, and float32
+    # operands decide both exactly, through BLAS sgemm (numpy's integer matmul
+    # is not BLAS).  Every product is 0 or 1, so every partial sum, in any
+    # order, with or without FMA, is a non-negative float; a rounded sum of
+    # non-negative terms is at least its larger term, so a sum is 0 exactly
+    # when every term is 0.
     edges: set[tuple[str, str]] = set()
     for k in range(k0, k_max + 1):
         pts = [idx[p] for p in levels[k]]
         rad = 2 * r**k
         inside = d[:, pts] <= rad  # closed balls, one column per vertex
-        hits = inside.T.astype(np.int32) @ inside.astype(np.int32)
+        hits = inside.T.astype(np.float32) @ inside.astype(np.float32)
         edges |= edges_where(np.triu(hits > 0, 1), names[k], names[k])
         if k < k_max:
             up = [idx[p] for p in levels[k + 1]]
             in_up = d[:, up] < 2 * r ** (k + 1)  # open balls for containment
             out_lo = ~(d[:, pts] < rad)
-            misses = out_lo.T.astype(np.int32) @ in_up.astype(np.int32)
+            misses = out_lo.T.astype(np.float32) @ in_up.astype(np.float32)
             edges |= edges_where(misses == 0, names[k], names[k + 1])
 
     graph = Graph(tuple(level_map), frozenset(edges), frozenset(names[k_max]))
@@ -289,65 +289,3 @@ def level_certificate(lg: LeveledGraph) -> CertificateResult:
     if not interior:
         raise EmptyWindowError("no vertex lies strictly between the extreme levels")
     return _certificate(lg.graph, level, interior, {"function": "level"}, True)
-
-
-# ---------------------------------------------------------------------------
-# Boundary identification
-# ---------------------------------------------------------------------------
-
-
-class BoundaryPairCheck(NamedTuple):
-    u: str
-    w: str
-    product: float
-    expected: float
-    deviation: float
-
-
-class BoundaryIdentificationReport(NamedTuple):
-    ok: bool
-    slack: float
-    max_deviation: float
-    pairs: tuple[BoundaryPairCheck, ...]
-
-
-def boundary_identification_check(
-    lg: LeveledGraph,
-    pairs: list[tuple[str, str]] | None = None,
-    sample: int = 50,
-    seed: int = 0,
-    slack: float = DEFAULT_BOUNDARY_SLACK,
-) -> BoundaryIdentificationReport:
-    """Compare Gromov products of deepest-level vertices (from the base) with
-    log_{1/r}(1/d) of their centers.
-
-    The identification theorem guarantees a visual metric with parameter 1/r
-    but fixes no additive constant; ``slack`` is a measured regression value
-    carried in the report, and exceeding it is a finding.
-    """
-    deepest = lg.level_vertices(lg.k_max)
-    if pairs is None:
-        cands = [
-            (u, w)
-            for i, u in enumerate(deepest)
-            for w in deepest[i + 1:]
-            if lg.center[u] != lg.center[w]
-        ]
-        if len(cands) > sample:
-            rng = np.random.default_rng(seed)
-            picks = rng.choice(len(cands), size=sample, replace=False)
-            cands = [cands[i] for i in sorted(int(x) for x in picks)]
-        pairs = cands
-    base = lg.base
-    out = []
-    for u, w in pairs:
-        if lg.level[u] != lg.k_max or lg.level[w] != lg.k_max:
-            raise InvalidInputError(f"pair ({u}, {w}) is not on the deepest level")
-        if lg.center[u] == lg.center[w]:
-            raise InvalidInputError(f"pair ({u}, {w}) shares its center point")
-        prod = float(gromov_product(lg.graph, u, w, base))
-        dist = lg.space.d(lg.center[u], lg.center[w])
-        expected = math.log(1.0 / dist) / math.log(1.0 / lg.r)
-        out.append(BoundaryPairCheck(u, w, prod, expected, abs(prod - expected)))
-    max_dev = max((p.deviation for p in out), default=0.0)
-    return BoundaryIdentificationReport(max_dev <= slack, slack, max_dev, tuple(out))

@@ -22,8 +22,10 @@ from typing import Any, Callable
 # Handlers import what only they need when they run.  numpy comes in with
 # metric, hyperbolicity and approximation (delta, approx, net, perfect) and
 # with end_space (endspace); trees with tree and endspace; decomposition, and
-# trees through it, with decomp, graft and scan.  So the metric commands load
-# neither trees nor decomposition, and the other graph-side commands no numpy.
+# trees through it, with decomp, graft and scan; the window oracle with
+# cheeger, tree and scan; hashlib with the first input file hashed.  So the
+# metric commands load neither trees nor decomposition, and the other
+# graph-side commands no numpy.
 from . import io
 from .errors import BudgetExceededError, CheegerLabError, ConstructionError, InvalidInputError
 from .graphs import (
@@ -32,7 +34,6 @@ from .graphs import (
     CheegerBound,
     admissible_vertices,
     certificate_lower_bound,
-    window_bound,
 )
 
 EXIT_OK = 0
@@ -144,6 +145,8 @@ def _base_report(command: str, inputs: dict, params: dict, seed: int | None = No
 
 
 def _cmd_cheeger(args) -> tuple[dict, int]:
+    from .window import window_bound
+
     g, src = _graph_input(args.infile)
     bound = window_bound(g, args.max_size, args.budget)
     report = _base_report(

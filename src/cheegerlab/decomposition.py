@@ -26,7 +26,6 @@ from .graphs import (
     Graph,
     admissible_vertices,
     certificate_lower_bound,
-    window_bound,
 )
 
 if TYPE_CHECKING:
@@ -281,14 +280,30 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
     if missing:
         violations.append(f"cover misses vertex {min(missing)!r}")
 
+    # Pieces with equal vertex sets are reported once per group, and the pair
+    # clauses below see only each group's smallest name, so k copies of a
+    # piece give one message, not k(k - 1) containments.
+    groups: dict[frozenset[str], list[str]] = {}
+    for name in names:
+        groups.setdefault(spec.pieces[name], []).append(name)
+    if len(groups) < len(names):
+        for group in groups.values():
+            if len(group) > 1:
+                violations.append(f"pieces {', '.join(map(repr, group))} have equal vertex sets")
+        names = [group[0] for group in groups.values()]
+        kept = set(names)
+        pair_at = {v: [name for name in at if name in kept] for v, at in pieces_at.items()}
+    else:
+        pair_at = pieces_at
+
     # A shared edge has both ends in two or more pieces, so only edges at
     # such vertices are read, and of the two piece lists the shorter.
     shared: dict[tuple[str, str], tuple[str, str]] = {}  # piece pair -> smallest shared edge
-    for u, at_u in pieces_at.items():
+    for u, at_u in pair_at.items():
         if len(at_u) < 2 or u not in adj:
             continue
         for v in adj[u]:
-            at_v = pieces_at.get(v, ())
+            at_v = pair_at.get(v, ())
             if u < v and len(at_v) >= 2:
                 scan, end = (at_u, v) if len(at_u) <= len(at_v) else (at_v, u)
                 both = [name for name in scan if end in spec.pieces[name]]
@@ -303,7 +318,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
     # A piece that holds piece a holds a's rarest vertex (any piece, if a is empty).
     for a in names:
         verts = spec.pieces[a]
-        for b in pieces_at[min(verts, key=lambda v: len(pieces_at[v]))] if verts else names:
+        for b in pair_at[min(verts, key=lambda v: len(pair_at[v]))] if verts else names:
             if b != a and verts <= spec.pieces[b]:
                 found[(a, b, 1) if a < b else (b, a, 2)] = f"piece {a!r} is contained in {b!r}"
     violations += [found[key] for key in sorted(found)]
@@ -542,6 +557,8 @@ def converse_scan(
     budget: int = DEFAULT_SUBSET_BUDGET,
     ambient_lower: Fraction | None = None,
 ) -> ConverseScanReport:
+    from .window import window_bound
+
     values: list[Fraction] = []
     witnesses: list[tuple[str, ...]] = []
     for g in windows:

@@ -17,7 +17,7 @@ class BudgetExceededError(CheegerLabError):
     """An enumeration would exceed its configured budget.
 
     Raised before any work is done, except in ``lemma_suite``, whose
-    ``trees._connected_sets`` counts sets as it yields them and raises at the
+    ``lemmas._connected_sets`` counts sets as it yields them and raises at the
     first set past the budget; partial answers are never returned.
     ``option`` names what raises the budget, or is None for a fixed cap.
     """

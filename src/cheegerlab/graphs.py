@@ -1,11 +1,12 @@
 """Finite graphs with unit-length edges and the exact Cheeger machinery on them.
 
-Vertex boundaries, the BFS metric, discrete gradient/Laplacian with Green's
-identity, the interior-Cheeger window oracle (a parametric minimum cut at
-full cap, a scan of the connected subsets below it) behind one entry point,
-:func:`window_bound`, which picks the size cap, and function-based lower-bound
-certificates.  Everything combinatorial is computed in exact
-`fractions.Fraction` arithmetic; floats never enter this module.
+Vertex boundaries, the BFS metric, the discrete gradient/Laplacian, the
+subset budget from which :func:`cheegerlab.window.window_bound` picks the
+window oracle's size cap, and function-based lower-bound certificates.
+Everything combinatorial is computed in exact `fractions.Fraction`
+arithmetic; floats never enter this module.  The window oracle itself is in
+:mod:`cheegerlab.window`, and the paper's lemma checks are in
+:mod:`cheegerlab.lemmas`.
 
 A graph may carry a *frontier*: the set of vertices where an infinite ambient
 graph was cut off.  Window results are only ambient-faithful for sets that
@@ -16,18 +17,12 @@ discipline.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 from math import comb
-from operator import index, or_
+from operator import index
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    ConstructionError,
-    EmptyWindowError,
-    InvalidInputError,
-    InvalidSupportError,
-)
+from .errors import BudgetExceededError, ConstructionError, EmptyWindowError, InvalidInputError
 from .frozen import FrozenValue
 
 if TYPE_CHECKING:
@@ -427,232 +422,17 @@ def _check_max_size(max_size: int, n: int) -> None:
         )
 
 
-def _connected_bitsets(adj: list[int], max_size: int):
-    """Yield each connected set of at most ``max_size`` vertices once, as a bit
-    set: vertex i is bit i and ``adj[i]`` its neighbours.  Exclusive-
-    neighbourhood extension (ESU; Wernicke, IEEE/ACM TCBB 2006) on an explicit
-    stack, twice as fast as recursion: each set grows only by vertices above
-    its lowest one that no earlier member neighbours."""
-    for v in range(len(adj)):
-        above = -(2 << v)  # every bit position greater than v
-        stack = [(0, 0, 1 << v, 0)]  # (set, its neighbours, extension, size)
-        while stack:
-            sub, nbrs, ext, size = stack.pop()
-            low = ext & -ext
-            ext ^= low
-            if ext:
-                stack.append((sub, nbrs, ext, size))
-            w = low.bit_length() - 1
-            sub |= low
-            yield sub
-            grown = ext | (adj[w] & above & ~nbrs)
-            if size + 1 < max_size and grown:
-                stack.append((sub, nbrs | adj[w], grown, size + 1))
+def __getattr__(name: str):
+    # The benchmark's span list (perfbench/spans.py) traces the window oracle
+    # as ``graphs.interior_cheeger_bruteforce``.  It lives in ``window``,
+    # imported here on first access only, so the commands that never run it
+    # never compile it.  Drop this forwarder once the span list names
+    # ``window``.
+    if name == "interior_cheeger_bruteforce":
+        from .window import interior_cheeger_bruteforce
 
-
-def _members(x: int) -> list[int]:
-    """The set bits of ``x``, lowest first: the lists compare as the sets sort
-    as increasing tuples, a proper prefix first."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
-def _window_scan(square: list[int], closed: list[int], max_size: int):
-    """The scan below full cap: ``(b, s, tied, judged)`` for b/s the least
-    ratio |N[S]|/|S| - 1 over the sets S of at most ``max_size`` vertices
-    connected in ``square`` (G^2; vertex i is bit i), with N[S] the OR of
-    ``closed`` over S; ``tied`` the ``(set, N[set], size)`` of every minimizer,
-    and ``judged`` how many sets came within the limit thr[m].  The enumeration
-    is :func:`_connected_bitsets`'s, except that each popped set builds all its
-    children at once and judges each as it is built."""
-    m = max_size
-    # thr[k]: the largest |N[S]| with which a k-set ties or beats the best so
-    # far; before the first set, every N[S] fits
-    thr = [reduce(or_, closed, 0).bit_count()] * (m + 1)
-    limit = thr[m]
-    best_b, best_s, tied, judged = 1, 0, [], 0
-    for v in range(len(square)):
-        above = -(2 << v)  # every bit position greater than v
-        stack = [(0, 0, 1 << v, 0, 0)]  # (set, its neighbours, extension, N[set], size)
-        # not ``while stack``: CPython 3.11 specializes a function's bytecode
-        # only after eight calls or unconditional backward jumps, and a
-        # conditional loop ends in a conditional one, so the one call a CLI
-        # process makes would run its costly first roots unspecialized
-        while True:
-            if not stack:
-                break
-            sub, nbrs, ext, acc, size = stack.pop()
-            size += 1  # each child's size
-            cut, grow, rest = thr[size], size < m, 0
-            while ext:  # highest bit first, so the lowest child is popped first
-                w = ext.bit_length() - 1
-                low = 1 << w
-                ext ^= low
-                grown = acc | closed[w]
-                c = grown.bit_count()
-                if c <= limit:
-                    judged += 1
-                    child = sub | low
-                    if c <= cut:
-                        b = c - size
-                        if b * best_s < best_b * size:
-                            best_b, best_s, tied = b, size, []
-                            thr = [(b + size) * k // size for k in range(m + 1)]
-                            cut, limit = thr[size], thr[m]
-                        tied.append((child, grown, size))
-                    if grow:
-                        x = rest | (square[w] & above & ~nbrs)
-                        if x:
-                            stack.append((child, nbrs | square[w], x, grown, size))
-                rest |= low
-    return best_b, best_s, tied, judged
-
-
-def interior_cheeger_bruteforce(
-    g: Graph,
-    max_size: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> CheegerBound:
-    """Exact minimum of |dA|/|A| over every non-empty subset of admissible
-    vertices with at most ``max_size`` elements.
-
-    Admissible means distance >= 2 from the frontier, so each window ratio
-    equals its value in the ambient graph and the minimum is a true upper
-    bound for the ambient Cheeger constant.  The witness reported is the
-    lexicographically smallest minimizing set.  ``budget`` bounds the count of
-    all subsets up to the cap, checked before any work.
-
-    At full cap (``max_size`` = the admissible count) no set is excluded, and
-    the minimum is p/q - 1 for p/q the least |N[A]|/|A|, where N[A] = A + dA.
-    A -> |N[A]| is a coverage function, so q|N[A]| - p|A| is submodular, and
-    :func:`selection_cut.min_closed_ratio` finds p/q by a few minimum cuts
-    (Dinkelbach's iteration over Picard's selection network).  It re-verifies
-    the final flow in exact integers, and it returns U, the admissible
-    vertices that cannot reach t in the final residual graph: the source side
-    of the largest minimum cut, which is the inclusion-maximal minimizer.
-    Minimizers are closed under union and intersection (for
-    f(A) = |N[A]| - (p/q)|A| >= 0, f(M + U) + f(M & U) <= f(M) + f(U) = 0),
-    so every minimizer M lies inside U.  The witness is the shortest prefix P
-    of U in name order whose ratio is p/q.  A minimizer M other than P cannot
-    sort before it: M is not a shorter prefix of U, by the choice of P; if P
-    is a prefix of M, P sorts first; otherwise M and P first differ at a
-    position where P holds the next element u of U and M, a subset of U,
-    skips u for a larger element, so P sorts first again.  A flow that fails
-    its check, or a U with no prefix of ratio p/q, raises ConstructionError.
-
-    Below full cap a scan enumerates the sets connected in G^2 (distance <= 2
-    joins): a set's G^2-components lie at distance >= 3, so its ratio is a
-    mediant of theirs, and the minimizers are the unions of far-apart
-    G^2-connected ones.  The scan returns every G^2-connected minimizer; they
-    are sorted once, and the witness is the least of them and their unions.
-
-    The scan (:func:`_window_scan`) is a branch and bound on the closed
-    neighbourhood N[S] = S + dS, carried as a bit set along the enumeration.
-    Let m = ``max_size`` and b/s the best ratio so far, and keep the table
-    thr[k] = floor((b + s)k/s) for k <= m.  A k-set S ties or beats the best
-    exactly when |N[S]|/k - 1 <= b/s, that is |N[S]| <= (b + s)k/s, that is
-    |N[S]| <= thr[k] (|N[S]| is an integer), so each set is judged by one
-    comparison as it is built.  A set S' with |N[S']| > thr[m] has ratio
-    |N[S']|/|S'| - 1 >= |N[S']|/m - 1 > b/s, so it can neither beat nor tie the
-    best, and nor can any set grown from it, as N[S'] only grows; it is
-    dropped and not grown.  The table is rebuilt each time the best ratio
-    falls, and its entries only fall.  Ties are never lost: a minimizer M of
-    ratio r <= b/s has |N[M]| = |M|(1 + r) <= thr[|M|] <= thr[m] at every
-    moment of the scan, and the sets M grows from have smaller N[.], so none
-    of them is dropped either.
-    """
-    adm = sorted(admissible_vertices(g))
-    if not adm:
-        raise EmptyWindowError("no vertex is at distance >= 2 from the frontier")
-    _check_max_size(max_size, len(adm))
-    required = subset_count(len(adm), max_size)
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-
-    # bit i is adm[i] for i < n, so bit order is name order; other vertices follow
-    n = len(adm)
-    pos = {v: i for i, v in enumerate(adm + sorted(set(g.vertices) - set(adm)))}
-    closed = {v: sum(1 << pos[u] for u in g.adjacency[v] | {v}) for v in pos}
-    if max_size == n:
-        from .selection_cut import min_closed_ratio
-
-        p, q, maximal = min_closed_ratio([closed[v] for v in adm])
-        prefix = covered = 0
-        for i in _members(maximal):
-            prefix |= 1 << i
-            covered |= closed[adm[i]]
-            if covered.bit_count() * q == p * prefix.bit_count():
-                break
-        else:
-            raise ConstructionError(f"no prefix of the maximal minimizer has ratio {p}/{q}")
-        return _oracle_result(g, adm, prefix, Fraction(p - q, q), max_size)
-
-    square = [  # G^2 on the admissible vertices
-        reduce(or_, map(closed.get, g.adjacency[v]), 0) & ((1 << n) - 1) & ~(1 << i)
-        for i, v in enumerate(adm)
-    ]
-
-    best_b, best_s, tied, _ = _window_scan(square, [closed[v] for v in adm], max_size)
-    tied.sort(key=lambda t: _members(t[0]))
-    lex_min, least = tied[0][0], min(t[2] for t in tied)
-
-    # Unions of pairwise distance->=3 minimizers, parts in lex order.  Extensions
-    # add only bits above the last part's lowest, so a union that differs from
-    # lex_min on those bits cannot lead below lex_min.
-    tied = [t for t in tied if t[2] + least <= max_size]
-    stack = [(0, 0, 0, 0, 0)]  # (next part, union, its closed neighbourhood, size, bits fixed)
-    while stack:
-        start, union, covered, size, fixed = stack.pop()
-        if (union ^ lex_min) & fixed:
-            continue
-        for i in reversed(range(start, len(tied))):  # lex-smallest part is popped first
-            sub, acc, s = tied[i]
-            if acc & covered or size + s > max_size:
-                continue
-            grown = union | sub
-            if _members(grown) < _members(lex_min):
-                lex_min = grown
-            if size + s + least <= max_size:
-                stack.append((i + 1, grown, covered | acc, size + s, (sub & -sub) * 2 - 1))
-    return _oracle_result(g, adm, lex_min, Fraction(best_b, best_s), max_size)
-
-
-def _oracle_result(
-    g: Graph, adm: list[str], witness_bits: int, value: Fraction, max_size: int
-) -> CheegerBound:
-    """The window oracle's result: ``value`` with the admissible vertices of
-    ``witness_bits`` (bit i is ``adm[i]``) as witness, re-verified: a witness
-    whose recounted ratio |dA|/|A| on ``g`` is not ``value`` raises ConstructionError."""
-    witness = tuple(adm[i] for i in _members(witness_bits))
-    b = len(boundary(g, witness))
-    if not witness or Fraction(b, len(witness)) != value:
-        raise ConstructionError(f"window witness has ratio {b}/{len(witness)}, not {value}")
-    upper = BoundEndpoint(
-        value,
-        "brute-force-window",
-        witness={"set": witness, "boundary_size": b, "max_size": max_size},
-        horizon_certified=bool(g.frontier),
-    )
-    return CheegerBound(lower=BoundEndpoint(Fraction(0), "trivial"), upper=upper)
-
-
-def window_bound(
-    g: Graph, max_size: int | None = None, budget: int = DEFAULT_SUBSET_BUDGET
-) -> CheegerBound:
-    """The window's upper endpoint: :func:`interior_cheeger_bruteforce` at cap
-    ``max_size``, or, when it is None, at the largest cap whose enumeration of
-    the admissible vertices fits ``budget``.  The witness records the cap as
-    ``max_size``.  Raises EmptyWindowError when no vertex is admissible."""
-    if max_size is None:
-        adm = admissible_vertices(g)
-        if not adm:
-            raise EmptyWindowError("no vertex is at distance >= 2 from the frontier")
-        max_size = auto_max_size(len(adm), budget)
-    return interior_cheeger_bruteforce(g, max_size, budget)
+        return interior_cheeger_bruteforce
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -685,36 +465,6 @@ def _laplacian(g: Graph, f: Mapping[str, Rational], x: str) -> Fraction:
         raise InvalidInputError(f"vertex {x!r} is isolated; Laplacian undefined")
     n = len(nbrs)
     return Fraction(sum(map(f.__getitem__, nbrs)) - n * f[x], n)
-
-
-def green_identity_check(
-    g: Graph, f: Mapping[str, Fraction], g2: Mapping[str, Fraction]
-) -> Fraction:
-    """Residual of the discrete Green identity; the contract is exactly 0.
-
-    Computes sum_x (Lf)(x) g2(x) |N(x)| + (1/2) sum over ordered adjacent
-    pairs of (grad f)(grad g2).  On a truncated window the identity is only
-    ambient-meaningful when one of the functions is supported away from the
-    frontier zone, so that support is required up front.
-    """
-    f = vertex_function(g, f)
-    g2 = vertex_function(g, g2)
-    if g.frontier:
-        zone = frozenset(g.vertices) - admissible_vertices(g)
-        if support(f) & zone and support(g2) & zone:
-            offender = sorted((support(f) | support(g2)) & zone)[0]
-            raise InvalidSupportError(
-                f"support touches the frontier zone at {offender!r}; the identity "
-                "is not guaranteed on truncations"
-            )
-    lhs = Fraction(0)
-    for x in g.vertices:
-        if g.adjacency[x] and g2[x] != 0:
-            lhs += _laplacian(g, f, x) * g.degree(x) * g2[x]
-    cross = Fraction(0)
-    for u, v in g.edges:
-        cross += 2 * (f[v] - f[u]) * (g2[v] - g2[u])  # both orientations
-    return lhs + cross / 2
 
 
 class CertificateResult(NamedTuple):
@@ -777,115 +527,6 @@ def _gradient_laplacian(
     c1 = Fraction(max(map(abs, [f[v] - f[u] for u, v in edges]), default=0))
     worst = min(vertices, key=partial(_laplacian, g, f))
     return c1, _laplacian(g, f, worst), worst
-
-
-class CorollaryCheck(NamedTuple):
-    holds: bool
-    ratio: Fraction
-    c1: Fraction
-    c2: Fraction
-
-
-def corollary_connected_bound(
-    g: Graph, f: Mapping[str, Fraction], subset: Iterable[str]
-) -> CorollaryCheck:
-    """Check |dA|/|A| >= c2/c1 for a set whose boundary vertices each have a
-    single neighbor inside, with c1, c2 evaluated on A and its boundary."""
-    f = vertex_function(g, f)
-    a = _check_subset(g, subset)
-    bd = boundary(g, a)
-    for x in sorted(bd):
-        k = len(g.adjacency[x] & a)
-        if k != 1:
-            raise InvalidInputError(
-                f"boundary vertex {x!r} has {k} neighbors in A (need exactly 1)"
-            )
-    closure = a | bd
-    edges = [(u, v) for u, v in g.edges if u in closure and v in closure]
-    c1, c2, _ = _gradient_laplacian(g, f, edges, sorted(a))
-    ratio = Fraction(len(bd), len(a))
-    if c1 > 0:
-        holds = ratio >= c2 / c1
-    else:  # constant f on the closure forces c2 = 0; nothing left to verify
-        holds = c2 <= 0
-    return CorollaryCheck(holds, ratio, c1, c2)
-
-
-# ---------------------------------------------------------------------------
-# Quasi-isometry checking
-# ---------------------------------------------------------------------------
-
-
-class QuasiIsometryReport(NamedTuple):
-    holds: bool
-    embedding_ok: bool
-    fullness_ok: bool
-    alpha: Fraction
-    beta: Fraction
-    eps: Fraction
-    worst_pair: tuple[str, str] | None = None
-    worst_pair_slack: Fraction | None = None
-    worst_vertex: str | None = None
-    worst_vertex_distance: int | None = None
-
-
-def quasi_isometry_check(
-    g1: Graph,
-    g2: Graph,
-    mapping: Mapping[str, str],
-    alpha: Rational = 1,
-    beta: Rational = 0,
-    eps: Rational = 0,
-) -> QuasiIsometryReport:
-    """Verify the two-sided quasi-isometric-embedding inequalities on all
-    vertex pairs, plus eps-fullness of the image; report the worst witness."""
-    alpha, beta, eps = Fraction(alpha), Fraction(beta), Fraction(eps)
-    if alpha < 1 or beta < 0 or eps < 0:
-        raise InvalidInputError("need alpha >= 1, beta >= 0, eps >= 0")
-    missing = [v for v in g1.vertices if v not in mapping]
-    if missing:
-        raise InvalidInputError(f"map not total: missing {missing[0]!r}")
-    bad_image = [v for v in g1.vertices if mapping[v] not in g2.index]
-    if bad_image:
-        raise InvalidInputError(f"map image {mapping[bad_image[0]]!r} not in target graph")
-
-    import numpy as np
-
-    d1 = g1.distance_matrix
-    d2 = g2.distance_matrix
-    img_idx = np.array([g2.index[mapping[v]] for v in g1.vertices])
-
-    worst_pair = None
-    worst_slack: Fraction | None = None
-    n = len(g1.vertices)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = int(d1[i, j])
-            b = int(d2[img_idx[i], img_idx[j]])
-            slack = min(Fraction(b) - (Fraction(a) / alpha - beta), alpha * a + beta - b)
-            if worst_slack is None or slack < worst_slack:
-                worst_slack = slack
-                worst_pair = (g1.vertices[i], g1.vertices[j])
-    embedding_ok = worst_slack is None or worst_slack >= 0
-
-    cover = d2[np.asarray(sorted(set(img_idx.tolist())), dtype=int)].min(axis=0)
-    far = int(cover.argmax())
-    worst_vertex = g2.vertices[far]
-    worst_dist = int(cover[far])
-    fullness_ok = Fraction(worst_dist) <= eps
-
-    return QuasiIsometryReport(
-        holds=embedding_ok and fullness_ok,
-        embedding_ok=embedding_ok,
-        fullness_ok=fullness_ok,
-        alpha=alpha,
-        beta=beta,
-        eps=eps,
-        worst_pair=worst_pair,
-        worst_pair_slack=worst_slack,
-        worst_vertex=worst_vertex,
-        worst_vertex_distance=worst_dist,
-    )
 
 
 # ---------------------------------------------------------------------------

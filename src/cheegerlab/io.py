@@ -14,7 +14,6 @@ else is order-free.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
@@ -131,6 +130,8 @@ def read_json(path: str | Path) -> Any:
 
 
 def sha256_file(path: str | Path) -> str:
+    import hashlib  # loads OpenSSL, which a job on generator inputs never needs
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -16,11 +16,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping, NamedTuple
 
-from .errors import (
-    BudgetExceededError,
-    EmptyWindowError,
-    InvalidInputError,
-)
+from .errors import EmptyWindowError, InvalidInputError
 from .frozen import Frozen
 from .graphs import (
     DEFAULT_SUBSET_BUDGET,
@@ -28,11 +24,8 @@ from .graphs import (
     CheegerBound,
     Graph,
     _check_max_size,
-    _connected_bitsets,
-    _members,
     boundary,
     normalize_edge,
-    window_bound,
 )
 
 if TYPE_CHECKING:
@@ -364,7 +357,7 @@ def tree_cheeger_bounds(
     prefix only); a pseudo-regularity defect pins the lower endpoint to 0 and
     reports the defect chain, whose prefixes are the 2/K witness family.  The
     upper endpoint is the window minimum over admissible sets from
-    :func:`~cheegerlab.graphs.window_bound`, capped at ``max_size`` (largest
+    :func:`~cheegerlab.window.window_bound`, capped at ``max_size`` (largest
     size within the budget when omitted).
     """
     g = t.graph
@@ -381,6 +374,8 @@ def tree_cheeger_bounds(
     tinf = maximal_complete_subtree(t)
     pseudo = pseudo_regularity_index(t)
     comp = complementedness_index(t)
+
+    from .window import window_bound
 
     upper_bound = window_bound(g, max_size, budget).upper
 
@@ -406,93 +401,6 @@ def tree_cheeger_bounds(
         t.horizon, pseudo.k, comp.c, tinf,
         CheegerBound(lower, upper_bound), pseudo, comp, sandwich,
     )
-
-
-# ---------------------------------------------------------------------------
-# Lemma suite
-# ---------------------------------------------------------------------------
-
-
-class LemmaCounterexample(NamedTuple):
-    lemma: str
-    vertices: tuple[str, ...]
-    detail: str
-
-
-class LemmaSuiteReport(NamedTuple):
-    sets_checked: int
-    min_boundary_ratio: Fraction | None
-    min_essential_ratio: Fraction | None
-    min_inner_ratio: Fraction | None
-    counterexamples: tuple[LemmaCounterexample, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-
-def _connected_sets(g: Graph, allowed: list[str], max_size: int, budget: int):
-    """Enumerate the connected vertex sets of the induced subgraph on
-    ``allowed`` with at most ``max_size`` elements, each exactly once, as
-    tuples of names in ``allowed`` order."""
-    rank = {v: i for i, v in enumerate(allowed)}
-    adj = [sum(1 << rank[u] for u in g.adjacency[v] if u in rank) for v in allowed]
-    for produced, sub in enumerate(_connected_bitsets(adj, max_size), 1):
-        if produced > budget:
-            raise BudgetExceededError(produced, budget, "connected sets", option="budget=")
-        yield tuple(map(allowed.__getitem__, _members(sub)))
-
-
-def lemma_suite(
-    t: RootedTree,
-    max_size: int = 8,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> LemmaSuiteReport:
-    """Exhaustively test the three connected-set inequalities, plus the
-    shallow-set counting bound, over every connected set of dead-free,
-    1-pseudo-regular trees.
-
-    Sets avoid the horizon sphere so that window boundaries equal ambient
-    boundaries; any counterexample is a build-breaking bug and is reported.
-    """
-    tinf = maximal_complete_subtree(t)
-    if set(t.vertices) - tinf:
-        raise InvalidInputError("lemma suite requires a tree that equals its complete subtree")
-    pseudo = pseudo_regularity_index(t)
-    if pseudo.k != 1:
-        raise InvalidInputError(f"lemma suite requires 1-pseudo-regularity (got K={pseudo.k})")
-
-    g = t.graph
-    allowed = [v for v in g.vertices if v not in g.frontier]
-    third, sixth = Fraction(1, 3), Fraction(1, 6)
-    counter: list[LemmaCounterexample] = []
-    mins: list[Fraction | None] = [None, None, None]
-    checked = 0
-    for a in _connected_sets(g, allowed, max_size, budget):
-        checked += 1
-        aset = frozenset(a)
-        bd = boundary(g, aset)
-        eb = essential_boundary(t, aset)
-        size = len(aset)
-        ratios = (
-            ("boundary-third", Fraction(len(bd), size), third, 0),
-            ("essential-third", Fraction(len(eb.essential), size), third, 1),
-            ("inner-sixth", Fraction(len(eb.inner), size), sixth, 2),
-        )
-        for name, ratio, floor_val, slot in ratios:
-            if mins[slot] is None or ratio < mins[slot]:
-                mins[slot] = ratio
-            if ratio < floor_val:
-                counter.append(LemmaCounterexample(name, tuple(sorted(aset)), f"{ratio} < {floor_val}"))
-        max_depth = max(t.depth[x] for x in aset)
-        if size > 1 + max_depth * len(eb.essential):
-            counter.append(
-                LemmaCounterexample(
-                    "shallow-count", tuple(sorted(aset)),
-                    f"|A|={size} > 1 + {max_depth}*{len(eb.essential)}",
-                )
-            )
-    return LemmaSuiteReport(checked, mins[0], mins[1], mins[2], tuple(counter))
 
 
 # ---------------------------------------------------------------------------

@@ -327,8 +327,9 @@ def oracle_piece_clauses(vertices, edges, pieces):
     """The structural violations of a decomposition with pieces ``pieces``
     (name -> vertex set), in report order, with every pair of pieces
     compared: each piece's smallest unknown vertex (in the pieces' own
-    order), the smallest uncovered vertex, then per name pair a < b the
-    smallest shared edge, "a in b" and "b in a"."""
+    order), the smallest uncovered vertex, each set of two or more names of
+    equal pieces, then per name pair a < b of pieces that no smaller name
+    equals the smallest shared edge, "a in b" and "b in a"."""
     out = []
     for name, verts in pieces.items():
         unknown = sorted(set(verts) - set(vertices))
@@ -337,8 +338,15 @@ def oracle_piece_clauses(vertices, edges, pieces):
     missing = sorted(set(vertices) - set().union(*pieces.values()))
     if missing:
         out.append(f"cover misses vertex {missing[0]!r}")
+    first = []  # names of pieces that no smaller name equals
+    for name in sorted(pieces):
+        equal = [b for b in sorted(pieces) if set(pieces[b]) == set(pieces[name])]
+        if equal[0] == name:
+            first.append(name)
+            if len(equal) > 1:
+                out.append(f"pieces {', '.join(map(repr, equal))} have equal vertex sets")
     shared = oracle_shared_edges(edges, pieces)
-    for a, b in combinations(sorted(pieces), 2):
+    for a, b in combinations(first, 2):
         if (a, b) in shared:
             u, v = shared[a, b]
             out.append(

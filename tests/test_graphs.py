@@ -21,7 +21,7 @@ from cheegerlab import (
     InvalidInputError,
     InvalidSupportError,
     graphs,
-    selection_cut,
+    window,
 )
 
 from conftest import (
@@ -429,8 +429,8 @@ def test_interior_union_search_with_many_far_apart_ties():
         assert (bound.upper.value, bound.upper.witness["set"]) == (0, ("v00",))
 
 
-ENUMERATE = graphs._connected_bitsets
-SCAN = graphs._window_scan
+ENUMERATE = window._connected_bitsets
+SCAN = window._window_scan
 
 
 @pytest.fixture
@@ -446,7 +446,7 @@ def scan_counts(monkeypatch):
         counts["args"] = args
         return result
 
-    monkeypatch.setattr(graphs, "_window_scan", counting)
+    monkeypatch.setattr(window, "_window_scan", counting)
     return counts
 
 
@@ -631,7 +631,7 @@ def admissible_closed(g):
 def maximal_minimizer(g):
     """U from the selection cut, as admissible vertex names."""
     adm, closed = admissible_closed(g)
-    p, q, maximal = selection_cut.min_closed_ratio(closed)
+    p, q, maximal = window.min_closed_ratio(closed)
     return Fraction(p - q, q), {v for i, v in enumerate(adm) if maximal >> i & 1}
 
 
@@ -639,8 +639,8 @@ def maximal_minimizer(g):
 def test_members_lists_the_set_bits_in_lex_order(a, b):
     x, y = sum(1 << i for i in a), sum(1 << i for i in b)
     literal = [i for i in range(x.bit_length()) if x >> i & 1]
-    assert graphs._members(x) == literal == sorted(a)
-    assert (graphs._members(x) < graphs._members(y)) == (tuple(sorted(a)) < tuple(sorted(b)))
+    assert window._members(x) == literal == sorted(a)
+    assert (window._members(x) < window._members(y)) == (tuple(sorted(a)) < tuple(sorted(b)))
 
 
 def test_selection_network_build_is_not_quadratic():
@@ -648,7 +648,7 @@ def test_selection_network_build_is_not_quadratic():
     # every bit position instead is quadratic in the window
     _, closed = admissible_closed(cl.random_tree(8000, 0).graph)
     start = time.perf_counter()
-    p, q, _ = selection_cut.min_closed_ratio(closed)
+    p, q, _ = window.min_closed_ratio(closed)
     assert time.perf_counter() - start < 4
     assert (p, q) == (7999, 7998)
 
@@ -675,7 +675,7 @@ def test_full_cap_draws_no_set_from_the_enumerator(scan_counts, monkeypatch):
     def enumerate_nothing(*args):
         raise AssertionError("the full cap enumerated sets")
 
-    monkeypatch.setattr(graphs, "_connected_bitsets", enumerate_nothing)
+    monkeypatch.setattr(window, "_connected_bitsets", enumerate_nothing)
     g = cl.grid_window(8, 8)
     bound = cl.interior_cheeger_bruteforce(g, 16)
     assert bound.upper.value == 1
@@ -695,7 +695,7 @@ def test_full_cap_on_the_3_regular_tree_is_m_plus_2_over_m(depth, m):
 
 
 def test_flow_verifier_rejects_broken_flows():
-    net = selection_cut.SelectionNetwork(admissible_closed(cl.homogeneous_tree(3, 3).graph)[1])
+    net = window.SelectionNetwork(admissible_closed(cl.homogeneous_tree(3, 3).graph)[1])
     p, q = 10, 4  # the ball of radius 1 has 4 vertices and a closed neighbourhood of 10
     flow, _ = net.max_flow(p, q)
     net.verify(p, q, flow)

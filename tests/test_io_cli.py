@@ -414,13 +414,13 @@ def test_cli_cheeger_exits_falsified_when_the_scan_reports_a_tie_off_its_ratio(
 ):
     # the witness is re-verified: a scan naming a set whose ratio is not the
     # reported minimum is a finding (exit 4), not a reported bound
-    scan = graphs._window_scan
+    scan = cl.window._window_scan
 
     def lying(square, closed, max_size):
         b, s, _, judged = scan(square, closed, max_size)
         return b, s, [(1, closed[0], 1)], judged  # one interior vertex: ratio 4
 
-    monkeypatch.setattr(graphs, "_window_scan", lying)
+    monkeypatch.setattr(cl.window, "_window_scan", lying)
     io.save_graph(tmp_path / "g.json", cl.grid_window(9, 9))
     code, blob = run_cli(["cheeger", "--in", str(tmp_path / "g.json")], tmp_path)
     assert (code, blob) == (4, b"")
@@ -467,13 +467,13 @@ def test_cli_tree_without_live_leaves_checks_the_cap(tmp_path, capsys):
 def test_window_callers_agree_with_window_bound(tmp_path, monkeypatch, make, value, cap):
     # each caller makes one oracle call, at the automatic cap
     caps = []
-    oracle = graphs.interior_cheeger_bruteforce
+    oracle = cl.window.interior_cheeger_bruteforce
 
     def recording(g, max_size, budget=graphs.DEFAULT_SUBSET_BUDGET):
         caps.append(max_size)
         return oracle(g, max_size, budget)
 
-    monkeypatch.setattr(graphs, "interior_cheeger_bruteforce", recording)
+    monkeypatch.setattr(cl.window, "interior_cheeger_bruteforce", recording)
     window = make()
     g = window.graph if isinstance(window, cl.RootedTree) else window
     upper = cl.window_bound(g).upper

@@ -10,6 +10,7 @@ generator family and bounds each report by the bytes it reads.
 
 import contextlib
 import hashlib
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -136,8 +137,16 @@ def test_report_and_file_bytes_are_pinned(tmp_path, monkeypatch):
     assert run_all() == EXPECTED
 
 
+def _equal_pieces(k):
+    """k copies of the piece {1, 2} of a two-vertex path, all first-class."""
+    pieces = {f"p{i}": frozenset({"1", "2"}) for i in range(k)}
+    g = cl.path_window(2, truncated=False)
+    return cl.DecompositionSpec(g, pieces, frozenset(pieces), frozenset(), 0, Fraction(1))
+
+
 # the pinned runs plus a tree from every family, a long chain among them,
-# and ``certify``; a report may grow with what it reads, no faster
+# ``certify``, and a decomposition of many equal pieces; a report may grow
+# with what it reads, no faster
 LINEAR_INPUTS = {
     **INPUTS,
     "position.json": (io.write_canonical, lambda: {str(i): i for i in range(1, 14)}),
@@ -147,6 +156,7 @@ LINEAR_INPUTS = {
     "full.json": (io.save_tree, lambda: cl.full_branching_tree(2, 5)),
     "rand.json": (io.save_tree, lambda: cl.random_tree(60, 1)),
     "chain2000.json": (io.save_tree, lambda: cl.growing_chain(2000)),
+    "dup1000.json": (io.save_decomposition, lambda: _equal_pieces(1000)),
 }
 LINEAR_RUNS = {
     **RUNS,
@@ -155,6 +165,7 @@ LINEAR_RUNS = {
     "tree-chain2000": ["tree", "--in", "chain2000.json"],
     "certify": ["certify", "--in", "p13.json", "--function", "position.json"],
     "net-interval": ["net", "--in", "interval.json", "--eps", "0.1"],
+    "decomp-dup1000": ["decomp", "--spec", "dup1000.json"],
 }
 
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import cheegerlab as cl
 from cheegerlab import Graph, cli, io
 from cheegerlab.cli import main as cli_main
-from cheegerlab.trees import _connected_sets
+from cheegerlab.lemmas import _connected_sets
 
 from conftest import oracle_min_ratio_witness
 

@@ -1,8 +1,10 @@
 """What the CLI and the package load: no command loads ``dataclasses``, the
 graph and tree commands run without numpy or ``inspect``, the metric commands
-without the tree and decomposition modules, and every name the package
-exports still resolves.  Also what the validated types keep without
-``dataclasses``: equality, hashing and frozen fields."""
+without the tree and decomposition modules, only ``cheeger``, ``tree`` and
+``scan`` load the window oracle, no command loads the lemma checks, a job
+that reads no file loads no ``hashlib``, and every name the package exports
+still resolves.  Also what the validated types keep without ``dataclasses``:
+equality, hashing and frozen fields."""
 
 import json
 import os
@@ -108,23 +110,26 @@ def test_graph_side_commands_never_load_numpy(tmp_path):
 
 
 # Runs each argv list through cli.main in one interpreter and prints, after
-# each, its exit code and which of the graph-side modules are loaded.
+# each, its exit code and which of the graph-side modules, the window oracle,
+# the lemma checks and hashlib are loaded.
 MODULES_SCRIPT = """
 import contextlib, io, json, sys
 from cheegerlab.cli import main
 
+watched = ("decomposition", "trees", "window", "lemmas")
 out = []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         code = main(argv)
-        loaded = [m for m in ("decomposition", "trees") if f"cheegerlab.{m}" in sys.modules]
-        out.append([code, loaded])
+        loaded = [m for m in watched if f"cheegerlab.{m}" in sys.modules]
+        out.append([code, loaded + ["hashlib"] * ("hashlib" in sys.modules)])
 print(json.dumps(out))
 """
 
 
 def test_metric_side_commands_never_load_trees_or_decomposition(tmp_path):
     io.save_tree(tmp_path / "t3tree.json", cl.homogeneous_tree(3, 3))
+    # every input is a generator, so no file is hashed
     metric_side = [
         ["net", "--in", "interval:40", "--eps", "0.1"],
         ["perfect", "--in", "cantor:4", "--s", "3.01", "--eps0", "1.0"],
@@ -132,12 +137,42 @@ def test_metric_side_commands_never_load_trees_or_decomposition(tmp_path):
         ["delta", "--in", "cantor:3"],
     ]
     out = run_fresh(MODULES_SCRIPT, [*metric_side, ["endspace", "--in", "t3tree.json"]], tmp_path)
-    assert out == [[0, []]] * len(metric_side) + [[0, ["trees"]]]
-    # a scan needs the decomposition module but none of the tree module
+    assert out == [[0, []]] * len(metric_side) + [[0, ["trees", "hashlib"]]]
+    # a scan needs the decomposition module and the window oracle but none of
+    # the tree module
     io.save_graph(tmp_path / "grid5.json", cl.grid_window(5, 5))
     io.save_graph(tmp_path / "grid6.json", cl.grid_window(6, 6))
     scan = ["scan", "--in", "grid5.json", "--in", "grid6.json"]
-    assert run_fresh(MODULES_SCRIPT, [scan], tmp_path) == [[0, ["decomposition"]]]
+    expected = [[0, ["decomposition", "window", "hashlib"]]]
+    assert run_fresh(MODULES_SCRIPT, [scan], tmp_path) == expected
+
+
+def test_only_cheeger_tree_and_scan_load_the_window_oracle(tmp_path):
+    t = cl.homogeneous_tree(3, 2)
+    io.save_graph(tmp_path / "p9.json", cl.path_window(9))
+    io.save_graph(tmp_path / "grid3.json", cl.grid_window(3, 3))
+    io.save_graph(tmp_path / "t3.json", t.graph)
+    io.save_tree(tmp_path / "t3tree.json", cl.homogeneous_tree(3, 3))
+    io.write_canonical(tmp_path / "depth.json", {v: str(t.depth[v]) for v in t.vertices})
+    others = [
+        ["certify", "--in", "t3.json", "--function", "depth.json"],
+        ["graft", "--base", "grid3.json", "--attachment", "t3.json", "--port", "v",
+         "--decomposition", "d.json"],
+        ["decomp", "--spec", "d.json"],
+        ["delta", "--in", "p9.json"],
+        ["approx", "--in", "cantor:4", "--r", "0.111111", "--k-max", "3"],
+        ["net", "--in", "interval:40", "--eps", "0.1"],
+        ["perfect", "--in", "cantor:4", "--s", "3.01", "--eps0", "1.0"],
+        ["endspace", "--in", "t3tree.json"],
+    ]
+    out = run_fresh(MODULES_SCRIPT, [*others, ["cheeger", "--in", "p9.json"]], tmp_path)
+    assert [code for code, _ in out] == [0] * (len(others) + 1)
+    assert [("window" in loaded, "lemmas" in loaded) for _, loaded in out] == (
+        [(False, False)] * len(others) + [(True, False)]
+    )
+    for argv in (["tree", "--in", "t3tree.json", "--max-size", "4"], ["scan", "--in", "p9.json"]):
+        [(code, loaded)] = run_fresh(MODULES_SCRIPT, [argv], tmp_path)
+        assert code == 0 and "window" in loaded and "lemmas" not in loaded, argv
 
 
 def test_package_exports_resolve_lazily():
