@@ -7,17 +7,25 @@ are byte-identical across runs and worker counts.  Timing and human-readable
 notes go to stderr only.  Exit codes: 0 success, 2 invalid input, 3 budget
 exceeded, 4 falsified invariant or failed check (a finding, with its witness
 in the report).
+
+The process entry, :func:`run` (``python -m cheegerlab.cli`` and the
+``cheegerlab`` script), calls :func:`main`, flushes stdout and stderr and ends
+the process with ``os._exit``: an interpreter that is about to exit skips its
+teardown, and ``atexit`` hooks do not run.  :func:`main` returns the exit code
+and is the in-process API, for callers that rely on ``atexit`` or go on
+running; importing this module registers nothing and never exits.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 # Handlers import what only they need when they run.  numpy comes in with
 # metric, hyperbolicity and approximation (delta, approx, net, perfect) and
@@ -40,6 +48,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
+EXIT_FLUSH_FAILED = 120  # the final flush of stdout or stderr failed, as in CPython
 
 
 def _jsonable(x: Any) -> Any:
@@ -440,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0, help="seed for any sampling (default 0)")
     common.add_argument(
         "--threads", type=int, default=1,
-        help="accepted and ignored: the library is single-threaded",
+        help="accepted and ignored; numpy's BLAS, which the metric commands load, "
+        "may still run several threads",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -544,5 +554,30 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run(argv: list[str] | None = None) -> NoReturn:
+    """Run :func:`main`, flush stdout and stderr, and end the process with
+    ``os._exit``.  The report is out and every file is closed when ``main``
+    returns, so nothing is lost by skipping the interpreter's finalization:
+    the module teardown, the last collections and numpy's thread-pool
+    shutdown.  A flush that fails ends the process with status 120, and a
+    failure on stdout is reported on stderr, as the interpreter's own final
+    flush does.  ``SystemExit`` (argparse's help and usage errors) and
+    uncaught exceptions propagate, and the interpreter exits as usual."""
+    code = main(argv)
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except Exception as exc:
+            code = EXIT_FLUSH_FAILED
+            if stream is sys.stdout:
+                try:
+                    print(f"Exception ignored in: {stream!r}\n{type(exc).__name__}: {exc}",
+                          file=sys.stderr)
+                except Exception:
+                    pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,17 +13,24 @@ class InvalidInputError(CheegerLabError, ValueError):
     """Malformed graph/metric/tree data or an argument outside an op's domain."""
 
 
+#: Counts from here up are not printed in full (they may run past Python's
+#: int-to-str limit); a refusal says "more than <budget>" instead.
+LONG_COUNT = 10**40
+
+
 class BudgetExceededError(CheegerLabError):
     """An enumeration would exceed its configured budget.
 
     Raised before any work is done, except in ``lemma_suite``, whose
     ``lemmas._connected_sets`` counts sets as it yields them and raises at the
     first set past the budget; partial answers are never returned.
+    ``required`` is None when the count is only known to pass the budget.
     ``option`` names what raises the budget, or is None for a fixed cap.
     """
 
     def __init__(
-        self, required: int, budget: int, what: str = "subsets", option: str | None = "--budget"
+        self, required: int | None, budget: int, what: str = "subsets",
+        option: str | None = "--budget",
     ):
         self.required = required
         self.budget = budget
@@ -31,7 +38,9 @@ class BudgetExceededError(CheegerLabError):
             limit, remedy = "the fixed cap", "no option raises it, so shrink the instance"
         else:
             limit, remedy = "the budget", f"raise it with {option} or shrink the instance"
-        super().__init__(f"{required} {what} exceed {limit} of {budget}; {remedy}")
+        short = required is not None and required < LONG_COUNT
+        count = required if short else f"more than {budget}"
+        super().__init__(f"{count} {what} exceed {limit} of {budget}; {remedy}")
 
 
 class EmptyWindowError(CheegerLabError):

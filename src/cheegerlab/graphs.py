@@ -404,11 +404,41 @@ def subset_count(n: int, max_size: int) -> int:
     return sum(comb(n, k) for k in range(1, max_size + 1))
 
 
+def _subset_counts(n: int):
+    """Yields ``subset_count(n, k)`` for k = 1, ..., n, each term C(n, k) from
+    the one before by C(n, k) = C(n, k - 1)(n - k + 1)/k.  The k-th sum is at
+    least 2^(k - 1), so a scan that stops once the sum passes a cap takes at
+    most log2(cap) + 2 steps, however large n is."""
+    total, term = 0, 1
+    for k in range(1, n + 1):
+        term = term * (n - k + 1) // k
+        total += term
+        yield total
+
+
+def capped_subset_count(n: int, max_size: int, cap: int) -> int | None:
+    """``subset_count(n, max_size)`` if it is at most ``cap``, else None, for
+    1 <= ``max_size`` <= n; the sum stops as soon as it passes ``cap``, and at
+    full cap the count is 2^n - 1."""
+    if max_size == n:
+        total = (1 << n) - 1
+        return total if total <= cap else None
+    for k, total in enumerate(_subset_counts(n), 1):
+        if total > cap:
+            return None
+        if k == max_size:
+            return total
+
+
 def auto_max_size(n: int, budget: int = DEFAULT_SUBSET_BUDGET) -> int:
     """Largest subset-size cap whose full enumeration stays within ``budget``."""
     m = 0
-    while m < n and subset_count(n, m + 1) <= budget:
-        m += 1
+    if (1 << n) - 1 <= budget:
+        m = n
+    else:
+        for m, total in enumerate(_subset_counts(n)):  # m = k - 1 at the k-th sum
+            if total > budget:
+                break
     if m == 0:
         raise BudgetExceededError(n, budget)
     return m

@@ -25,7 +25,7 @@ from functools import reduce
 from operator import or_
 from typing import Sequence
 
-from .errors import BudgetExceededError, ConstructionError, EmptyWindowError
+from .errors import LONG_COUNT, BudgetExceededError, ConstructionError, EmptyWindowError
 from .graphs import (
     DEFAULT_SUBSET_BUDGET,
     BoundEndpoint,
@@ -35,7 +35,7 @@ from .graphs import (
     admissible_vertices,
     auto_max_size,
     boundary,
-    subset_count,
+    capped_subset_count,
 )
 
 
@@ -339,8 +339,9 @@ def interior_cheeger_bruteforce(
     if not adm:
         raise EmptyWindowError("no vertex is at distance >= 2 from the frontier")
     _check_max_size(max_size, len(adm))
-    required = subset_count(len(adm), max_size)
-    if required > budget:
+    # summed up to LONG_COUNT past a small budget, so a short count is still printed
+    required = capped_subset_count(len(adm), max_size, max(budget, LONG_COUNT))
+    if required is None or required > budget:
         raise BudgetExceededError(required, budget)
 
     # bit i is adm[i] for i < n, so bit order is name order; other vertices follow

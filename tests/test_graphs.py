@@ -769,11 +769,46 @@ def test_window_bound():
         cl.window_bound(cl.path_window(3), 1)
 
 
+SUBSET_BUDGETS = [0, 1, 5, 30, 1000, 2**20, 2**22, 2**30 - 1, 2**30]
+
+
 def test_auto_max_size():
     assert cl.auto_max_size(10, budget=2**22) == 10
     assert cl.auto_max_size(46, budget=2**22) == 5
     with pytest.raises(BudgetExceededError):
         cl.auto_max_size(100, budget=10)
+    for n in range(31):  # the largest cap within the budget, by the literal sum
+        for budget in SUBSET_BUDGETS:
+            fits = [m for m in range(1, n + 1) if graphs.subset_count(n, m) <= budget]
+            if not fits:
+                with pytest.raises(BudgetExceededError):
+                    cl.auto_max_size(n, budget)
+            else:
+                assert cl.auto_max_size(n, budget) == max(fits), (n, budget)
+
+
+def test_capped_subset_count_agrees_with_the_literal_sum():
+    for n in range(1, 31):
+        for m in range(1, n + 1):
+            exact = graphs.subset_count(n, m)
+            for budget in SUBSET_BUDGETS:
+                capped = graphs.capped_subset_count(n, m, budget)
+                assert (capped is None) == (exact > budget), (n, m, budget)
+                assert capped in (None, exact)
+
+
+def test_a_huge_subset_count_is_refused_without_being_summed_or_printed():
+    # C(20000, k) summed to k = 8000 has over 4,300 digits, past Python's
+    # int-to-str limit; the refusal neither sums nor prints it
+    g = cl.path_window(20000)
+    for cap in (2000, 8000, 19996):
+        with pytest.raises(BudgetExceededError) as info:
+            cl.interior_cheeger_bruteforce(g, cap)
+        assert info.value.required is None
+        assert str(info.value).startswith(f"more than {cl.DEFAULT_SUBSET_BUDGET} subsets")
+    assert graphs.capped_subset_count(20000, 8000, 10**4000) is None
+    with pytest.raises(BudgetExceededError, match="^5 subsets exceed the budget of 4;"):
+        cl.interior_cheeger_bruteforce(cl.path_window(9), 1, budget=4)
 
 
 def test_squeeze_certificate_below_bruteforce():

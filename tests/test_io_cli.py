@@ -5,6 +5,7 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -567,6 +568,17 @@ def test_cli_budget_messages_name_the_remedy(workdir, monkeypatch, capsys, argv,
         monkeypatch.setattr(importlib.import_module(f"cheegerlab.{module}"), name, value)
     assert cli_main(argv) == 3
     assert message in capsys.readouterr().err
+
+
+def test_cli_refuses_a_count_past_the_int_to_str_limit_quickly(tmp_path, capsys):
+    path = tmp_path / "p20k.json"
+    io.save_graph(path, cl.path_window(20000))
+    start = time.perf_counter()
+    assert cli_main(["cheeger", "--in", str(path), "--max-size", "8000"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: more than 4194304 subsets exceed the budget")
+    assert len(err) < 200
 
 
 @pytest.mark.parametrize("samples, expected", [("0", 2), ("-3", 2), ("1000000000000", 3)])
