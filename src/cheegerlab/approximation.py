@@ -16,13 +16,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConstructionError, EmptyWindowError, InvalidInputError
+from .errors import BudgetExceededError, ConstructionError, EmptyWindowError, InvalidInputError
 from .frozen import Frozen
 from .graphs import CertificateResult, Graph, _certificate, edges_where
 from .hyperbolicity import DeltaReport, delta_four_point
 from .metric import FiniteMetricSpace, greedy_separated, strongly_bounded_geometry_profile
 
 MAX_PARAMETER = 1.0 / 6.0
+
+#: ``build_truncated`` refuses when its ball products would take more than
+#: this many multiply-adds: n * |L_k| * (|L_k| + |L_{k+1}|) summed over the
+#: levels, for n points.  ``approx --in cantor:11 --r 0.111111 --k-max 7``
+#: needs 3.3e10 of them (1.1 s on 2 vCPUs, Python 3.11, numpy 2.4).
+BUILD_BUDGET = 2**36
 
 
 def _vertex_name(k: int, point: str) -> str:
@@ -116,6 +122,8 @@ def build_truncated(
 
     For a singleton space the base level cannot be derived from the diameter
     and must be passed explicitly; the result is then a chain (a ray prefix).
+    Once the nets are chosen, and before either ball product runs, a build
+    past :data:`BUILD_BUDGET` multiply-adds raises ``BudgetExceededError``.
     """
     k0 = _checked_k0(space, r, k_max, k0)
     d = space.dist
@@ -123,6 +131,12 @@ def build_truncated(
     levels = {k: greedy_separated(space, r**k) for k in range(k0, k_max + 1)}
     if len(levels[k0]) != 1:
         raise ConstructionError("base level is not a single vertex", witness=levels[k0])
+    sizes = [*map(len, levels.values()), 0]
+    work = len(space.points) * sum(a * (a + b) for a, b in zip(sizes, sizes[1:]))
+    if work > BUILD_BUDGET:
+        raise BudgetExceededError(
+            work, BUILD_BUDGET, "multiply-adds in the approximation's ball products", option=None
+        )
 
     names = {k: [_vertex_name(k, p) for p in levels[k]] for k in levels}
     level_map = {v: k for k in levels for v in names[k]}

@@ -20,7 +20,9 @@ from fractions import Fraction
 from functools import cached_property, partial
 from math import comb
 from operator import index
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence,
+)
 
 from .errors import BudgetExceededError, ConstructionError, EmptyWindowError, InvalidInputError
 from .frozen import FrozenValue
@@ -41,6 +43,18 @@ Rational = Fraction | int
 def normalize_edge(u: str, v: str) -> tuple[str, str]:
     """Canonical (sorted) form of an undirected edge."""
     return (u, v) if u <= v else (v, u)
+
+
+def _refuse_edges(bad: list[tuple[str, str]]) -> NoReturn:
+    """Refuse invalid edges, naming the smallest offender whatever the hash
+    seed: a self-loop, a pair out of canonical order or an undeclared
+    endpoint."""
+    u, v = min(bad)
+    if u == v:
+        raise InvalidInputError(f"self-loop at {u!r}")
+    if u > v:
+        raise InvalidInputError(f"edge {(u, v)!r} not in canonical order")
+    raise InvalidInputError(f"edge {(u, v)!r} has undeclared endpoint")
 
 
 def edges_where(mask: np.ndarray, rows: Sequence[str], cols: Sequence[str]) -> set[tuple[str, str]]:
@@ -74,13 +88,8 @@ class Graph(FrozenValue):
         if len(seen) != len(self.vertices):
             raise InvalidInputError("duplicate vertex identifiers")
         bad = [(u, v) for u, v in self.edges if u >= v or u not in seen or v not in seen]
-        if bad:  # only a failure sorts: the smallest offender, whatever the hash seed
-            u, v = min(bad)
-            if u == v:
-                raise InvalidInputError(f"self-loop at {u!r}")
-            if u > v:
-                raise InvalidInputError(f"edge {(u, v)!r} not in canonical order")
-            raise InvalidInputError(f"edge {(u, v)!r} has undeclared endpoint")
+        if bad:
+            _refuse_edges(bad)
         if not self.frontier <= seen:
             raise InvalidInputError("frontier contains undeclared vertices")
 
@@ -92,16 +101,42 @@ class Graph(FrozenValue):
         frontier: Iterable[str] = (),
         require_connected: bool = True,
     ) -> "Graph":
+        """The graph on ``edges``, each an unordered pair of names, with the
+        checks and messages of the constructor.  One pass over ``edges``
+        normalizes them and builds :attr:`adjacency`; ``vertices``, when
+        omitted, are the endpoints in sorted order."""
+        declared = vertices is not None
+        names = tuple(map(str, vertices)) if declared else ()
+        nbrs: dict[str, set[str]] = {v: set() for v in names}
+        if len(nbrs) != len(names):
+            raise InvalidInputError("duplicate vertex identifiers")
         pairs = set()
-        for a, b in edges:  # one pass, one str() per endpoint
+        bad = []
+        for a, b in edges:  # one str() per endpoint
             u, v = str(a), str(b)
-            pairs.add((u, v) if u <= v else (v, u))
-        edge_set = frozenset(pairs)
-        if vertices is None:
-            names = sorted({x for e in edge_set for x in e})
-        else:
-            names = list(map(str, vertices))
-        g = cls(tuple(names), edge_set, frozenset(map(str, frontier)))
+            if v < u:
+                u, v = v, u
+            pairs.add((u, v))
+            nu, nv = nbrs.get(u), nbrs.get(v)
+            if nu is None or nv is None or u == v:  # an offender, or a new name
+                if declared or u == v:
+                    bad.append((u, v))
+                    continue
+                nu, nv = nbrs.setdefault(u, set()), nbrs.setdefault(v, set())
+            nu.add(v)
+            nv.add(u)
+        if bad:
+            _refuse_edges(bad)
+        if not declared:
+            names = tuple(sorted(nbrs))
+        marks = frozenset(map(str, frontier))
+        if not marks.issubset(nbrs):
+            raise InvalidInputError("frontier contains undeclared vertices")
+        g = cls.__new__(cls)
+        g.__dict__.update(
+            vertices=names, edges=frozenset(pairs), frontier=marks,
+            adjacency={v: frozenset(nbrs[v]) for v in names},
+        )
         if require_connected and not g.is_connected:
             raise InvalidInputError(
                 "graph is disconnected; pass require_connected=False for "
@@ -139,7 +174,16 @@ class Graph(FrozenValue):
 
     @cached_property
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        """At most one component: a search from the first vertex reaches all."""
+        adj = self.adjacency
+        reached = set(self.vertices[:1])
+        stack = list(reached)
+        for x in stack:
+            for y in adj[x]:
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        return len(reached) == len(adj)
 
     def components(self, within: Iterable[str] | None = None) -> list[frozenset[str]]:
         """Connected components of the subgraph induced on ``within`` (every

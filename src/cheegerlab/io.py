@@ -121,8 +121,11 @@ def write_canonical(path: str | Path, payload: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
+    """The JSON document in the file ``path``.  ``json.loads`` decodes the
+    bytes by JSON's own rule (UTF-8, or UTF-16 or UTF-32 told apart by the
+    first bytes), whatever the locale's encoding."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_bytes())
     # ValueError covers bad JSON, bad UTF-8 and integer literals past the
     # int-to-str digit limit; RecursionError covers too deep nesting
     except (ValueError, RecursionError) as exc:
@@ -174,7 +177,7 @@ def parse_fraction(text: str | int) -> Fraction:
 def graph_payload(g: Graph) -> dict:
     payload = {
         "vertices": sorted(g.vertices),
-        "edges": sorted([u, v] for u, v in g.edges),
+        "edges": [[u, v] for u, v in sorted(g.edges)],  # tuples sort faster than lists
     }
     if g.frontier:
         payload["frontier"] = sorted(g.frontier)

@@ -367,6 +367,37 @@ def oracle_components(edges, within):
     return sorted({frozenset(bfs_dist(inner, v)) for v in within}, key=min)
 
 
+def oracle_graph_document(edges, vertices=None, frontier=(), connected=True):
+    """What a graph document gives, by the checks in the order the two-pass
+    loader made them: the message of the first that fails, or the graph as
+    (vertices, edges, frontier, adjacency).  Duplicate names first; then the
+    edges, each sorted, with the smallest offender named; then the frontier;
+    then connectivity, by BFS from the first vertex, when ``connected``."""
+    pairs = {tuple(sorted((str(a), str(b)))) for a, b in edges}
+    if vertices is None:
+        names = sorted({x for e in pairs for x in e})
+    else:
+        names = [str(v) for v in vertices]
+    if len(set(names)) != len(names):
+        return "duplicate vertex identifiers"
+    bad = sorted(e for e in pairs if e[0] == e[1] or not set(e) <= set(names))
+    if bad:
+        u, v = bad[0]
+        return f"self-loop at {u!r}" if u == v else f"edge {(u, v)!r} has undeclared endpoint"
+    marks = {str(v) for v in frontier}
+    if not marks <= set(names):
+        return "frontier contains undeclared vertices"
+    if connected and names and len(bfs_dist(pairs, names[0])) < len(names):
+        return (
+            "graph is disconnected; pass require_connected=False for "
+            "per-component analysis (h is then the min over components)"
+        )
+    adjacency = {v: set() for v in names}
+    for v, nbrs in oracle_adjacency(pairs).items():
+        adjacency[v] |= nbrs
+    return tuple(names), pairs, marks, adjacency
+
+
 @pytest.fixture
 def rng_seeds():
     return list(range(10))

@@ -2,13 +2,14 @@
 level certificates, releveling and boundary identification."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cheegerlab as cl
-from cheegerlab import FiniteMetricSpace, InvalidInputError
+from cheegerlab import FiniteMetricSpace, InvalidInputError, approximation
 from cheegerlab.cli import main
 from cheegerlab.io import (
     canonical_json_bytes,
@@ -18,7 +19,11 @@ from cheegerlab.io import (
     save_leveled,
 )
 
-from conftest import oracle_approximation_edges, oracle_level_certificate
+from conftest import (
+    oracle_approximation_edges,
+    oracle_greedy_separated,
+    oracle_level_certificate,
+)
 
 
 def singleton():
@@ -107,6 +112,53 @@ def test_build_matches_literal_edge_oracle(make, r, k_max):
     lg = cl.build_truncated(space, r, k_max)
     assert lg.graph.edges == oracle_approximation_edges(
         space.points, space.dist.tolist(), r, lg.k0, k_max
+    )
+
+
+def oracle_build_work(space, r, k0, k_max):
+    """The multiply-adds of the two ball products per level, from literal
+    nets: n * |L_k| * |L_k| for the overlaps, n * |L_k| * |L_{k+1}| for the
+    containments."""
+    n = len(space.points)
+    dist = space.dist.tolist()
+    sizes = [len(oracle_greedy_separated(space.points, dist, r**k)) for k in range(k0, k_max + 1)]
+    overlaps = sum(n * a * a for a in sizes)
+    containments = sum(n * a * b for a, b in zip(sizes, sizes[1:]))
+    return overlaps + containments
+
+
+@pytest.mark.parametrize("make,r,k_max", [
+    pytest.param(lambda: cl.cantor_sample(6), 1 / 9, 4, id="cantor6"),
+    pytest.param(lambda: cl.interval_sample(17), 1 / 6, 2, id="interval17"),
+    pytest.param(lambda: cl.two_point(1.0), 1 / 6, 3, id="two-point"),
+])
+def test_build_budget_is_the_product_work_and_checked_before_it(monkeypatch, make, r, k_max):
+    space = make()
+    k0 = approximation._k0_for(space, r)
+    work = oracle_build_work(space, r, k0, k_max)
+    monkeypatch.setattr(approximation, "BUILD_BUDGET", work)
+    lg = cl.build_truncated(space, r, k_max)
+    assert lg.graph.edges == oracle_approximation_edges(
+        space.points, space.dist.tolist(), r, k0, k_max
+    )
+
+    def no_build(*args):  # names are made before the first ball product
+        raise AssertionError("the build went on past its budget")
+
+    monkeypatch.setattr(approximation, "BUILD_BUDGET", work - 1)
+    monkeypatch.setattr(approximation, "_vertex_name", no_build)
+    with pytest.raises(cl.BudgetExceededError) as info:
+        cl.build_truncated(space, r, k_max)
+    assert (info.value.required, info.value.budget) == (work, work - 1)
+
+
+def test_cli_approx_past_the_build_budget_exits_quickly(capsys):
+    start = time.perf_counter()
+    assert main(["approx", "--in", "cantor:11", "--r", "0.16", "--k-max", "40"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: 583774414848 multiply-adds in the approximation's ball products exceed "
+        "the fixed cap of 68719476736; no option raises it, so shrink the instance\n"
     )
 
 

@@ -1,10 +1,13 @@
 """The process entry: ``python -m cheegerlab.cli`` and the ``cheegerlab``
-script end through ``cli.run``, which flushes stdout and stderr and skips the
-interpreter's teardown.  Each exit path gives what an in-process ``cli.main``
-call gives, a final flush that fails exits 120 as the interpreter's own does,
-and importing the CLI registers nothing and never exits."""
+script end through ``cli.run``, which turns the cyclic garbage collector off,
+flushes stdout and stderr and skips the interpreter's teardown.  Each exit
+path gives what an in-process ``cli.main`` call gives, a final flush that
+fails exits 120 as the interpreter's own does, and importing the CLI or
+calling ``cli.main`` leaves the collector as it was, registers nothing and
+never exits."""
 
 import contextlib
+import gc
 import io as stdio
 import os
 import re
@@ -49,11 +52,11 @@ CASES = {
 }
 
 
-def fresh(argv: list[str], cwd, **kwargs) -> subprocess.CompletedProcess:
+def fresh(argv: list[str], cwd, environ=(), **kwargs) -> subprocess.CompletedProcess:
     """Runs ``argv`` in a fresh interpreter that imports cheegerlab from this
     checkout, with stdout and stderr buffered, so that whatever the entry
-    does not flush is lost."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    does not flush is lost; ``environ`` holds extra environment variables."""
+    env = {**os.environ, **dict(environ), "PYTHONPATH": os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(argv, cwd=cwd, env=env, capture_output=True, **kwargs)
@@ -186,3 +189,68 @@ def test_run_skips_atexit_hooks_and_main_does_not(tmp_path, entry):
     assert (lines[-1] == "hook ran") == (entry == "main")
     if entry == "run":
         assert (tmp_path / "r.json").read_text() == "\n".join(lines[1:]) + "\n"
+
+
+def test_importing_the_cli_leaves_the_collector_on(tmp_path):
+    script = "import gc, cheegerlab.cli; print(gc.isenabled())"
+    proc = fresh([sys.executable, "-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"True\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_was(inputs, monkeypatch, enabled):
+    monkeypatch.chdir(inputs)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with contextlib.redirect_stdout(stdio.StringIO()), \
+                contextlib.redirect_stderr(stdio.StringIO()):
+            assert cli.main(["cheeger", "--in", "p9.json"]) == 0
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# cli.main replaced by a stub that reports whether the collector runs.
+COLLECTOR_PROBE = """
+import gc, sys
+from cheegerlab import cli
+
+def probe(argv):
+    print("main sees the collector", "on" if gc.isenabled() else "off", argv)
+    return 0
+
+print("before run:", "on" if gc.isenabled() else "off")
+cli.main = probe
+cli.run(["cheeger"])
+"""
+
+
+def test_run_turns_the_collector_off_before_main(tmp_path):
+    proc = fresh([sys.executable, "-c", COLLECTOR_PROBE], tmp_path, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "before run: on", "main sees the collector off ['cheeger']",
+    ]
+
+
+# LC_ALL=C with no UTF-8 mode and no locale coercion: the locale's encoding
+# is ASCII, so a file read as text in it cannot hold "é".
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_a_utf8_graph_loads_under_the_c_locale(tmp_path, monkeypatch, entry):
+    doc = tmp_path / "e.json"
+    doc.write_bytes('{"vertices": ["\u00e9", "b"], "edges": [["b", "\u00e9"]]}'.encode())
+    as_text = fresh([sys.executable, "-c", "open('e.json').read()"], tmp_path, C_LOCALE)
+    assert b"UnicodeDecodeError" in as_text.stderr  # the locale cannot decode the file
+    proc = fresh([*ENTRIES[entry], "cheeger", "--in", "e.json"], tmp_path, C_LOCALE)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(tmp_path)
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stdio.StringIO()):
+        assert cli.main(["cheeger", "--in", "e.json"]) == 0
+    assert proc.stdout == out.getvalue().encode()
+    assert b'"\\u00e9"' in proc.stdout

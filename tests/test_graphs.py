@@ -61,7 +61,8 @@ def test_edge_errors_name_the_smallest_offender_under_every_hash_seed():
     # iterates in a different order under seeds 0 and 2
     script = (
         "import cheegerlab as cl\n"
-        "for edges in ({('a', 'x'), ('b', 'y'), ('a', 'b')}, {('b', 'a'), ('a', 'a')}):\n"
+        "for edges in ({('a', 'x'), ('b', 'y'), ('a', 'b')}, {('b', 'a'), ('a', 'a')},\n"
+        "              {('b', 'a'), ('b', 'x')}):\n"
         "    try:\n"
         "        cl.Graph(('a', 'b'), frozenset(edges))\n"
         "    except cl.InvalidInputError as exc:\n"
@@ -74,7 +75,8 @@ def test_edge_errors_name_the_smallest_offender_under_every_hash_seed():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "edge ('a', 'x') has undeclared endpoint", "self-loop at 'a'"
+            "edge ('a', 'x') has undeclared endpoint", "self-loop at 'a'",
+            "edge ('b', 'a') not in canonical order",
         ], seed
 
 

@@ -3,6 +3,7 @@ report determinism, library equivalence."""
 
 import importlib
 import json
+import random
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import cheegerlab as cl
 from cheegerlab import cli, graphs, io
 from cheegerlab.cli import main as cli_main
-from conftest import oracle_json_bytes
+from conftest import oracle_graph_document, oracle_json_bytes
 
 
 @pytest.fixture
@@ -335,6 +336,62 @@ def test_graph_loader_type_checks_fields(tmp_path):
         bad.write_text(json.dumps(doc))
         with pytest.raises(cl.InvalidInputError):
             io.load_graph(bad)
+
+
+def loaded_graph(load):
+    """What ``load()`` gives, in the oracle's terms: the message it raises or
+    the graph as (vertices, edges, frontier, adjacency)."""
+    try:
+        g = load()
+    except cl.InvalidInputError as exc:
+        return str(exc)
+    return g.vertices, set(g.edges), set(g.frontier), {v: set(s) for v, s in g.adjacency.items()}
+
+
+GRAPH_DOCUMENTS = {
+    "self-loop": {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "b"]]},
+    "self-loop-first": {"vertices": ["a", "b", "c"],
+                        "edges": [["c", "c"], ["b", "z"], ["a", "a"]]},
+    "undeclared-first": {"vertices": ["a", "b"], "edges": [["b", "b"], ["z", "a"]]},
+    "non-canonical": {"vertices": ["a", "b", "c"], "edges": [["b", "a"], ["c", "b"], ["b", "c"]]},
+    "undeclared": {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "q"]]},
+    "bad-frontier": {"vertices": ["a", "b"], "edges": [["a", "b"]], "frontier": ["b", "z"]},
+    "disconnected": {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["d", "c"]]},
+    "isolated": {"vertices": ["a", "b", "c"], "edges": [["b", "a"]]},
+    "duplicate": {"vertices": ["a", "b", "a"], "edges": [["a", "z"]]},
+    "numbers": {"vertices": [2, 10, "x"], "edges": [[10, 2], ["x", 2]], "frontier": [10]},
+    "empty": {"vertices": [], "edges": []},
+    "single": {"vertices": ["a"], "edges": [], "frontier": ["a"]},
+}
+
+
+@pytest.mark.parametrize("name", list(GRAPH_DOCUMENTS))
+def test_one_pass_graph_loader_matches_the_literal_oracle(tmp_path, name):
+    doc = GRAPH_DOCUMENTS[name]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    expected = oracle_graph_document(doc["edges"], doc["vertices"], doc.get("frontier", ()))
+    assert loaded_graph(lambda: io.load_graph(path)) == expected
+    assert loaded_graph(lambda: cl.Graph.from_edges(doc["edges"])) == oracle_graph_document(
+        doc["edges"]
+    )
+
+
+def test_one_pass_graph_loader_matches_the_literal_oracle_on_random_documents(rng_seeds):
+    for seed in rng_seeds:
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(rng.randint(1, 12))]
+        pool = names + ["w0", "w1"]  # two undeclared names
+        for trial in range(30):
+            edges = [[rng.choice(pool), rng.choice(pool)] for _ in range(rng.randint(0, 20))]
+            edges = [e for e in edges if e[0] != e[1] or rng.random() < 0.1]
+            frontier = rng.sample(pool, rng.randint(0, 2)) if trial % 3 == 0 else []
+            declared = names + (["v0"] if trial % 11 == 0 else [])
+            got = loaded_graph(lambda: io.graph_from_payload(
+                {"vertices": declared, "edges": edges, "frontier": frontier}))
+            assert got == oracle_graph_document(edges, declared, frontier), (seed, trial)
+            got = loaded_graph(lambda: cl.Graph.from_edges(edges, require_connected=False))
+            assert got == oracle_graph_document(edges, connected=False), (seed, trial)
 
 
 # -- CLI contract -------------------------------------------------------------------
