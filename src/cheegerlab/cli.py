@@ -8,15 +8,28 @@ notes go to stderr only.  Exit codes: 0 success, 2 invalid input, 3 budget
 exceeded, 4 falsified invariant or failed check (a finding, with its witness
 in the report).
 
+Each command is described once, in :data:`COMMANDS`: its help text, its
+handler and the builder of its options.  A job parses its arguments with its
+own command's parser (:func:`command_parser`, prog ``cheegerlab <command>``,
+the common options first); the parser of every command (:func:`build_parser`)
+is built only for top-level help, an unknown or missing command, or
+arguments the command's parser leaves over.  Either way a job prints the
+same help, usage and errors and exits with the same code.
+
+Importing this module loads only ``io`` and ``errors`` of the package; a
+command loads what it runs when it runs (see the comment on the imports).
+``perfect`` never loads ``cheegerlab.graphs``.
+
 The process entry, :func:`run` (``python -m cheegerlab.cli`` and the
-``cheegerlab`` script), turns the cyclic garbage collector off, calls
-:func:`main`, flushes stdout and stderr and ends the process with
-``os._exit``: one job frees too few cyclic objects to pay for the collector,
-an interpreter that is about to exit skips its teardown, and ``atexit`` hooks
-do not run.  :func:`main` returns the exit code and is the in-process API, for
-callers that rely on ``atexit`` or go on running; importing this module or
-calling :func:`main` leaves the collector as it was, registers nothing and
-never exits.
+``cheegerlab`` script), sets ``OPENBLAS_THREAD_TIMEOUT`` unless the caller
+has, turns the cyclic garbage collector off, calls :func:`main`, flushes
+stdout and stderr and ends the process with ``os._exit``: an idle BLAS worker
+sleeps instead of spinning, one job frees too few cyclic objects to pay for
+the collector, an interpreter that is about to exit skips its teardown, and
+``atexit`` hooks do not run.  :func:`main` returns the exit code and is the
+in-process API, for callers that rely on ``atexit`` or go on running;
+importing this module or calling :func:`main` leaves the collector and the
+environment as they were, registers nothing and never exits.
 """
 
 from __future__ import annotations
@@ -29,30 +42,34 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable, NoReturn
+from typing import TYPE_CHECKING, Any, Callable, NoReturn
 
-# Handlers import what only they need when they run.  numpy comes in with
-# metric, hyperbolicity and approximation (delta, approx, net, perfect) and
-# with end_space (endspace); trees with tree and endspace; decomposition, and
+# Handlers and option builders import what only they need when they run.
+# graphs comes in with every command but perfect; numpy with metric,
+# hyperbolicity and approximation (delta, approx, net, perfect) and with
+# end_space (endspace); trees with tree and endspace; decomposition, and
 # trees through it, with decomp, graft and scan; the window oracle with
 # cheeger, tree and scan; hashlib with the first input file hashed.  So the
 # metric commands load neither trees nor decomposition, and the other
 # graph-side commands no numpy.
 from . import io
 from .errors import BudgetExceededError, CheegerLabError, ConstructionError, InvalidInputError
-from .graphs import (
-    DEFAULT_DELTA_BUDGET,
-    DEFAULT_SUBSET_BUDGET,
-    CheegerBound,
-    admissible_vertices,
-    certificate_lower_bound,
-)
+
+if TYPE_CHECKING:
+    from .graphs import CheegerBound
 
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
 EXIT_FALSIFIED = 4
 EXIT_FLUSH_FAILED = 120  # the final flush of stdout or stderr failed, as in CPython
+
+#: ``OPENBLAS_THREAD_TIMEOUT`` for the process entry: an idle OpenBLAS worker
+#: spins 2^4 cycles (OpenBLAS's minimum) before it sleeps, not 2^28.  On a
+#: 2-vCPU VM the seven cantor-approx benchmark jobs, each run in turn with
+#: either setting (sum of per-job medians over 9 rounds), took 1,490 ms by
+#: default and 990 ms with it, with the same outputs; one BLAS thread took 930.
+BLAS_THREAD_TIMEOUT = "4"
 
 
 def _jsonable(x: Any) -> Any:
@@ -158,6 +175,7 @@ def _base_report(command: str, inputs: dict, params: dict, seed: int | None = No
 
 
 def _cmd_cheeger(args) -> tuple[dict, int]:
+    from .graphs import admissible_vertices
     from .window import window_bound
 
     g, src = _graph_input(args.infile)
@@ -179,6 +197,8 @@ def _cmd_cheeger(args) -> tuple[dict, int]:
 
 
 def _cmd_certify(args) -> tuple[dict, int]:
+    from .graphs import certificate_lower_bound
+
     g, src = _graph_input(args.infile)
     raw = io.read_json(args.function)
     if not isinstance(raw, dict):
@@ -273,7 +293,17 @@ def _cmd_approx(args) -> tuple[dict, int]:
 
     space, src = _load_metric_input(args.infile)
     lg = relevel(Truncation(space, args.r, args.k0, args.k_max), args.s)
-    checks = structural_checks(lg, delta_cap=args.delta_cap)
+    try:
+        checks = structural_checks(lg, delta_cap=args.delta_cap)
+    except BudgetExceededError as exc:
+        # the delta scan's refusal, at a budget that approx has no option for:
+        # b^4 quadruples for a block of b vertices
+        block = math.isqrt(math.isqrt(exc.required))
+        raise BudgetExceededError(
+            exc.required, exc.budget,
+            f"ordered quadruples in the largest biconnected block ({block} vertices)",
+            option=None, remedy="lower --k-max or pass fewer points",
+        ) from None
     cert = level_certificate(lg) if lg.k_max - lg.k0 >= 2 else None
     if args.out:
         io.save_leveled(args.out, lg)
@@ -443,54 +473,51 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cheegerlab",
-        description="Certified Cheeger bounds on graphs, trees and hyperbolic approximations.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--report", help="write the canonical JSON report to this path")
-    common.add_argument("--seed", type=int, default=0, help="seed for any sampling (default 0)")
-    common.add_argument(
+# -- command options ---------------------------------------------------------
+# An option builder adds a command's own options to its parser.  One whose
+# defaults live in cheegerlab.graphs imports it, which each of those
+# commands loads anyway.
+
+
+def _common_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--report", help="write the canonical JSON report to this path")
+    p.add_argument("--seed", type=int, default=0, help="seed for any sampling (default 0)")
+    p.add_argument(
         "--threads", type=int, default=1,
         help="accepted and ignored; numpy's BLAS, which the metric commands load, "
-        "may still run several threads",
+        "may still run several threads (OPENBLAS_THREAD_TIMEOUT, 4 unless set, "
+        "bounds their idle spin)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
 
-    p = add_parser("cheeger", "brute-force interior Cheeger window minimum")
+def _window_options(p: argparse.ArgumentParser) -> None:
+    from .graphs import DEFAULT_SUBSET_BUDGET
+
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    p.set_defaults(handler=_cmd_cheeger)
 
-    p = add_parser("certify", "function-based lower-bound certificate")
+
+def _certify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--function", required=True, help="JSON map vertex -> rational")
-    p.set_defaults(handler=_cmd_certify)
 
-    p = add_parser("delta", "sharp four-point hyperbolicity constant")
+
+def _delta_options(p: argparse.ArgumentParser) -> None:
+    from .graphs import DEFAULT_DELTA_BUDGET
+
     p.add_argument("--in", dest="infile", required=True, help="graph/metric file or generator")
     p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.add_argument("--budget", type=int, default=DEFAULT_DELTA_BUDGET)
     p.add_argument("--samples", type=int, default=100_000)
-    p.set_defaults(handler=_cmd_delta)
 
-    p = add_parser("tree", "rooted-tree Cheeger analysis (K, C, bounds)")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    p.set_defaults(handler=_cmd_tree)
 
-    p = add_parser("endspace", "export the end space of a rooted tree")
+def _endspace_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_endspace)
 
-    p = add_parser("approx", "truncated hyperbolic approximation")
+
+def _approx_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True, help="metric file or generator")
     p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--k-max", dest="k_max", type=int, required=True)
@@ -498,15 +525,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1, help="relevel coarsening exponent (>= 1)")
     p.add_argument("--delta-cap", type=_finite_float, default=3.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_approx)
 
-    p = add_parser("net", "epsilon-net graph of a metric space")
+
+def _net_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--eps", type=_finite_float, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_net)
 
-    p = add_parser("perfect", "uniform-perfectness check over a scale range")
+
+def _perfect_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--s", type=_finite_float, default=None, help="one-point constant S > 1")
     p.add_argument(
@@ -515,34 +542,94 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps0", type=_finite_float, required=True)
     p.add_argument("--floor", type=_finite_float, default=None)
     p.add_argument("--grid", default=None, help="comma-separated extra scales")
-    p.set_defaults(handler=_cmd_perfect)
 
-    p = add_parser("decomp", "validate a decomposition and emit its bound")
+
+def _decomp_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", required=True)
-    p.set_defaults(handler=_cmd_decomp)
 
-    p = add_parser("graft", "attach a copy of a graph to every base vertex")
+
+def _graft_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--base", required=True)
     p.add_argument("--attachment", required=True)
     p.add_argument("--port", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--decomposition", default=None, help="also write a decomposition spec")
-    p.set_defaults(handler=_cmd_graft)
 
-    p = add_parser("scan", "interior-Cheeger scan across window families")
+
+def _scan_options(p: argparse.ArgumentParser) -> None:
+    from .graphs import DEFAULT_SUBSET_BUDGET
+
     p.add_argument("--in", dest="infile", action="append", required=True)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--lower", default=None, help="certified ambient lower bound (rational)")
-    p.set_defaults(handler=_cmd_scan)
 
+
+#: name -> (help text, handler, option builder), in the order the top-level
+#: help lists them.  Both parsers below are built from this table alone.
+COMMANDS: dict[
+    str, tuple[str, Callable[[Any], tuple[dict, int]], Callable[[argparse.ArgumentParser], None]]
+] = {
+    "cheeger": ("brute-force interior Cheeger window minimum", _cmd_cheeger, _window_options),
+    "certify": ("function-based lower-bound certificate", _cmd_certify, _certify_options),
+    "delta": ("sharp four-point hyperbolicity constant", _cmd_delta, _delta_options),
+    "tree": ("rooted-tree Cheeger analysis (K, C, bounds)", _cmd_tree, _window_options),
+    "endspace": ("export the end space of a rooted tree", _cmd_endspace, _endspace_options),
+    "approx": ("truncated hyperbolic approximation", _cmd_approx, _approx_options),
+    "net": ("epsilon-net graph of a metric space", _cmd_net, _net_options),
+    "perfect": ("uniform-perfectness check over a scale range", _cmd_perfect, _perfect_options),
+    "decomp": ("validate a decomposition and emit its bound", _cmd_decomp, _decomp_options),
+    "graft": ("attach a copy of a graph to every base vertex", _cmd_graft, _graft_options),
+    "scan": ("interior-Cheeger scan across window families", _cmd_scan, _scan_options),
+}
+
+
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``p`` with the common options first, then those of the command ``name``."""
+    _, handler, add_options = COMMANDS[name]
+    _common_options(p)
+    add_options(p)
+    p.set_defaults(handler=handler)
+    return p
+
+
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the command ``name`` alone: the same prog, options,
+    help and errors as its subparser in :func:`build_parser`."""
+    return _fill(argparse.ArgumentParser(prog=f"cheegerlab {name}"), name)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser."""
+    parser = argparse.ArgumentParser(
+        prog="cheegerlab",
+        description="Certified Cheeger bounds on graphs, trees and hyperbolic approximations.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The namespace :func:`build_parser` gives for ``argv``, built by the
+    known command's own parser.  The full parser runs only when it has
+    something to say: top-level help, an unknown or missing command, or
+    arguments the command's parser leaves over, which argparse reports from
+    the top level.  Every other error and help text is the subparser's own,
+    so the command's parser prints and exits the same way."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        args, extras = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     started = time.time()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         report, code = args.handler(args)
         _emit(report, args, started)
@@ -569,7 +656,13 @@ def run(argv: list[str] | None = None) -> NoReturn:
     and numpy's thread-pool shutdown.  A flush that fails ends the process
     with status 120, and a failure on stdout is reported on stderr, as the
     interpreter's own final flush does.  ``SystemExit`` (argparse's help and usage errors) and
-    uncaught exceptions propagate, and the interpreter exits as usual."""
+    uncaught exceptions propagate, and the interpreter exits as usual.
+
+    Before ``main`` it also sets ``OPENBLAS_THREAD_TIMEOUT`` unless the caller
+    has: OpenBLAS reads it when numpy loads, and an idle BLAS worker then
+    sleeps after a short spin instead of busy-waiting for 2^28 cycles, which
+    takes a CPU from the job."""
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_THREAD_TIMEOUT)
     gc.disable()
     code = main(argv)
     for stream in (sys.stdout, sys.stderr):

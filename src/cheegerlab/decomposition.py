@@ -494,8 +494,15 @@ def graft(base: Graph, attachment: Graph, port: str) -> GraftResult:
         copy_roots[pid] = w
     result = Graph(tuple(vertices), frozenset(edges), frozenset(frontier))
 
-    if result.mu > base.mu + attachment.mu:
-        raise ConstructionError("graft exceeds the degree bound", witness=result.mu)
+    # The degree bound off the inputs, whose adjacency the connectivity check
+    # built: a base vertex w gains the port's degree, a copy vertex keeps its
+    # own.  It primes the result's cached ``mu``, so no caller builds the
+    # result's adjacency to read it.
+    att_degree = {x: len(nbrs) for x, nbrs in attachment.adjacency.items()}
+    mu = max([base.mu + att_degree[port], *(att_degree[x] for x in others)]) if n else 0
+    if mu > base.mu + attachment.mu:
+        raise ConstructionError("graft exceeds the degree bound", witness=mu)
+    result.__dict__["mu"] = mu
     return GraftResult(result, pieces, copy_roots)
 
 

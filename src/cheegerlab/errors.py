@@ -25,19 +25,20 @@ class BudgetExceededError(CheegerLabError):
     ``lemmas._connected_sets`` counts sets as it yields them and raises at the
     first set past the budget; partial answers are never returned.
     ``required`` is None when the count is only known to pass the budget.
-    ``option`` names what raises the budget, or is None for a fixed cap.
+    ``option`` names what raises the budget, or is None for a fixed cap;
+    ``remedy`` says how to shrink the instance.
     """
 
     def __init__(
         self, required: int | None, budget: int, what: str = "subsets",
-        option: str | None = "--budget",
+        option: str | None = "--budget", remedy: str = "shrink the instance",
     ):
         self.required = required
         self.budget = budget
         if option is None:
-            limit, remedy = "the fixed cap", "no option raises it, so shrink the instance"
+            limit, remedy = "the fixed cap", f"no option raises it, so {remedy}"
         else:
-            limit, remedy = "the budget", f"raise it with {option} or shrink the instance"
+            limit, remedy = "the budget", f"raise it with {option} or {remedy}"
         short = required is not None and required < LONG_COUNT
         count = required if short else f"more than {budget}"
         super().__init__(f"{count} {what} exceed {limit} of {budget}; {remedy}")

@@ -23,11 +23,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .errors import InvalidInputError
-from .graphs import Graph
 
 if TYPE_CHECKING:
     from .approximation import LeveledGraph
     from .decomposition import DecompositionSpec, PieceCertificate
+    from .graphs import Graph
     from .metric import FiniteMetricSpace
     from .trees import RootedTree
 
@@ -195,6 +195,8 @@ def graph_from_payload(data: dict) -> Graph:
         for e in edges:  # name the first offender
             if not isinstance(e, list) or len(e) != 2:
                 raise InvalidInputError(f"graph document: edge {e!r} is not a pair [u, v]")
+    from .graphs import Graph
+
     return Graph.from_edges(edges, vertices=data["vertices"], frontier=data.get("frontier", []))
 
 

@@ -19,13 +19,15 @@ reason.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .frozen import Frozen
-from .graphs import Graph, edges_where
+
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 TRIANGLE_TOL = 1e-9
 
@@ -214,6 +216,8 @@ def epsilon_net(space: FiniteMetricSpace, eps: float) -> Graph:
     """
     if not 0 < eps < np.inf:
         raise InvalidInputError("eps must be positive and finite")
+    from .graphs import Graph, edges_where  # the perfectness checks never load graphs
+
     names = greedy_separated(space, eps)
     ids = [space.index[p] for p in names]
     near = np.triu(space.dist[np.ix_(ids, ids)] <= 2 * eps, 1)

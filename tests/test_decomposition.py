@@ -162,6 +162,42 @@ def test_graft_rejects_frontier_port():
         cl.graft(base, att, leaf)
 
 
+@st.composite
+def connected_graphs(draw, prefix: str):
+    """A connected graph of 1 to 7 vertices: a random spanning tree plus
+    random chords, and a random frontier."""
+    n = draw(st.integers(1, 7))
+    names = [f"{prefix}{i}" for i in range(n)]
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6)))
+    frontier = draw(st.sets(st.sampled_from(names), max_size=n - 1))
+    return cl.Graph.from_edges([(names[i], names[j]) for i, j in edges], names, frontier)
+
+
+@settings(max_examples=80, deadline=None)
+@given(base=connected_graphs("b"), att=connected_graphs("a"), data=st.data())
+def test_graft_reads_its_degree_bound_off_the_inputs(base, att, data):
+    port = data.draw(st.sampled_from(sorted(set(att.vertices) - att.frontier)))
+    graph = cl.graft(base, att, port).graph
+    literal = cl.Graph(graph.vertices, graph.edges, graph.frontier)
+    assert graph.mu == literal.mu
+    assert "adjacency" not in vars(graph)  # the result's adjacency was never built
+
+
+def test_graft_onto_an_empty_base_has_degree_bound_zero():
+    graph = cl.graft(cl.Graph((), frozenset()), cl.homogeneous_tree(3, 2).graph, "v").graph
+    assert graph.vertices == () and graph.mu == 0
+
+
+def test_graft_decomposition_builds_no_adjacency_of_the_result(tmp_path):
+    spec = cl.graft_decomposition(cl.grid_window(4, 4), cl.homogeneous_tree(3, 3).graph, "v")
+    save_decomposition(tmp_path / "d.json", spec)
+    assert "adjacency" not in vars(spec.ambient)
+    assert spec.ambient.mu == cl.Graph(*spec.ambient._values()).mu == 4 + 3
+
+
 # -- validation -------------------------------------------------------------------------
 
 

@@ -1,10 +1,11 @@
 """The process entry: ``python -m cheegerlab.cli`` and the ``cheegerlab``
-script end through ``cli.run``, which turns the cyclic garbage collector off,
-flushes stdout and stderr and skips the interpreter's teardown.  Each exit
-path gives what an in-process ``cli.main`` call gives, a final flush that
-fails exits 120 as the interpreter's own does, and importing the CLI or
-calling ``cli.main`` leaves the collector as it was, registers nothing and
-never exits."""
+script end through ``cli.run``, which sets ``OPENBLAS_THREAD_TIMEOUT`` unless
+it is set, turns the cyclic garbage collector off, flushes stdout and stderr
+and skips the interpreter's teardown.  Each exit path gives what an
+in-process ``cli.main`` call gives, a final flush that fails exits 120 as the
+interpreter's own does, and importing the CLI or calling ``cli.main`` leaves
+the collector and the environment as they were, registers nothing and never
+exits."""
 
 import contextlib
 import gc
@@ -233,6 +234,41 @@ def test_run_turns_the_collector_off_before_main(tmp_path):
     assert proc.stdout.splitlines() == [
         "before run: on", "main sees the collector off ['cheeger']",
     ]
+
+
+# cli.main replaced by a stub that reports the BLAS thread timeout it sees and
+# whether numpy is loaded yet.
+BLAS_PROBE = """
+import os, sys
+from cheegerlab import cli
+
+def probe(argv):
+    print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"), "numpy" in sys.modules)
+    return 0
+
+print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+cli.main = probe
+cli.run(["perfect"])
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "7"])
+def test_run_sets_the_blas_thread_timeout_before_numpy_loads(tmp_path, monkeypatch, preset):
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    environ = {} if preset is None else {"OPENBLAS_THREAD_TIMEOUT": preset}
+    proc = fresh([sys.executable, "-c", BLAS_PROBE], tmp_path, environ, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the caller's value is kept; import cheegerlab.cli sets nothing
+    assert proc.stdout.splitlines() == [str(preset), f"{preset or cli.BLAS_THREAD_TIMEOUT} False"]
+
+
+def test_main_leaves_the_environment_as_it_was(inputs, monkeypatch):
+    monkeypatch.chdir(inputs)
+    monkeypatch.delenv("OPENBLAS_THREAD_TIMEOUT", raising=False)
+    before = dict(os.environ)
+    with contextlib.redirect_stdout(stdio.StringIO()), contextlib.redirect_stderr(stdio.StringIO()):
+        assert cli.main(["perfect", "--in", "cantor:6", "--s", "3.01", "--eps0", "1.0"]) == 0
+    assert dict(os.environ) == before
 
 
 # LC_ALL=C with no UTF-8 mode and no locale coercion: the locale's encoding

@@ -627,6 +627,22 @@ def test_cli_budget_messages_name_the_remedy(workdir, monkeypatch, capsys, argv,
     assert message in capsys.readouterr().err
 
 
+def test_approx_delta_refusal_names_what_approx_can_change(capsys):
+    # approx has no --mode and no --budget: its delta scan runs at a fixed cap
+    assert cli_main(["approx", "--in", "interval:300", "--r", "0.16", "--k-max", "4"]) == 3
+    assert capsys.readouterr().err == (
+        "error: 61013446081 ordered quadruples in the largest biconnected block (497 "
+        "vertices) exceed the fixed cap of 2147483648; no option raises it, so lower "
+        "--k-max or pass fewer points\n"
+    )
+    assert cli_main(["delta", "--in", "interval:300"]) == 3
+    assert capsys.readouterr().err == (
+        "error: 8100000000 ordered quadruples in a 300-point space (sampled mode draws "
+        "fewer) exceed the budget of 2147483648; raise it with --budget or shrink the "
+        "instance\n"
+    )
+
+
 def test_cli_refuses_a_count_past_the_int_to_str_limit_quickly(tmp_path, capsys):
     path = tmp_path / "p20k.json"
     io.save_graph(path, cl.path_window(20000))

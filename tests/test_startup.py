@@ -1,16 +1,18 @@
-"""What the CLI and the package load: no command loads ``dataclasses``, the
-graph and tree commands run without numpy or ``inspect``, the metric commands
-without the tree and decomposition modules, only ``cheeger``, ``tree`` and
-``scan`` load the window oracle, no command loads the lemma checks, a job
-that reads no file loads no ``hashlib``, and every name the package exports
-still resolves.  Also what the validated types keep without ``dataclasses``:
-equality, hashing and frozen fields."""
+"""What the CLI and the package load: importing the CLI loads no graph
+module, no command loads ``dataclasses``, the graph and tree commands run
+without numpy or ``inspect``, the metric commands without the tree and
+decomposition modules, ``perfect`` without ``cheegerlab.graphs``, only
+``cheeger``, ``tree`` and ``scan`` load the window oracle, no command loads
+the lemma checks, a job that reads no file loads no ``hashlib``, and every
+name the package exports still resolves.  Also what the validated types keep
+without ``dataclasses``: equality, hashing and frozen fields."""
 
 import json
 import os
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -173,6 +175,60 @@ def test_only_cheeger_tree_and_scan_load_the_window_oracle(tmp_path):
     for argv in (["tree", "--in", "t3tree.json", "--max-size", "4"], ["scan", "--in", "p9.json"]):
         [(code, loaded)] = run_fresh(MODULES_SCRIPT, [argv], tmp_path)
         assert code == 0 and "window" in loaded and "lemmas" not in loaded, argv
+
+
+# Runs one argv list through cli.main in a fresh interpreter and prints its
+# exit code and the cheegerlab modules loaded before and after it.
+COMMAND_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from cheegerlab.cli import main
+
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("cheegerlab."))
+
+at_import = loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, at_import, loaded()]))
+"""
+
+# The cheegerlab modules each command loads, besides cli, errors and io.
+# Only perfect runs without graphs (and frozen, which graphs loads).
+COMMAND_MODULES = [
+    (["cheeger", "--in", "p9.json"], ["frozen", "graphs", "window"]),
+    (["certify", "--in", "t3.json", "--function", "depth.json"], ["frozen", "graphs"]),
+    (["delta", "--in", "p9.json"], ["frozen", "graphs", "hyperbolicity", "metric"]),
+    (["delta", "--in", "cantor:3"], ["frozen", "graphs", "hyperbolicity", "metric"]),
+    (["tree", "--in", "t3tree.json", "--max-size", "4"], ["frozen", "graphs", "trees", "window"]),
+    (["endspace", "--in", "t3tree.json"], ["frozen", "graphs", "metric", "trees"]),
+    (["approx", "--in", "cantor:4", "--r", "0.111111", "--k-max", "3"],
+     ["approximation", "frozen", "graphs", "hyperbolicity", "metric"]),
+    (["net", "--in", "interval:40", "--eps", "0.1"], ["frozen", "graphs", "metric"]),
+    (["perfect", "--in", "cantor:4", "--s", "3.01", "--eps0", "1.0"], ["frozen", "metric"]),
+    (["perfect", "--in", "c4.json", "--two-point-r", "10", "--eps0", "1.0"], ["frozen", "metric"]),
+    (["graft", "--base", "grid3.json", "--attachment", "t3.json", "--port", "v",
+      "--decomposition", "d.json"], ["decomposition", "frozen", "graphs", "trees"]),
+    (["decomp", "--spec", "spec.json"], ["decomposition", "frozen", "graphs", "trees"]),
+    (["scan", "--in", "p9.json", "--in", "p13.json"],
+     ["decomposition", "frozen", "graphs", "window"]),
+]
+
+
+def test_each_command_loads_its_own_modules_and_only_perfect_skips_graphs(tmp_path):
+    t = cl.homogeneous_tree(3, 2)
+    io.save_graph(tmp_path / "p9.json", cl.path_window(9))
+    io.save_graph(tmp_path / "p13.json", cl.path_window(13))
+    io.save_graph(tmp_path / "grid3.json", cl.grid_window(3, 3))
+    io.save_graph(tmp_path / "t3.json", t.graph)
+    io.save_tree(tmp_path / "t3tree.json", cl.homogeneous_tree(3, 3))
+    io.save_metric(tmp_path / "c4.json", cl.cantor_sample(4))
+    io.write_canonical(tmp_path / "depth.json", {v: str(t.depth[v]) for v in t.vertices})
+    io.save_decomposition(tmp_path / "spec.json", _spec())
+    with ThreadPoolExecutor(4) as pool:
+        out = list(pool.map(lambda case: run_fresh(COMMAND_MODULES_SCRIPT, case[0], tmp_path),
+                            COMMAND_MODULES))
+    base = ["cli", "errors", "io"]
+    assert out == [[0, base, sorted(base + modules)] for _, modules in COMMAND_MODULES]
 
 
 def test_package_exports_resolve_lazily():
