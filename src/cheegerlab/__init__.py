@@ -38,24 +38,27 @@ _EXPORTS = {
     "graphs": (
         "BoundEndpoint",
         "CheegerBound",
-        "CertificateResult",
         "DEFAULT_DELTA_BUDGET",
         "DEFAULT_SUBSET_BUDGET",
         "Graph",
         "admissible_vertices",
         "auto_max_size",
         "boundary",
-        "certificate_lower_bound",
         "cheeger_ratio",
         "cycle_graph",
-        "gradient",
         "grid_window",
-        "laplacian",
         "path_window",
         "relabeled",
+    ),
+    "certificate": (
+        "CertificateResult",
+        "certificate_lower_bound",
+        "gradient",
+        "laplacian",
         "vertex_function",
     ),
     "window": (
+        "converse_scan",
         "interior_cheeger_bruteforce",
         "window_bound",
     ),
@@ -124,7 +127,6 @@ _EXPORTS = {
         "PieceCertificate",
         "bound_general",
         "bound_strong",
-        "converse_scan",
         "decomposition_bound",
         "graft",
         "graft_decomposition",

@@ -4,8 +4,9 @@ Levels k0..k_max each carry a maximal r^k-separated set of the space; a
 vertex is the ball B(a, 2 r^k) around a kept point.  Horizontal edges join
 same-level vertices whose closed balls share a witness point of X; a radial
 edge joins consecutive levels when the upper (open) ball is contained in the
-lower one, both conditions evaluated pointwise over X rather than through
-center-distance shortcuts.  The deepest level is declared the graph frontier
+lower one.  Both conditions are evaluated pointwise over X, as exact tests
+on bit sets of the balls; centre distances only rule out pairs that cannot
+pass (see ``build_truncated``).  The deepest level is declared the graph frontier
 so that window analyses stay honest.
 """
 
@@ -18,17 +19,28 @@ import numpy as np
 
 from .errors import BudgetExceededError, ConstructionError, EmptyWindowError, InvalidInputError
 from .frozen import Frozen
-from .graphs import CertificateResult, Graph, _certificate, edges_where
+from .certificate import CertificateResult, _certificate
+from .graphs import Graph, normalize_edge
 from .hyperbolicity import DeltaReport, delta_four_point
-from .metric import FiniteMetricSpace, greedy_separated, strongly_bounded_geometry_profile
+from .metric import (
+    TRIANGLE_TOL,
+    FiniteMetricSpace,
+    greedy_separated,
+    strongly_bounded_geometry_profile,
+)
 
 MAX_PARAMETER = 1.0 / 6.0
 
-#: ``build_truncated`` refuses when its ball products would take more than
-#: this many multiply-adds: n * |L_k| * (|L_k| + |L_{k+1}|) summed over the
-#: levels, for n points.  ``approx --in cantor:11 --r 0.111111 --k-max 7``
-#: needs 3.3e10 of them (1.1 s on 2 vCPUs, Python 3.11, numpy 2.4).
+#: ``build_truncated`` refuses past this many multiply-adds of dense ball
+#: products: n * |L_k| * (|L_k| + |L_{k+1}|) summed over the levels, for n
+#: points.  It bounds the bit-set tests, which take at most
+#: |L_k| * (|L_k| + |L_{k+1}|) pairs, each an AND over n/64 words.
+#: ``approx --in cantor:11 --r 0.111111 --k-max 7`` needs 3.3e10 of them.
 BUILD_BUDGET = 2**36
+
+#: Elements per temporary in ``build_truncated``'s blocks and chunks (8 MB of
+#: float64).
+_BLOCK = 2**20
 
 
 def _vertex_name(k: int, point: str) -> str:
@@ -122,8 +134,8 @@ def build_truncated(
 
     For a singleton space the base level cannot be derived from the diameter
     and must be passed explicitly; the result is then a chain (a ray prefix).
-    Once the nets are chosen, and before either ball product runs, a build
-    past :data:`BUILD_BUDGET` multiply-adds raises ``BudgetExceededError``.
+    Once the nets are chosen, and before any ball is built, a build past
+    :data:`BUILD_BUDGET` multiply-adds raises ``BudgetExceededError``.
     """
     k0 = _checked_k0(space, r, k_max, k0)
     d = space.dist
@@ -142,25 +154,45 @@ def build_truncated(
     level_map = {v: k for k in levels for v in names[k]}
     center = {v: p for k in levels for v, p in zip(names[k], levels[k])}
 
-    # Both products are read only as ``> 0`` and ``== 0``, and float32
-    # operands decide both exactly, through BLAS sgemm (numpy's integer matmul
-    # is not BLAS).  Every product is 0 or 1, so every partial sum, in any
-    # order, with or without FMA, is a non-negative float; a rounded sum of
-    # non-negative terms is at least its larger term, so a sum is 0 exactly
-    # when every term is 0.
+    # Each ball is a bit set over the n points, and each tested pair is one
+    # AND over its words, so every edge is still decided pointwise over X,
+    # exactly.  Centre distances only choose the pairs worth testing:
+    #
+    # * Radial: the upper centre q lies in its own open ball, so containment
+    #   needs d(p, q) < 2r^k; no pair past that is tested.
+    # * Horizontal: let R = 2r^k, T = TRIANGLE_TOL and u = 2^-53.  A witness x
+    #   of closed balls that meet has d(p, x) <= R and d(x, q) <= R, so
+    #   b = fl(d(p, x) + d(x, q)) <= 2R(1 + u).  The space passed the triangle
+    #   scan of ``FiniteMetricSpace``, fl(d(p, q) - b) <= T, so
+    #   d(p, q) <= b + T(1 + 2u) (the generators that skip the scan are
+    #   metrics up to far less than T).  The filter keeps
+    #   d(p, q) <= fl(2R + fl(2T + 8Ru)); each sum rounds down by a factor
+    #   (1 - u) at most, so the bound is at least
+    #   2R(1 - u) + (2T + 8Ru)(1 - u)^2, which exceeds 2R(1 + u) + T(1 + 2u)
+    #   by T(1 - 6u + 2u^2) + 4Ru(1 - 4u + 2u^2) >= 0.  So no pair whose
+    #   closed balls meet is filtered out.  Past the float range the bound is
+    #   inf, and every pair is tested.
+    open_balls = {k: _balls(d, [idx[p] for p in levels[k]], 2 * r**k, closed=False)
+                  for k in levels}
     edges: set[tuple[str, str]] = set()
     for k in range(k0, k_max + 1):
         pts = [idx[p] for p in levels[k]]
         rad = 2 * r**k
-        inside = d[:, pts] <= rad  # closed balls, one column per vertex
-        hits = inside.T.astype(np.float32) @ inside.astype(np.float32)
-        edges |= edges_where(np.triu(hits > 0, 1), names[k], names[k])
+        closed = _balls(d, pts, rad, closed=True)
+        reach = 2 * rad + (2 * TRIANGLE_TOL + 8 * rad * 2.0**-53)
+        rows, cols = _near_pairs(d, pts, pts, reach, closed=True)
+        upper = rows < cols
+        rows, cols = rows[upper], cols[upper]
+        meet = _any_common_bit(closed, closed, rows, cols)
+        edges.update(normalize_edge(names[k][i], names[k][j])
+                     for i, j in zip(rows[meet].tolist(), cols[meet].tolist()))
         if k < k_max:
-            up = [idx[p] for p in levels[k + 1]]
-            in_up = d[:, up] < 2 * r ** (k + 1)  # open balls for containment
-            out_lo = ~(d[:, pts] < rad)
-            misses = out_lo.T.astype(np.float32) @ in_up.astype(np.float32)
-            edges |= edges_where(misses == 0, names[k], names[k + 1])
+            rows, cols = _near_pairs(d, pts, [idx[p] for p in levels[k + 1]], rad, closed=False)
+            # a miss is a point of the upper open ball outside the lower one;
+            # the padding bits of ~open are set, but the upper ball's are not
+            misses = _any_common_bit(~open_balls[k], open_balls[k + 1], rows, cols)
+            edges.update(normalize_edge(names[k][i], names[k + 1][j])
+                         for i, j in zip(rows[~misses].tolist(), cols[~misses].tolist()))
 
     graph = Graph(tuple(level_map), frozenset(edges), frozenset(names[k_max]))
     built = LeveledGraph(graph, space, r, k0, k_max, level_map, center)
@@ -171,6 +203,49 @@ def build_truncated(
     if not graph.is_connected:
         raise ConstructionError("approximation graph is disconnected")
     return built
+
+
+def _balls(d: np.ndarray, centres: list[int], radius: float, closed: bool) -> np.ndarray:
+    """The balls of ``radius`` about ``centres`` (closed or open) over the
+    points of ``d``, one row of uint64 words per centre, bit x for point x;
+    the padding bits are 0.  Built in blocks of rows of ``d`` (which is
+    symmetric), so no n x |centres| float copy is made."""
+    n = d.shape[1]
+    out = np.zeros((len(centres), -(-n // 64) * 8), dtype=np.uint8)
+    step = max(1, _BLOCK // n)
+    for s in range(0, len(centres), step):
+        rows = d[centres[s : s + step]]
+        packed = np.packbits(rows <= radius if closed else rows < radius, axis=1)
+        out[s : s + step, : packed.shape[1]] = packed
+    return out.view(np.uint64)
+
+
+def _near_pairs(
+    d: np.ndarray, rows: list[int], cols: list[int], limit: float, closed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i into ``rows`` and j into ``cols``, whose points
+    lie within ``limit`` (``<=`` if ``closed``, else ``<``), in row-major
+    order; one block of rows at a time."""
+    step = max(1, _BLOCK // max(1, len(cols)))
+    found_i, found_j = [], []
+    for s in range(0, len(rows), step):
+        block = d[np.ix_(rows[s : s + step], cols)]
+        i, j = np.nonzero(block <= limit if closed else block < limit)
+        found_i.append(i + s)
+        found_j.append(j)
+    return np.concatenate(found_i), np.concatenate(found_j)
+
+
+def _any_common_bit(a: np.ndarray, b: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each pair, whether the bit sets ``a[rows[t]]`` and ``b[cols[t]]``
+    share a set bit; in chunks, so each temporary holds at most ``_BLOCK``
+    words."""
+    out = np.zeros(len(rows), dtype=bool)
+    step = max(1, _BLOCK // a.shape[1])
+    for s in range(0, len(rows), step):
+        e = s + step
+        out[s:e] = (a[rows[s:e]] & b[cols[s:e]]).any(axis=1)
+    return out
 
 
 def _level_violations(lg: LeveledGraph) -> tuple[list[str], list[str]]:

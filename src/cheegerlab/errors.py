@@ -1,7 +1,11 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the default budgets they
+enforce.
 
 Every failure mode that callers are expected to handle gets its own class;
-plain ``ValueError`` is reserved for programming mistakes.
+plain ``ValueError`` is reserved for programming mistakes.  The budgets live
+here, beside the error that refuses past them, so that option builders and
+modules that never build a graph read them without loading
+``cheegerlab.graphs``.
 """
 
 
@@ -12,6 +16,13 @@ class CheegerLabError(Exception):
 class InvalidInputError(CheegerLabError, ValueError):
     """Malformed graph/metric/tree data or an argument outside an op's domain."""
 
+
+#: Hard cap on how many subsets a brute-force scan may enumerate.
+DEFAULT_SUBSET_BUDGET = 2**22
+
+#: Exhaustive four-point scans refuse above this many ordered quadruples: b^4
+#: for the largest biconnected block of a graph, n^4 for a metric space.
+DEFAULT_DELTA_BUDGET = 2**31
 
 #: Counts from here up are not printed in full (they may run past Python's
 #: int-to-str limit); a refusal says "more than <budget>" instead.

@@ -13,18 +13,14 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .errors import BudgetExceededError, InvalidInputError, InvalidSupportError
-from .graphs import (
+from .certificate import _gradient_laplacian, _laplacian, support, vertex_function
+from .errors import (
     DEFAULT_SUBSET_BUDGET,
-    Graph,
-    Rational,
-    _check_subset,
-    _gradient_laplacian,
-    _laplacian,
-    admissible_vertices,
-    boundary,
-    vertex_function,
+    BudgetExceededError,
+    InvalidInputError,
+    InvalidSupportError,
 )
+from .graphs import Graph, Rational, _check_subset, admissible_vertices, boundary
 from .window import _connected_bitsets, _members
 
 if TYPE_CHECKING:
@@ -35,10 +31,6 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 # Graphs: Green's identity, the connected-set corollary, quasi-isometries
 # ---------------------------------------------------------------------------
-
-
-def support(f: Mapping[str, Fraction]) -> frozenset[str]:
-    return frozenset(v for v, x in f.items() if x != 0)
 
 
 def green_identity_check(

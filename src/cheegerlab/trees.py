@@ -16,19 +16,13 @@ from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping, NamedTuple
 
-from .errors import EmptyWindowError, InvalidInputError
+from .errors import DEFAULT_SUBSET_BUDGET, EmptyWindowError, InvalidInputError
 from .frozen import Frozen
-from .graphs import (
-    DEFAULT_SUBSET_BUDGET,
-    BoundEndpoint,
-    CheegerBound,
-    Graph,
-    _check_max_size,
-    boundary,
-    normalize_edge,
-)
 
+# graphs is imported where a tree becomes a graph or a bound (RootedTree.graph,
+# essential_boundary, tree_cheeger_bounds), so endspace never compiles it.
 if TYPE_CHECKING:
+    from .graphs import CheegerBound, Graph
     from .metric import FiniteMetricSpace
 
 
@@ -155,6 +149,8 @@ class RootedTree(Frozen):
     @cached_property
     def graph(self) -> Graph:
         """Underlying graph; the live leaves are the truncation frontier."""
+        from .graphs import Graph, normalize_edge
+
         edges = frozenset(
             normalize_edge(v, c) for v in self.vertices for c in self.children[v]
         )
@@ -308,6 +304,8 @@ class EssentialBoundary(NamedTuple):
 def essential_boundary(t: RootedTree, subset: Iterable[str]) -> EssentialBoundary:
     """Split the boundary of a connected set into its single root-side vertex
     (empty when the root belongs to the set) and the essential remainder."""
+    from .graphs import boundary
+
     a = frozenset(subset)
     if not a or not a <= set(t.children):
         raise InvalidInputError("A must be a non-empty set of tree vertices")
@@ -360,6 +358,9 @@ def tree_cheeger_bounds(
     :func:`~cheegerlab.window.window_bound`, capped at ``max_size`` (largest
     size within the budget when omitted).
     """
+    from .graphs import BoundEndpoint, CheegerBound, _check_max_size
+    from .window import window_bound
+
     g = t.graph
     if not t.live:
         # bounded tree: the whole vertex set has empty boundary; with no
@@ -374,9 +375,6 @@ def tree_cheeger_bounds(
     tinf = maximal_complete_subtree(t)
     pseudo = pseudo_regularity_index(t)
     comp = complementedness_index(t)
-
-    from .window import window_bound
-
     upper_bound = window_bound(g, max_size, budget).upper
 
     if pseudo.k is not None:

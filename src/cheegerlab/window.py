@@ -14,6 +14,7 @@ p*n proves q|N[A]| >= p|A| for every A.  Everything is an integer; an
 unbounded arc gets the total finite capacity + 1, which no cut can afford.
 
 Below full cap it is a branch and bound over the sets connected in G^2.
+:func:`converse_scan` runs the window minimum across a family of windows.
 Only ``cheeger``, ``tree`` and ``scan`` reach this module, so the other
 commands never compile it.
 """
@@ -23,11 +24,17 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .errors import LONG_COUNT, BudgetExceededError, ConstructionError, EmptyWindowError
-from .graphs import (
+from .errors import (
     DEFAULT_SUBSET_BUDGET,
+    LONG_COUNT,
+    BudgetExceededError,
+    ConstructionError,
+    EmptyWindowError,
+    InvalidInputError,
+)
+from .graphs import (
     BoundEndpoint,
     CheegerBound,
     Graph,
@@ -422,3 +429,54 @@ def window_bound(
             raise EmptyWindowError("no vertex is at distance >= 2 from the frontier")
         max_size = auto_max_size(len(adm), budget)
     return interior_cheeger_bruteforce(g, max_size, budget)
+
+
+# ---------------------------------------------------------------------------
+# Window scans across a family
+# ---------------------------------------------------------------------------
+
+
+class ConverseScanReport(NamedTuple):
+    """Interior-Cheeger values across a family of windows.
+
+    ``decay`` flags a non-increasing sequence whose last value dropped to at
+    most half of the first (evidence toward a vanishing ambient constant);
+    ``floor`` is the smallest value seen.  When an ambient lower bound is
+    supplied, every window value must stay above it.
+    """
+
+    values: tuple[Fraction, ...]
+    witnesses: tuple[tuple[str, ...], ...]
+    nonincreasing: bool
+    decay: bool
+    floor: Fraction
+    ambient_lower: Fraction | None = None
+    lower_respected: bool | None = None
+
+
+def converse_scan(
+    windows: Iterable[Graph],
+    max_size: int | None = None,
+    budget: int = DEFAULT_SUBSET_BUDGET,
+    ambient_lower: Fraction | None = None,
+) -> ConverseScanReport:
+    values: list[Fraction] = []
+    witnesses: list[tuple[str, ...]] = []
+    for g in windows:
+        # an explicit cap is clamped to each window's admissible count
+        cap = None if max_size is None else min(max_size, len(admissible_vertices(g)))
+        bound = window_bound(g, cap, budget)
+        values.append(bound.upper.value)
+        witnesses.append(tuple(bound.upper.witness["set"]))
+    if not values:
+        raise InvalidInputError("need at least one window")
+    nonincreasing = all(b <= a for a, b in zip(values, values[1:]))
+    decay = nonincreasing and len(values) >= 2 and values[-1] * 2 <= values[0]
+    floor = min(values)
+    respected = None
+    if ambient_lower is not None:
+        respected = all(v >= ambient_lower for v in values)
+    return ConverseScanReport(
+        tuple(values), tuple(witnesses), nonincreasing, decay, floor,
+        ambient_lower, respected,
+    )

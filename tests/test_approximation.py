@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cheegerlab as cl
 from cheegerlab import FiniteMetricSpace, InvalidInputError, approximation
@@ -16,8 +18,10 @@ from cheegerlab.io import (
     leveled_from_payload,
     leveled_payload,
     load_leveled,
+    metric_from_payload,
     save_leveled,
 )
+from cheegerlab.metric import TRIANGLE_TOL
 
 from conftest import (
     oracle_approximation_edges,
@@ -100,18 +104,75 @@ def test_cantor_level_sizes_and_determinism():
     )
 
 
+def near_equilateral(n, seed=0):
+    """n points whose distances all lie in [1, 1.01]: every ball of radius
+    2 r^k >= 1 holds every point, so no centre distance rules a pair out."""
+    rng = np.random.default_rng(seed)
+    d = 1 + 0.01 * rng.random((n, n))
+    d = (d + d.T) / 2
+    np.fill_diagonal(d, 0)
+    return FiniteMetricSpace(tuple(f"e{i}" for i in range(n)), d)
+
+
+def dyadic_line():
+    """17 points k/32 of [0, 1/2]: at r = 1/8 the level-1 centres 0 and 1/2 lie
+    at exactly 4 r (their closed balls meet in 1/4 only), level-2 neighbours
+    at exactly 4 r^2, and a level-1 and a level-2 centre at exactly 2 r (no
+    containment).  Every distance is exact in binary."""
+    pos = np.arange(17) / 32
+    return FiniteMetricSpace(tuple(f"x{i}" for i in range(17)), np.abs(pos[:, None] - pos))
+
+
+def bent_triangle():
+    """A metric document that breaks the triangle inequality by 0.9 of the
+    tolerance: at r = 1/8 the level-1 centres p and q lie at 1/2 + 0.9 tol, just
+    past 4 r, and their closed balls of radius 1/4 still meet, in x."""
+    far = 0.5 + 0.9 * TRIANGLE_TOL
+    return metric_from_payload(
+        {"points": ["p", "q", "x"], "dist": [[0, far, 0.25], [far, 0, 0.25], [0.25, 0.25, 0]]}
+    )
+
+
 @pytest.mark.parametrize("make,r,k_max", [
     pytest.param(lambda: cl.cantor_sample(5), 1 / 9, 3, id="cantor5"),
     pytest.param(lambda: cl.cantor_sample(4), 1 / 6, 3, id="cantor4-r6"),
     pytest.param(lambda: cl.interval_sample(17), 1 / 6, 2, id="interval17"),
     pytest.param(lambda: cl.interval_sample(9), 1 / 9, 2, id="interval9-r9"),
     pytest.param(lambda: cl.end_space(cl.homogeneous_tree(3, 4)), math.exp(-2), 2, id="ends-T3d4"),
+    pytest.param(lambda: near_equilateral(40), 1 / 6, 2, id="near-equilateral40"),
+    pytest.param(dyadic_line, 1 / 8, 2, id="exact-2r-and-4r"),
+    pytest.param(bent_triangle, 1 / 8, 1, id="bent-triangle"),
 ])
 def test_build_matches_literal_edge_oracle(make, r, k_max):
     space = make()
     lg = cl.build_truncated(space, r, k_max)
     assert lg.graph.edges == oracle_approximation_edges(
         space.points, space.dist.tolist(), r, lg.k0, k_max
+    )
+
+
+def test_the_edge_cases_reach_their_ties():
+    """The cases above test what they say: the exact ties are edges or not
+    as the definition says, and the bent triangle's edge lies past 4 r."""
+    lg = cl.build_truncated(dyadic_line(), 1 / 8, 2)
+    edges = lg.graph.edges
+    assert ("L1:x0", "L1:x16") in edges  # at 4 r, closed balls meet in x8
+    assert ("L2:x0", "L2:x2") in edges  # at 4 r^2
+    assert ("L1:x0", "L2:x8") not in edges  # at 2 r: x8 is not inside B(x0, 1/4)
+    lg = cl.build_truncated(bent_triangle(), 1 / 8, 1)
+    assert ("L1:p", "L1:q") in lg.graph.edges
+
+
+@given(st.integers(3, 40), st.integers(0, 2**16), st.sampled_from([1 / 6, 1 / 7, 1 / 9, math.exp(-2)]),
+       st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_build_matches_literal_edge_oracle_on_tree_ultrametrics(n, seed, r, depth):
+    space = cl.end_space(cl.random_tree(n, seed))
+    assume(len(space.points) >= 2)
+    k0 = approximation._k0_for(space, r)
+    lg = cl.build_truncated(space, r, k0 + depth)
+    assert lg.graph.edges == oracle_approximation_edges(
+        space.points, space.dist.tolist(), r, k0, k0 + depth
     )
 
 

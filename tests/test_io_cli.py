@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cheegerlab as cl
-from cheegerlab import cli, graphs, io
+from cheegerlab import commands, graphs, io
 from cheegerlab.cli import main as cli_main
 from conftest import oracle_graph_document, oracle_json_bytes
 
@@ -572,13 +572,13 @@ def test_generator_point_budget_is_checked_before_allocating(monkeypatch, capsys
         raise AssertionError(f"generator called with {value!r} past the point budget")
 
     for kind in ("cantor", "interval"):
-        monkeypatch.setitem(cli._GENERATORS, kind, (refuse, *cli._GENERATORS[kind][1:]))
+        monkeypatch.setitem(commands._GENERATORS, kind, (refuse, *commands._GENERATORS[kind][1:]))
     assert cli_main(["delta", "--in", "cantor:40"]) == 3
     assert cli_main(["net", "--in", "interval:1000000", "--eps", "0.1"]) == 3
     assert "interval:1000000" in capsys.readouterr().err
     monkeypatch.undo()
 
-    monkeypatch.setattr(cli, "MAX_GENERATOR_POINTS", 16)
+    monkeypatch.setattr(commands, "MAX_GENERATOR_POINTS", 16)
     assert cli_main(["delta", "--in", "cantor:4"]) == 0  # 16 points
     assert cli_main(["delta", "--in", "cantor:5"]) == 3
     assert cli_main(["net", "--in", "interval:16", "--eps", "0.5"]) == 0
@@ -604,7 +604,7 @@ def test_cli_delta_on_a_disconnected_graph_says_so(tmp_path, capsys):
         (["delta", "--in", "cantor:12"], None,
          "4096 generator points for 'cantor:12' exceed the fixed cap of 2048; "
          "no option raises it"),
-        (["endspace", "--in", "b2d5.json"], ("cli", "MAX_GENERATOR_POINTS", 16),
+        (["endspace", "--in", "b2d5.json"], ("commands", "MAX_GENERATOR_POINTS", 16),
          "32 end-space points (live leaves) exceed the fixed cap of 16; no option raises it"),
         (["delta", "--in", "p9.json", "--mode", "sampled", "--samples", "2"],
          ("hyperbolicity", "MAX_SAMPLED_DISTANCE_CELLS", 53),
@@ -687,7 +687,7 @@ def test_sampled_delta_cap_is_checked_before_drawing(workdir, monkeypatch, capsy
 def test_endspace_point_budget_is_checked_before_allocating(monkeypatch, tmp_path):
     built, end_space = [], cl.trees.end_space  # the original, before the patch
     monkeypatch.setattr(cl.trees, "end_space", lambda t: built.append(len(t.live)) or end_space(t))
-    monkeypatch.setattr(cli, "MAX_GENERATOR_POINTS", 16)
+    monkeypatch.setattr(commands, "MAX_GENERATOR_POINTS", 16)
     for depth, expected in ((5, 3), (4, 0)):  # 32 live leaves, then 16
         tree, out, report = (tmp_path / f"{name}{depth}.json" for name in ("b2d", "ends", "rep"))
         io.save_tree(tree, cl.full_branching_tree(2, depth))

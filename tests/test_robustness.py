@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cheegerlab as cl
-from cheegerlab import Graph, cli, io
+from cheegerlab import Graph, io
 from cheegerlab.cli import main as cli_main
 from cheegerlab.lemmas import _connected_sets
 
@@ -248,7 +248,7 @@ GENERATOR_COMMANDS = {
 def test_cli_exit_codes_on_generator_specs(kind, parameter, command):
     argv = [command, "--in", f"{kind}:{parameter}", *GENERATOR_COMMANDS[command]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "MAX_GENERATOR_POINTS", 32)  # keeps every accepted spec tiny
+        mp.setattr("cheegerlab.commands.MAX_GENERATOR_POINTS", 32)  # keeps every accepted spec tiny
         with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
             code = cli_main(argv)
     assert code in (0, 2, 3, 4), argv

@@ -1,11 +1,15 @@
 """What the CLI and the package load: importing the CLI loads no graph
-module, no command loads ``dataclasses``, the graph and tree commands run
-without numpy or ``inspect``, the metric commands without the tree and
-decomposition modules, ``perfect`` without ``cheegerlab.graphs``, only
-``cheeger``, ``tree`` and ``scan`` load the window oracle, no command loads
-the lemma checks, a job that reads no file loads no ``hashlib``, and every
-name the package exports still resolves.  Also what the validated types keep
-without ``dataclasses``: equality, hashing and frozen fields."""
+module and no command module, no command module imports the CLI, a job loads
+exactly one command module, no command loads ``dataclasses``, the graph and
+tree commands run without numpy or ``inspect``, the metric commands without
+the tree and decomposition modules, ``perfect`` and ``endspace`` without
+``cheegerlab.graphs``, ``scan`` without the decomposition and tree modules,
+only ``cheeger``, ``tree`` and ``scan`` load the window oracle, only
+``certify``, ``approx`` and ``decomp`` on function certificates load the
+gradient/Laplacian certificate, no command loads the lemma checks, a job that
+reads no file loads no ``hashlib``, and every name the package exports still
+resolves.  Also what the validated types keep without ``dataclasses``:
+equality, hashing and frozen fields."""
 
 import json
 import os
@@ -19,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import cheegerlab as cl
-from cheegerlab import io
+from cheegerlab import cli, io
 
 # Every name ``cheegerlab`` exports; the lazy exports must keep exactly this list.
 EXPORTED = [
@@ -140,12 +144,12 @@ def test_metric_side_commands_never_load_trees_or_decomposition(tmp_path):
     ]
     out = run_fresh(MODULES_SCRIPT, [*metric_side, ["endspace", "--in", "t3tree.json"]], tmp_path)
     assert out == [[0, []]] * len(metric_side) + [[0, ["trees", "hashlib"]]]
-    # a scan needs the decomposition module and the window oracle but none of
-    # the tree module
+    # a scan needs the window oracle but neither the decomposition nor the
+    # tree module
     io.save_graph(tmp_path / "grid5.json", cl.grid_window(5, 5))
     io.save_graph(tmp_path / "grid6.json", cl.grid_window(6, 6))
     scan = ["scan", "--in", "grid5.json", "--in", "grid6.json"]
-    expected = [[0, ["decomposition", "window", "hashlib"]]]
+    expected = [[0, ["window", "hashlib"]]]
     assert run_fresh(MODULES_SCRIPT, [scan], tmp_path) == expected
 
 
@@ -192,29 +196,41 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, at_import, loaded()]))
 """
 
-# The cheegerlab modules each command loads, besides cli, errors and io.
-# Only perfect runs without graphs (and frozen, which graphs loads).
+# The cheegerlab modules each command loads, besides cli, errors, io, the
+# commands package and the command's own module.  perfect and endspace run
+# without graphs; endspace loads frozen through trees.
 COMMAND_MODULES = [
     (["cheeger", "--in", "p9.json"], ["frozen", "graphs", "window"]),
-    (["certify", "--in", "t3.json", "--function", "depth.json"], ["frozen", "graphs"]),
+    (["certify", "--in", "t3.json", "--function", "depth.json"],
+     ["certificate", "frozen", "graphs"]),
     (["delta", "--in", "p9.json"], ["frozen", "graphs", "hyperbolicity", "metric"]),
     (["delta", "--in", "cantor:3"], ["frozen", "graphs", "hyperbolicity", "metric"]),
     (["tree", "--in", "t3tree.json", "--max-size", "4"], ["frozen", "graphs", "trees", "window"]),
-    (["endspace", "--in", "t3tree.json"], ["frozen", "graphs", "metric", "trees"]),
+    (["endspace", "--in", "t3tree.json"], ["frozen", "metric", "trees"]),
     (["approx", "--in", "cantor:4", "--r", "0.111111", "--k-max", "3"],
-     ["approximation", "frozen", "graphs", "hyperbolicity", "metric"]),
+     ["approximation", "certificate", "frozen", "graphs", "hyperbolicity", "metric"]),
     (["net", "--in", "interval:40", "--eps", "0.1"], ["frozen", "graphs", "metric"]),
     (["perfect", "--in", "cantor:4", "--s", "3.01", "--eps0", "1.0"], ["frozen", "metric"]),
     (["perfect", "--in", "c4.json", "--two-point-r", "10", "--eps0", "1.0"], ["frozen", "metric"]),
     (["graft", "--base", "grid3.json", "--attachment", "t3.json", "--port", "v",
       "--decomposition", "d.json"], ["decomposition", "frozen", "graphs", "trees"]),
     (["decomp", "--spec", "spec.json"], ["decomposition", "frozen", "graphs", "trees"]),
-    (["scan", "--in", "p9.json", "--in", "p13.json"],
-     ["decomposition", "frozen", "graphs", "window"]),
+    # a piece with a function certificate is re-verified through the certificate
+    (["decomp", "--spec", "fspec.json"], ["certificate", "decomposition", "frozen", "graphs"]),
+    (["scan", "--in", "p9.json", "--in", "p13.json"], ["frozen", "graphs", "window"]),
 ]
 
 
-def test_each_command_loads_its_own_modules_and_only_perfect_skips_graphs(tmp_path):
+def _function_spec():
+    """A valid decomposition of a T3 window into one piece, certified by the
+    depth function (it certifies 1/3)."""
+    t = cl.homogeneous_tree(3, 2)
+    cert = cl.PieceCertificate("function", f=t.depth)
+    return cl.DecompositionSpec(t.graph, {"A": frozenset(t.vertices)}, frozenset("A"),
+                                frozenset(), 0, Fraction(1, 9), {"A": cert})
+
+
+def test_each_command_loads_its_own_modules(tmp_path):
     t = cl.homogeneous_tree(3, 2)
     io.save_graph(tmp_path / "p9.json", cl.path_window(9))
     io.save_graph(tmp_path / "p13.json", cl.path_window(13))
@@ -224,11 +240,77 @@ def test_each_command_loads_its_own_modules_and_only_perfect_skips_graphs(tmp_pa
     io.save_metric(tmp_path / "c4.json", cl.cantor_sample(4))
     io.write_canonical(tmp_path / "depth.json", {v: str(t.depth[v]) for v in t.vertices})
     io.save_decomposition(tmp_path / "spec.json", _spec())
+    io.save_decomposition(tmp_path / "fspec.json", _function_spec())
     with ThreadPoolExecutor(4) as pool:
         out = list(pool.map(lambda case: run_fresh(COMMAND_MODULES_SCRIPT, case[0], tmp_path),
                             COMMAND_MODULES))
-    base = ["cli", "errors", "io"]
-    assert out == [[0, base, sorted(base + modules)] for _, modules in COMMAND_MODULES]
+    base = ["cli", "commands", "errors", "io"]
+    assert out == [
+        [0, base, sorted([*base, f"commands.{argv[0]}", *modules])]
+        for argv, modules in COMMAND_MODULES
+    ]
+
+
+# Imports each command module in turn, in one interpreter, and prints after
+# each whether cheegerlab.cli is loaded.
+NO_CLI_SCRIPT = """
+import importlib, json, sys
+out = []
+for name in json.loads(sys.argv[1]):
+    importlib.import_module(f"cheegerlab.commands.{name}")
+    out.append("cheegerlab.cli" in sys.modules)
+print(json.dumps(out))
+"""
+
+
+def test_no_command_module_imports_the_cli(tmp_path):
+    names = list(cli.COMMANDS)
+    assert run_fresh(NO_CLI_SCRIPT, names, tmp_path) == [False] * len(names)
+
+
+def test_the_module_entry_compiles_one_command_and_never_imports_the_cli(tmp_path):
+    """``python -X importtime -m cheegerlab.cli`` reports every module it
+    imports: ``cheegerlab.cli`` runs as ``__main__`` and is never imported
+    by name, and exactly one command module loads, the job's own."""
+    t = cl.homogeneous_tree(3, 2)
+    io.save_graph(tmp_path / "p9.json", cl.path_window(9))
+    io.save_graph(tmp_path / "grid3.json", cl.grid_window(3, 3))
+    io.save_graph(tmp_path / "t3.json", t.graph)
+    io.save_tree(tmp_path / "t3tree.json", cl.homogeneous_tree(3, 3))
+    io.write_canonical(tmp_path / "depth.json", {v: str(t.depth[v]) for v in t.vertices})
+    io.save_decomposition(tmp_path / "spec.json", _spec())
+    jobs = [
+        ["cheeger", "--in", "p9.json"],
+        ["certify", "--in", "t3.json", "--function", "depth.json"],
+        ["delta", "--in", "p9.json"],
+        ["tree", "--in", "t3tree.json", "--max-size", "4"],
+        ["endspace", "--in", "t3tree.json"],
+        ["approx", "--in", "cantor:4", "--r", "0.111111", "--k-max", "3"],
+        ["net", "--in", "interval:40", "--eps", "0.1"],
+        ["perfect", "--in", "cantor:4", "--s", "3.01", "--eps0", "1.0"],
+        ["decomp", "--spec", "spec.json"],
+        ["graft", "--base", "grid3.json", "--attachment", "t3.json", "--port", "v"],
+        ["scan", "--in", "p9.json"],
+    ]
+    src = str(Path(cl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def imported(argv):
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cheegerlab.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+        return [line.rsplit("|", 1)[1].strip() for line in lines]
+
+    with ThreadPoolExecutor(4) as pool:
+        out = list(pool.map(imported, jobs))
+    assert sorted(argv[0] for argv in jobs) == sorted(cli.COMMANDS)
+    for argv, modules in zip(jobs, out):
+        assert "cheegerlab.commands" in modules, argv
+        assert "cheegerlab.cli" not in modules, argv
+        assert [m for m in modules if m.startswith("cheegerlab.commands.")] == [
+            f"cheegerlab.commands.{argv[0]}"], argv
 
 
 def test_package_exports_resolve_lazily():
