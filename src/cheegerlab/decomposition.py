@@ -196,10 +196,12 @@ def _piece_tree(g: Graph, piece: frozenset[str], root: str) -> RootedTree:
     stack = [start]
     while stack:
         x = stack.pop()
-        nbrs = adj[x] & piece
-        if x in parent:
-            nbrs = nbrs - {parent[x]}
-        kids = children[x] = tuple(sorted(nbrs))
+        nbrs = adj[x]
+        if len(nbrs) == 1 and x in parent:  # a leaf: its one neighbour is its parent
+            children[x] = ()
+            continue
+        up = parent.get(x)
+        kids = children[x] = tuple(sorted([y for y in nbrs if y in piece and y != up]))
         below = depth[x] + 1
         for c in kids:
             if c in depth:
@@ -310,15 +312,24 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         "intersections must be vertex sets"
         for (a, b), (u, v) in shared.items()
     }
-    # A piece that holds piece a holds a's rarest vertex (any piece, if a is empty).
+    # A piece that holds piece a holds every vertex of a, so the pieces at any
+    # one of them are the candidates: the fewest seen before a vertex that a
+    # alone holds ends the search (every piece, if a is empty).
     for a in names:
         verts = spec.pieces[a]
-        for b in pair_at[min(verts, key=lambda v: len(pair_at[v]))] if verts else names:
+        holders = names
+        for v in verts:
+            at = pair_at[v]
+            if len(at) < len(holders):
+                holders = at
+                if len(at) == 1:
+                    break
+        for b in holders:
             if b != a and verts <= spec.pieces[b]:
                 found[(a, b, 1) if a < b else (b, a, 2)] = f"piece {a!r} is contained in {b!r}"
     violations += [found[key] for key in sorted(found)]
 
-    certified_union = {v for v, at in pieces_at.items() if not spec.s1.isdisjoint(at)}
+    certified_union = frozenset().union(*(spec.pieces[s] for s in spec.s1 if s in spec.pieces))
 
     for s in sorted(spec.s1 & spec.pieces.keys()):  # a label naming no piece is reported above
         cert = spec.certificates.get(s)

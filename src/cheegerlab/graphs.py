@@ -69,7 +69,6 @@ class Graph(FrozenValue):
     """
 
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
     frontier: frozenset[str]
     _fields = ("vertices", "edges", "frontier")
 
@@ -99,28 +98,26 @@ class Graph(FrozenValue):
     ) -> "Graph":
         """The graph on ``edges``, each an unordered pair of names, with the
         checks and messages of the constructor.  One pass over ``edges``
-        normalizes them and builds :attr:`adjacency`; ``vertices``, when
-        omitted, are the endpoints in sorted order."""
+        collects each vertex's neighbours, and only :attr:`adjacency` is
+        built: :attr:`edges` is derived from it on first read.  ``vertices``,
+        when omitted, are the endpoints in sorted order."""
         declared = vertices is not None
-        names = tuple(map(str, vertices)) if declared else ()
-        nbrs: dict[str, set[str]] = {v: set() for v in names}
+        names = tuple(v if type(v) is str else str(v) for v in vertices) if declared else ()
+        nbrs: dict[str, list[str]] = {v: [] for v in names}
         if len(nbrs) != len(names):
             raise InvalidInputError("duplicate vertex identifiers")
-        pairs = set()
         bad = []
-        for a, b in edges:  # one str() per endpoint
-            u, v = str(a), str(b)
-            if v < u:
-                u, v = v, u
-            pairs.add((u, v))
+        for a, b in edges:  # str() only on an endpoint that is not a str
+            u = a if type(a) is str else str(a)
+            v = b if type(b) is str else str(b)
             nu, nv = nbrs.get(u), nbrs.get(v)
             if nu is None or nv is None or u == v:  # an offender, or a new name
                 if declared or u == v:
-                    bad.append((u, v))
+                    bad.append((u, v) if u < v else (v, u))
                     continue
-                nu, nv = nbrs.setdefault(u, set()), nbrs.setdefault(v, set())
-            nu.add(v)
-            nv.add(u)
+                nu, nv = nbrs.setdefault(u, []), nbrs.setdefault(v, [])
+            nu.append(v)
+            nv.append(u)
         if bad:
             _refuse_edges(bad)
         if not declared:
@@ -130,8 +127,7 @@ class Graph(FrozenValue):
             raise InvalidInputError("frontier contains undeclared vertices")
         g = cls.__new__(cls)
         g.__dict__.update(
-            vertices=names, edges=frozenset(pairs), frontier=marks,
-            adjacency={v: frozenset(nbrs[v]) for v in names},
+            vertices=names, frontier=marks, adjacency={v: frozenset(nbrs[v]) for v in names}
         )
         if require_connected and not g.is_connected:
             raise InvalidInputError(
@@ -141,6 +137,13 @@ class Graph(FrozenValue):
         return g
 
     # -- basic structure -------------------------------------------------
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """The canonical pairs (u, v), u < v.  The constructor stores those it
+        is given, which shadow this; a graph from :meth:`from_edges` derives
+        them from its adjacency."""
+        return frozenset((u, v) for u, s in self.adjacency.items() for v in s if u < v)
 
     @cached_property
     def adjacency(self) -> dict[str, frozenset[str]]:

@@ -227,14 +227,19 @@ def metric_from_payload(data: dict) -> FiniteMetricSpace:
     for key in ("points", "dist"):
         if not isinstance(data[key], list):
             raise InvalidInputError(f"metric document: {key!r} must be a list")
+    # numpy would read a bool or a numeric string as a distance
+    if not all(type(row) is list and {int, float}.issuperset(map(type, row)) for row in data["dist"]):
+        raise InvalidInputError("metric document: 'dist' must be a matrix of numbers")
     import numpy as np
 
     from .metric import FiniteMetricSpace
 
     try:
         dist = np.asarray(data["dist"], dtype=float)
-    except (TypeError, ValueError):
+    except ValueError:  # rows of unequal length
         raise InvalidInputError("metric document: 'dist' must be a matrix of numbers") from None
+    except OverflowError:
+        raise InvalidInputError("metric document: a 'dist' entry is too large for a float") from None
     floor = data.get("resolution_floor")
     if floor is not None and (not isinstance(floor, (int, float)) or isinstance(floor, bool)):
         raise InvalidInputError("metric document: 'resolution_floor' must be a number")

@@ -91,8 +91,9 @@ def _window_scan(square: list[int], closed: list[int], max_size: int):
     connected in ``square`` (G^2; vertex i is bit i), with N[S] the OR of
     ``closed`` over S; ``tied`` the ``(set, N[set], size)`` of every minimizer,
     and ``judged`` how many sets came within the limit thr[m].  The enumeration
-    is :func:`_connected_bitsets`'s, except that each popped set builds all its
-    children at once and judges each as it is built."""
+    is :func:`_connected_bitsets`'s, except that each popped set builds its
+    children at once, only those that can come within the limit, and judges
+    each as it is built."""
     m = max_size
     # thr[k]: the largest |N[S]| with which a k-set ties or beats the best so
     # far; before the first set, every N[S] fits
@@ -101,7 +102,8 @@ def _window_scan(square: list[int], closed: list[int], max_size: int):
     best_b, best_s, tied, judged = 1, 0, [], 0
     for v in range(len(square)):
         above = -(2 << v)  # every bit position greater than v
-        stack = [(0, 0, 1 << v, 0, 0)]  # (set, its neighbours, extension, N[set], size)
+        sq = [s & above for s in square]
+        stack = [(0, 0, 1 << v, 0, 0, 0)]  # (set, its neighbours, extension, N[set], |N[set]|, size)
         # not ``while stack``: CPython 3.11 specializes a function's bytecode
         # only after eight calls or unconditional backward jumps, and a
         # conditional loop ends in a conditional one, so the one call a CLI
@@ -109,9 +111,11 @@ def _window_scan(square: list[int], closed: list[int], max_size: int):
         while True:
             if not stack:
                 break
-            sub, nbrs, ext, acc, size = stack.pop()
+            sub, nbrs, full, acc, count, size = stack.pop()
             size += 1  # each child's size
-            cut, grow, rest = thr[size], size < m, 0
+            cut, grow = thr[size], size < m
+            # at the limit, a child outside N[set] would pass it
+            ext = full & acc if count >= limit else full
             while ext:  # highest bit first, so the lowest child is popped first
                 w = ext.bit_length() - 1
                 low = 1 << w
@@ -129,10 +133,11 @@ def _window_scan(square: list[int], closed: list[int], max_size: int):
                             cut, limit = thr[size], thr[m]
                         tied.append((child, grown, size))
                     if grow:
-                        x = rest | (square[w] & above & ~nbrs)
+                        # the popped extension's bits above w, and w's
+                        # exclusive neighbours
+                        x = (full & -(low << 1)) | (sq[w] & ~nbrs)
                         if x:
-                            stack.append((child, nbrs | square[w], x, grown, size))
-                rest |= low
+                            stack.append((child, nbrs | sq[w], x, grown, c, size))
     return best_b, best_s, tied, judged
 
 
@@ -336,7 +341,9 @@ def interior_cheeger_bruteforce(
     comparison as it is built.  A set S' with |N[S']| > thr[m] has ratio
     |N[S']|/|S'| - 1 >= |N[S']|/m - 1 > b/s, so it can neither beat nor tie the
     best, and nor can any set grown from it, as N[S'] only grows; it is
-    dropped and not grown.  The table is rebuilt each time the best ratio
+    dropped and not grown.  So a set S with |N[S]| >= thr[m] tries only the
+    children S + w with w in N[S]: any other w adds itself to N[S + w], which
+    then passes thr[m].  The table is rebuilt each time the best ratio
     falls, and its entries only fall.  Ties are never lost: a minimizer M of
     ratio r <= b/s has |N[M]| = |M|(1 + r) <= thr[|M|] <= thr[m] at every
     moment of the scan, and the sets M grows from have smaller N[.], so none

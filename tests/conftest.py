@@ -79,6 +79,35 @@ def oracle_min_ratio_witness(vertices, edges, candidates, max_size):
     return best
 
 
+def oracle_connected_minimizers(vertices, edges, candidates, max_size):
+    """(minimum ratio, the set of its minimizers connected in G^2), over the
+    same subsets as :func:`oracle_min_ratio`: every minimizing sorted tuple
+    whose members are joined by a chain of steps of graph distance at most 2
+    (through any vertex, admissible or not)."""
+    adj = oracle_adjacency(edges)
+    ratios = {}
+    for k in range(1, max_size + 1):
+        for combo in combinations(sorted(candidates), k):
+            bd = set()
+            for v in combo:
+                bd |= adj.get(v, set())
+            ratios[combo] = Fraction(len(bd - set(combo)), k)
+    best = min(ratios.values())
+    near = {v: {w for w, d in bfs_dist(edges, v).items() if d <= 2} for v in candidates}
+
+    def joined(combo):
+        seen, todo = {combo[0]}, [combo[0]]
+        while todo:
+            u = todo.pop()
+            for w in combo:
+                if w in near[u] and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return len(seen) == len(combo)
+
+    return best, {combo for combo, r in ratios.items() if r == best and joined(combo)}
+
+
 def oracle_blocks(vertices, edges):
     """Biconnected blocks as vertex sets: two edges share a block iff no
     single vertex x leaves them in different components of G - x (an edge at

@@ -7,6 +7,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from conftest import (
     oracle_blocks,
     oracle_boundary,
     oracle_components,
+    oracle_connected_minimizers,
     oracle_min_ratio,
     oracle_min_ratio_witness,
 )
@@ -546,6 +548,29 @@ def test_pruned_oracle_on_random_windows_below_the_admissible_count(seed, cap_se
     bound = cl.interior_cheeger_bruteforce(g, cap)
     expected = oracle_min_ratio_witness(g.vertices, g.edges, adm, cap)
     assert (bound.upper.value, bound.upper.witness["set"]) == expected
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_scan_ties_are_exactly_the_g2_connected_minimizers(seed):
+    # the value and the lex-smallest witness alone would not notice a prune
+    # that lost a tie lying outside that witness
+    g = random_window(seed)
+    adm = sorted(cl.admissible_vertices(g))
+    assume(len(adm) <= 10)  # a literal search of every cap below the admissible count
+    adj = oracle_adjacency(g.edges)
+    for cap in range(1, len(adm)):
+        scans = []
+        with mock.patch.object(window, "_window_scan", lambda *a: scans.append(SCAN(*a)) or scans[-1]):
+            cl.interior_cheeger_bruteforce(g, cap)
+        [(b, s, tied, _)] = scans
+        value, expected = oracle_connected_minimizers(g.vertices, g.edges, adm, cap)
+        got = [tuple(v for i, v in enumerate(adm) if sub >> i & 1) for sub, _, _ in tied]
+        assert Fraction(b, s) == value, (seed, cap)
+        assert len(got) == len(set(got)) and set(got) == expected, (seed, cap)
+        for (_, closed, size), members in zip(tied, got):
+            assert size == len(members)
+            assert closed.bit_count() == len(set(members).union(*(adj.get(v, ()) for v in members)))
 
 
 @pytest.mark.parametrize("seed, cap", [(1, 4), (128, 3), (282, 4)])

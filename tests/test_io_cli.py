@@ -348,6 +348,21 @@ def loaded_graph(load):
     return g.vertices, set(g.edges), set(g.frontier), {v: set(s) for v, s in g.adjacency.items()}
 
 
+def assert_loads_like_built(load, expected):
+    """When ``expected`` is a graph, what ``load()`` gives is ``==`` to, and
+    hashes as, the graph built from the oracle's pairs, and its edges are the
+    oracle's whether its adjacency is read before them or not."""
+    if isinstance(expected, str):
+        return
+    names, pairs, marks, adjacency = expected
+    built = cl.Graph(names, frozenset(pairs), frozenset(marks))
+    g = load()
+    assert g == built and hash(g) == hash(built)
+    assert load().edges == pairs
+    g = load()
+    assert g.adjacency == adjacency and g.edges == pairs
+
+
 GRAPH_DOCUMENTS = {
     "self-loop": {"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "b"]]},
     "self-loop-first": {"vertices": ["a", "b", "c"],
@@ -372,9 +387,10 @@ def test_one_pass_graph_loader_matches_the_literal_oracle(tmp_path, name):
     path.write_text(json.dumps(doc))
     expected = oracle_graph_document(doc["edges"], doc["vertices"], doc.get("frontier", ()))
     assert loaded_graph(lambda: io.load_graph(path)) == expected
-    assert loaded_graph(lambda: cl.Graph.from_edges(doc["edges"])) == oracle_graph_document(
-        doc["edges"]
-    )
+    assert_loads_like_built(lambda: io.load_graph(path), expected)
+    expected = oracle_graph_document(doc["edges"])
+    assert loaded_graph(lambda: cl.Graph.from_edges(doc["edges"])) == expected
+    assert_loads_like_built(lambda: cl.Graph.from_edges(doc["edges"]), expected)
 
 
 def test_one_pass_graph_loader_matches_the_literal_oracle_on_random_documents(rng_seeds):
@@ -387,11 +403,19 @@ def test_one_pass_graph_loader_matches_the_literal_oracle_on_random_documents(rn
             edges = [e for e in edges if e[0] != e[1] or rng.random() < 0.1]
             frontier = rng.sample(pool, rng.randint(0, 2)) if trial % 3 == 0 else []
             declared = names + (["v0"] if trial % 11 == 0 else [])
-            got = loaded_graph(lambda: io.graph_from_payload(
-                {"vertices": declared, "edges": edges, "frontier": frontier}))
-            assert got == oracle_graph_document(edges, declared, frontier), (seed, trial)
+            def load():
+                return io.graph_from_payload(
+                    {"vertices": declared, "edges": edges, "frontier": frontier})
+
+            expected = oracle_graph_document(edges, declared, frontier)
+            assert loaded_graph(load) == expected, (seed, trial)
+            assert_loads_like_built(load, expected)
+            expected = oracle_graph_document(edges, connected=False)
             got = loaded_graph(lambda: cl.Graph.from_edges(edges, require_connected=False))
-            assert got == oracle_graph_document(edges, connected=False), (seed, trial)
+            assert got == expected, (seed, trial)
+            assert_loads_like_built(
+                lambda: cl.Graph.from_edges(edges, require_connected=False), expected
+            )
 
 
 # -- CLI contract -------------------------------------------------------------------
@@ -704,6 +728,10 @@ def test_endspace_point_budget_is_checked_before_allocating(monkeypatch, tmp_pat
         (["net", "--eps", "0.5"], '{"points": "ab", "dist": [[0, 1], [1, 0]]}'),
         (["net", "--eps", "0.5"], '{"points": ["a", "b"], "dist": [[0, 1], [1]]}'),
         (["delta", "--in", "two_point:inf"], None),
+        (["net", "--eps", "0.6"], '{"points": ["a", "b"], "dist": [[0, " 1e0 "], [" 1e0 ", 0]]}'),
+        (["net", "--eps", "0.6"], '{"points": ["a", "b"], "dist": [[false, true], [true, false]]}'),
+        (["net", "--eps", "0.6"], '{"points": ["a", "b"], "dist": [[0, true], [true, 0]]}'),
+        (["net", "--eps", "0.6"], '{"points": ["a", "b"], "dist": [[0, %d], [%d, 0]]}' % (10**400, 10**400)),
     ],
 )
 def test_cli_malformed_metric_input_exits_invalid(tmp_path, argv, document):
@@ -715,6 +743,22 @@ def test_cli_malformed_metric_input_exits_invalid(tmp_path, argv, document):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("dist, message", [
+    ([[0, " 1e0 "], [" 1e0 ", 0]], "'dist' must be a matrix of numbers"),
+    ([[False, True], [True, False]], "'dist' must be a matrix of numbers"),
+    ([[0, True], [True, 0]], "'dist' must be a matrix of numbers"),
+    ([[0.0, 1], [1, False]], "'dist' must be a matrix of numbers"),
+    ([[0, None], [None, 0]], "'dist' must be a matrix of numbers"),
+    ([0, 1], "'dist' must be a matrix of numbers"),
+    ([[0, 10**400], [10**400, 0]], "'dist' entry is too large for a float"),
+])
+def test_metric_documents_take_only_json_numbers_as_distances(dist, message):
+    with pytest.raises(cl.InvalidInputError, match=message):
+        io.metric_from_payload({"points": ["a", "b"], "dist": dist})
+    space = io.metric_from_payload({"points": ["a", "b"], "dist": [[0, 1], [1.0, 0]]})
+    assert space.d("a", "b") == 1.0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
