@@ -196,12 +196,8 @@ def _piece_tree(g: Graph, piece: frozenset[str], root: str) -> RootedTree:
     stack = [start]
     while stack:
         x = stack.pop()
-        nbrs = adj[x]
-        if len(nbrs) == 1 and x in parent:  # a leaf: its one neighbour is its parent
-            children[x] = ()
-            continue
         up = parent.get(x)
-        kids = children[x] = tuple(sorted([y for y in nbrs if y in piece and y != up]))
+        kids = children[x] = tuple(sorted([y for y in adj[x] if y in piece and y != up]))
         below = depth[x] + 1
         for c in kids:
             if c in depth:
@@ -312,19 +308,10 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         "intersections must be vertex sets"
         for (a, b), (u, v) in shared.items()
     }
-    # A piece that holds piece a holds every vertex of a, so the pieces at any
-    # one of them are the candidates: the fewest seen before a vertex that a
-    # alone holds ends the search (every piece, if a is empty).
+    # A piece that holds piece a holds a's rarest vertex (any piece, if a is empty).
     for a in names:
         verts = spec.pieces[a]
-        holders = names
-        for v in verts:
-            at = pair_at[v]
-            if len(at) < len(holders):
-                holders = at
-                if len(at) == 1:
-                    break
-        for b in holders:
+        for b in pair_at[min(verts, key=lambda v: len(pair_at[v]))] if verts else names:
             if b != a and verts <= spec.pieces[b]:
                 found[(a, b, 1) if a < b else (b, a, 2)] = f"piece {a!r} is contained in {b!r}"
     violations += [found[key] for key in sorted(found)]

@@ -66,6 +66,10 @@ class Graph(FrozenValue):
     holds canonical sorted pairs.  Simplicity and endpoint membership are
     validated on construction; :meth:`from_edges` additionally rejects
     disconnected input unless told otherwise.
+
+    ``edges`` and :attr:`adjacency` are each derived from the other on first
+    read, so every way of building a graph stores one of them: the
+    constructor stores ``edges``, :meth:`from_edges` stores ``adjacency``.
     """
 
     vertices: tuple[str, ...]

@@ -89,7 +89,7 @@ class RootedTree(Frozen):
         leaves at the horizon, and every leaf there is live."""
         horizon = max(depth.values())
         self.__dict__.update(_order=order, _parent=parent, _depth=depth, horizon=horizon)
-        leaves = {v for v, kids in self.children.items() if not kids}
+        leaves = {v for v in order if not self.children[v]}
         if not self.live <= leaves:
             raise InvalidInputError("live markers must sit on leaves")
         if self.live:
@@ -123,14 +123,13 @@ class RootedTree(Frozen):
     def _complete_subtree(self) -> frozenset[str]:
         """See :func:`maximal_complete_subtree`; computed once per tree."""
         keep: set[str] = set()
-        root, parent = self.root, self._parent
         for leaf in self.live:
             x = leaf
             while x not in keep:
                 keep.add(x)
-                if x == root:
+                if x == self.root:
                     break
-                x = parent[x]
+                x = self._parent[x]
         return frozenset(keep)
 
     def sphere(self, t: int) -> tuple[str, ...]:
@@ -200,12 +199,9 @@ def _single_child_runs(t: RootedTree, members: Container[str]) -> dict[str, int]
     """run[a] = vertices on the chain from a that goes on while the current
     vertex has exactly one child in ``members``, in one bottom-up pass."""
     run: dict[str, int] = {}
-    children = t.children
     for a in reversed(t.vertices):
         if a in members:
-            kids = children[a]
-            if kids:
-                kids = [c for c in kids if c in members]
+            kids = [c for c in t.children[a] if c in members]
             run[a] = 1 + run[kids[0]] if len(kids) == 1 else 1
     return run
 
@@ -250,9 +246,7 @@ def pseudo_regularity_index(t: RootedTree) -> PseudoRegularityResult:
     d, depth = t.horizon, t.depth
     longest = [0] * (d + 1)  # longest T_inf run from depth i, then from depth <= i
     for a, r in _single_child_runs(t, tinf).items():
-        i = depth[a]
-        if r > longest[i]:
-            longest[i] = r
+        longest[depth[a]] = max(longest[depth[a]], r)
     longest = list(accumulate(longest, max))
     for k in range(1, d + 1):
         if longest[d - k] <= k:

@@ -102,7 +102,6 @@ def _window_scan(square: list[int], closed: list[int], max_size: int):
     best_b, best_s, tied, judged = 1, 0, [], 0
     for v in range(len(square)):
         above = -(2 << v)  # every bit position greater than v
-        sq = [s & above for s in square]
         stack = [(0, 0, 1 << v, 0, 0, 0)]  # (set, its neighbours, extension, N[set], |N[set]|, size)
         # not ``while stack``: CPython 3.11 specializes a function's bytecode
         # only after eight calls or unconditional backward jumps, and a
@@ -135,9 +134,9 @@ def _window_scan(square: list[int], closed: list[int], max_size: int):
                     if grow:
                         # the popped extension's bits above w, and w's
                         # exclusive neighbours
-                        x = (full & -(low << 1)) | (sq[w] & ~nbrs)
+                        x = (full & -(low << 1)) | (square[w] & above & ~nbrs)
                         if x:
-                            stack.append((child, nbrs | sq[w], x, grown, c, size))
+                            stack.append((child, nbrs | square[w], x, grown, c, size))
     return best_b, best_s, tied, judged
 
 

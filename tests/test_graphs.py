@@ -680,6 +680,18 @@ def test_selection_network_build_is_not_quadratic():
     assert (p, q) == (7999, 7998)
 
 
+@pytest.mark.parametrize("side, cap, value", [(50, 2, 3), (100, 1, 4)])
+def test_capped_scan_is_not_quadratic_at_the_auto_cap(side, cap, value):
+    # each root's and each child's work is local to the sets it builds;
+    # masking every G^2 row once per root is quadratic in the window
+    g = cl.grid_window(side, side)
+    assert graphs.auto_max_size(len(cl.admissible_vertices(g))) == cap
+    start = time.perf_counter()
+    bound = cl.window_bound(g)
+    assert time.perf_counter() - start < 4
+    assert bound.upper.value == value
+
+
 @given(st.one_of(st.integers(0, 10**6).map(random_window), small_windows()))
 @settings(max_examples=60, deadline=None)
 def test_every_minimizer_lies_inside_the_maximal_one(g):
