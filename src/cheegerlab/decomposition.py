@@ -171,33 +171,51 @@ class ValidationReport(Frozen):
         )
 
 
-def _piece_tree(g: Graph, piece: frozenset[str], root: str) -> RootedTree:
-    """The piece of ``g`` induced on ``piece`` (vertices ``g`` lacks dropped),
-    rooted at ``root``, with its other frontier vertices live.
+def _piece_walk(g: Graph, piece: frozenset[str], root: str) -> tuple[tuple, tuple[int, ...]]:
+    """Walk the piece of ``g`` induced on ``piece`` (vertices ``g`` lacks
+    dropped) from ``root``, with its other frontier vertices live; return
+    the arguments of ``RootedTree._walked`` and the piece's shape key.
 
     One walk in ``RootedTree``'s own order (pop a vertex, push its children)
-    reads each vertex's in-piece neighbours once: those other than its parent
-    are its children, sorted.  The piece is a tree exactly when no child was
-    reached before and the walk reaches every piece vertex: then every
-    in-piece edge joins a vertex to its parent, and an edge that did not
-    would close a cycle.  That is the proof ``RootedTree._walked`` asks for,
-    so only the live-leaf and horizon checks run again."""
-    from .trees import RootedTree  # only tree pieces need the tree module
+    reads each vertex's in-piece neighbours with one ``adj[x] & piece``:
+    those other than its parent are its children, sorted.  The piece is a
+    tree exactly when no child was reached before and the walk reaches every
+    piece vertex: then every in-piece edge joins a vertex to its parent, and
+    an edge that did not would close a cycle.  That is the proof
+    ``RootedTree._walked`` asks for, so only the live-leaf and horizon checks
+    run again.
 
+    The key lists, for each vertex in the order the walk pops it,
+    2 x its child count + 1 if it is live.  Equal keys mean isomorphic rooted
+    trees with matching live sets.  The pops are a preorder (children taken
+    last to first), and a preorder list of child counts rebuilds its tree:
+    the first entry is the root's count k, and the rest splits into k runs,
+    one per child, each ending where its own counts close.  So matching two
+    pieces with equal keys position by position maps the root to the root,
+    the i-th child of a vertex to the i-th child of its image, and live
+    vertices to live ones.  Depth, leaves and the horizon keep their values
+    under that map, and so do the complete subtree, K and C, and whether the
+    live-leaf and horizon checks pass; the tree-theorem bound is a function
+    of the key."""
     adj = g.adjacency
     piece = piece & adj.keys()
     if not piece:
         raise InvalidInputError("piece is not a tree")
     start = root if root in piece else next(iter(piece))
+    live = (g.frontier & piece) - {root}
     order = [start]
     parent: dict[str, str] = {}
     depth = {start: 0}
     children: dict[str, tuple[str, ...]] = {}
+    key: list[int] = []
     stack = [start]
     while stack:
         x = stack.pop()
-        up = parent.get(x)
-        kids = children[x] = tuple(sorted([y for y in adj[x] if y in piece and y != up]))
+        kids = sorted(adj[x] & piece)
+        if x in parent:
+            kids.remove(parent[x])
+        children[x] = kids = tuple(kids)
+        key.append(2 * len(kids) + (x in live))
         below = depth[x] + 1
         for c in kids:
             if c in depth:
@@ -210,25 +228,51 @@ def _piece_tree(g: Graph, piece: frozenset[str], root: str) -> RootedTree:
         raise InvalidInputError("piece is not a tree")
     if root not in piece:
         raise InvalidInputError(f"root {root!r} is not a vertex of the piece")
-    live = (g.frontier & piece) - {root}
-    return RootedTree._walked(root, children, live, tuple(order), parent, depth)
+    return (root, children, live, tuple(order), parent, depth), tuple(key)
+
+
+def _piece_tree(g: Graph, piece: frozenset[str], root: str) -> RootedTree:
+    """The piece of ``g`` induced on ``piece``, rooted at ``root``, with its
+    other frontier vertices live; see :func:`_piece_walk`."""
+    from .trees import RootedTree  # only tree pieces need the tree module
+
+    return RootedTree._walked(*_piece_walk(g, piece, root)[0])
 
 
 def _verify_certificate(
-    g: Graph, piece: frozenset[str], cert: PieceCertificate, rate: Fraction
+    g: Graph,
+    piece: frozenset[str],
+    cert: PieceCertificate,
+    rate: Fraction,
+    shapes: dict[tuple[int, ...], Fraction],
 ) -> tuple[bool, Fraction | None, str]:
     """Recompute the certified lower bound on the piece of ``g`` induced on
-    ``piece``."""
+    ``piece``.
+
+    ``shapes`` maps the shape key of each tree piece verified so far to its
+    tree-theorem value.  Every tree piece is still walked, since the walk is
+    the proof that it is a tree; a piece whose key is there skips only what
+    the key fixes (see :func:`_piece_walk`): the live-leaf and horizon
+    checks, K, C and the bound.  Only values are kept, never a failure,
+    whose message may name a vertex, and the rate is compared per piece."""
     if cert.kind == "tree-theorem":
-        from .trees import complementedness_index, pseudo_regularity_index, theorem_lower_bound
+        from .trees import (
+            RootedTree,
+            complementedness_index,
+            pseudo_regularity_index,
+            theorem_lower_bound,
+        )
 
         try:
-            tree = _piece_tree(g, piece, cert.root)
-            pseudo = pseudo_regularity_index(tree)
-            if pseudo.k is None:
-                return False, Fraction(0), "piece tree is not pseudo-regular in its window"
-            comp = complementedness_index(tree)
-            value = theorem_lower_bound(pseudo.k, comp.c)
+            walked, key = _piece_walk(g, piece, cert.root)
+            value = shapes.get(key)
+            if value is None:
+                tree = RootedTree._walked(*walked)
+                pseudo = pseudo_regularity_index(tree)
+                if pseudo.k is None:
+                    return False, Fraction(0), "piece tree is not pseudo-regular in its window"
+                comp = complementedness_index(tree)
+                value = shapes[key] = theorem_lower_bound(pseudo.k, comp.c)
         except (InvalidInputError, EmptyWindowError) as exc:
             return False, None, f"tree certificate rejected: {exc}"
     else:
@@ -308,22 +352,31 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
         "intersections must be vertex sets"
         for (a, b), (u, v) in shared.items()
     }
-    # A piece that holds piece a holds a's rarest vertex (any piece, if a is empty).
+    # A piece that holds piece a holds a's rarest vertex (any piece, if a is
+    # empty); the search stops at a vertex that a alone holds.
     for a in names:
         verts = spec.pieces[a]
-        for b in pair_at[min(verts, key=lambda v: len(pair_at[v]))] if verts else names:
+        rarest = names
+        for v in verts:
+            at = pair_at[v]
+            if len(at) < len(rarest):
+                rarest = at
+                if len(at) == 1:
+                    break
+        for b in rarest:
             if b != a and verts <= spec.pieces[b]:
                 found[(a, b, 1) if a < b else (b, a, 2)] = f"piece {a!r} is contained in {b!r}"
     violations += [found[key] for key in sorted(found)]
 
     certified_union = frozenset().union(*(spec.pieces[s] for s in spec.s1 if s in spec.pieces))
+    shapes: dict[tuple[int, ...], Fraction] = {}  # tree-piece shape key -> its value
 
     for s in sorted(spec.s1 & spec.pieces.keys()):  # a label naming no piece is reported above
         cert = spec.certificates.get(s)
         if cert is None:
             violations.append(f"first-class piece {s!r} has no certificate")
             continue
-        ok, value, reason = _verify_certificate(g, spec.pieces[s], cert, spec.rate)
+        ok, value, reason = _verify_certificate(g, spec.pieces[s], cert, spec.rate, shapes)
         if value is not None:
             verified[s] = value
         if not ok:
@@ -356,7 +409,7 @@ def validate(spec: DecompositionSpec) -> ValidationReport:
                         f"component {key!r} (starting {min(comp)!r}) has no certificate"
                     )
                 continue
-            ok, value, reason = _verify_certificate(g, comp, cert, spec.rate)
+            ok, value, reason = _verify_certificate(g, comp, cert, spec.rate, shapes)
             if value is not None:
                 verified[key] = value
             if not ok:
@@ -511,6 +564,7 @@ def graft_decomposition(
         frozenset(attachment.vertices),
         PieceCertificate("tree-theorem", root=port),
         Fraction(0),
+        {},
     )
     if not ok:
         raise InvalidInputError(f"the attachment certifies no rate: {reason}")

@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -89,8 +90,8 @@ def _json_value(o: Any, nl: str) -> str:
 
 def _json_items(seq: list | tuple, nl: str) -> str:
     """The items of a non-empty list joined at indent ``nl``: a list of
-    strings, of floats or of string pairs in one pass, any other item by
-    item.  A fast path that meets an item of another type stops with
+    strings, of floats or of string-pair lists in one pass, any other item
+    by item.  A fast path that meets an item of another type stops with
     TypeError and the list is redone item by item."""
     sep = "," + nl
     first = seq[0]
@@ -108,9 +109,13 @@ def _json_items(seq: list | tuple, nl: str) -> str:
             and {*map(type, seq)} == {list}
             and {*map(len, seq)} == {2}
         ):
+            # u1, mid, v1, tail + sep + head, u2, ...: one escape map, one join
             pair = nl + "  "
             head, mid, tail = "[" + pair, "," + pair, nl + "]"
-            return sep.join([head + _ESCAPE(u) + mid + _ESCAPE(v) + tail for u, v in seq])
+            parts = [None, mid, None, tail + sep + head] * len(seq)
+            parts[0::2] = list(map(_ESCAPE, chain.from_iterable(seq)))
+            parts[-1] = tail
+            return head + "".join(parts)
     except TypeError:
         pass
     return sep.join([_json_value(x, nl) for x in seq])

@@ -341,6 +341,20 @@ def oracle_piece_tree(g, piece, root):
     return RootedTree(root, children, (g.frontier & piece) - {root})
 
 
+def oracle_ahu_form(root, children, live):
+    """The canonical string of a rooted tree with marked vertices, after Aho,
+    Hopcroft and Ullman's tree-isomorphism test (1974): a vertex's form is
+    "(", then "*" if it is live, then its children's forms sorted, then ")".
+    Two such trees are isomorphic, marks included, exactly when their root
+    forms are equal."""
+
+    def form(v):
+        mark = "*" if v in live else ""
+        return "(" + mark + "".join(sorted(form(c) for c in children[v])) + ")"
+
+    return form(root)
+
+
 def oracle_shared_edges(edges, pieces):
     """{(a, b): smallest edge with both ends in pieces a and b} over the
     piece-name pairs a < b that share an edge, one pair at a time."""

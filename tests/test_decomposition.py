@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 import cheegerlab as cl
 from cheegerlab import DecompositionSpec, InvalidInputError, PieceCertificate
-from cheegerlab.decomposition import _piece_tree
+from cheegerlab.decomposition import _piece_tree, _piece_walk
 from cheegerlab.graphs import normalize_edge
-from conftest import oracle_piece_clauses, oracle_piece_tree
+from conftest import oracle_ahu_form, oracle_piece_clauses, oracle_piece_tree
 from cheegerlab.cli import main as cli_main
 from cheegerlab.io import load_decomposition, save_decomposition
 
@@ -610,6 +610,128 @@ def test_piece_tree_matches_the_oracle_on_graft_pieces():
             assert got == _piece_tree_outcome(oracle_piece_tree, spec.ambient, piece, root)
             assert (got[0] == "error") == (pid == "base")
 
+
+
+def _random_parents(draw, n):
+    """The parent index of each vertex 1 .. n - 1 of a random tree on 0 .. n - 1."""
+    return [draw(st.integers(0, i - 1)) for i in range(1, n)]
+
+
+@st.composite
+def marked_trees(draw):
+    """(graph, root, children, live) of a random tree on up to 12 vertices
+    with names in a random order, so that child order varies, and random
+    frontier marks; children and live are read off the drawn parents."""
+    n = draw(st.integers(1, 12))
+    parents = _random_parents(draw, n)
+    names = [f"m{i}" for i in draw(st.permutations(range(n)))]
+    marks = draw(st.sets(st.sampled_from(names)))
+    g = cl.Graph.from_edges(
+        [(names[p], names[i]) for i, p in enumerate(parents, 1)], vertices=names, frontier=marks
+    )
+    children = {v: [] for v in names}
+    for i, p in enumerate(parents, 1):
+        children[names[p]].append(names[i])
+    return g, names[0], children, marks - {names[0]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(marked_trees(), min_size=2, max_size=10))
+def test_equal_shape_keys_mean_isomorphic_trees(trees):
+    forms = {}
+    for g, root, children, live in trees:
+        key = _piece_walk(g, frozenset(g.vertices), root)[1]
+        forms.setdefault(key, set()).add(oracle_ahu_form(root, children, live))
+    assert all(len(group) == 1 for group in forms.values())
+
+
+def test_copies_of_one_attachment_share_a_shape_key():
+    for base, att in (
+        (cl.grid_window(3, 3), cl.homogeneous_tree(3, 3)),
+        (cl.grid_window(4, 4), cl.random_branching_tree(3, 0)),
+        (cl.grid_window(3, 4), cl.grafted_dead_branches(cl.homogeneous_tree(3, 4), 2)),
+    ):
+        spec = cl.graft_decomposition(base, att.graph, "v")
+        keys = {
+            _piece_walk(spec.ambient, spec.pieces[pid], spec.certificates[pid].root)[1]
+            for pid in spec.s1
+        }
+        assert keys == {_piece_walk(att.graph, frozenset(att.graph.vertices), "v")[1]}
+
+
+@st.composite
+def shape_mixes(draw):
+    """A decomposition into disjoint tree-theorem pieces: copies of a few
+    random shapes, often of one size, under different name prefixes, each
+    copy with its own root and live marks (the deepest leaves, some of them,
+    or any vertices), and maybe a triangle; the rate is below, at or above
+    the common tree values."""
+    edges, names, marks, pieces, certs = [], [], set(), {}, {}
+    size = draw(st.integers(1, 7))
+    for t in range(draw(st.integers(1, 3))):
+        n = size if draw(st.booleans()) else draw(st.integers(1, 7))
+        parents = _random_parents(draw, n)
+        depth = [0] * n
+        for i, p in enumerate(parents, 1):
+            depth[i] = depth[p] + 1
+        deepest = [i for i in range(n) if depth[i] == max(depth)]
+        for c in range(draw(st.integers(1, 3))):
+            at = [f"t{t}c{c}:{i}" for i in range(n)]
+            names += at
+            edges += [(at[p], at[i]) for i, p in enumerate(parents, 1)]
+            live = draw(st.one_of(
+                st.just(deepest), st.lists(st.sampled_from(deepest)),
+                st.lists(st.sampled_from(range(n)), max_size=3),
+            ))
+            marks.update(at[i] for i in live)
+            pieces[f"t{t}c{c}"] = frozenset(at)
+            certs[f"t{t}c{c}"] = PieceCertificate("tree-theorem", root=at[draw(
+                st.sampled_from([0, 0, *range(n)])
+            )])
+    if draw(st.booleans()):
+        cycle = ["z:a", "z:b", "z:c"]
+        names += cycle
+        edges += [("z:a", "z:b"), ("z:b", "z:c"), ("z:a", "z:c")]
+        pieces["z"] = frozenset(cycle)
+        certs["z"] = PieceCertificate("tree-theorem", root="z:a")
+    g = cl.Graph.from_edges(edges, vertices=names, frontier=marks, require_connected=False)
+    rate = draw(st.sampled_from([Fraction(1, 1000), Fraction(1, 15), Fraction(1, 7)]))
+    return DecompositionSpec(g, pieces, frozenset(pieces), frozenset(), 0, rate, certs)
+
+
+def _verify_alone(g, piece, root, rate):
+    """(ok, value, reason) of one tree piece re-verified on its own: the
+    two-step tree, then K, C and the bound."""
+    try:
+        tree = oracle_piece_tree(g, piece, root)
+        pseudo = cl.pseudo_regularity_index(tree)
+        if pseudo.k is None:
+            return False, Fraction(0), "piece tree is not pseudo-regular in its window"
+        value = cl.theorem_lower_bound(pseudo.k, cl.complementedness_index(tree).c)
+    except (InvalidInputError, cl.EmptyWindowError) as exc:
+        return False, None, f"tree certificate rejected: {exc}"
+    if value < rate:
+        return False, value, f"re-verified lower bound {value} is below the required {rate}"
+    return True, value, ""
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape_mixes())
+def test_shape_memo_matches_verifying_each_piece_alone(spec):
+    violations, verified = [], {}
+    for s in sorted(spec.s1):
+        ok, value, reason = _verify_alone(
+            spec.ambient, spec.pieces[s], spec.certificates[s].root, spec.rate
+        )
+        if value is not None:
+            verified[s] = value
+        if not ok:
+            violations.append(f"piece {s!r}: {reason}")
+    report = cl.validate(spec)
+    assert report.spec is spec
+    got = (report.valid, report.strong, report.violations, report.unverified,
+           report.verified_lower, report.scans)
+    assert got == (not violations, True, tuple(violations), (), verified, {})
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())

@@ -224,6 +224,43 @@ def test_canonical_writer_leaves_other_values_to_the_stdlib():
         assert io.canonical_json_bytes(payload) == oracle_json_bytes(payload)
 
 
+
+PAIR_ITEMS = st.one_of(TEXT, TEXT, st.integers(), st.none())
+PAIR_LISTS = st.one_of(
+    st.lists(st.lists(TEXT, min_size=2, max_size=2), min_size=1, max_size=6),
+    st.lists(
+        st.one_of(st.lists(PAIR_ITEMS, min_size=2, max_size=2), st.tuples(PAIR_ITEMS, PAIR_ITEMS)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAIR_LISTS, st.sampled_from([lambda x: x, lambda x: {"edges": x}, lambda x: [[x]]]))
+def test_pair_lists_match_the_stdlib(pairs, wrap):
+    # escapes, non-ASCII text, int or None items, list and tuple pairs, at three indents
+    payload = wrap(pairs)
+    assert io.canonical_json_bytes(payload) == oracle_json_bytes(payload)
+
+
+def test_pair_lists_match_the_stdlib_on_escapes_and_fail_as_it_does():
+    text = [["\"\\\n\t", "\u00e9\u2028"], ["\ud800", "\U0001f600"], ["", "/\x7f"]]
+    for payload in (text, {"e": text}, [text, ("a", "b")]):
+        assert io.canonical_json_bytes(payload) == oracle_json_bytes(payload)
+    for bad, kind in ((float("nan"), ValueError), (Fraction(1, 2), TypeError)):
+        for payload in ([["a", bad]], [["a", "b"], [bad, "c"]], {"e": [["a", "b"], ("c", bad)]}):
+            _same_error(payload, kind)
+
+
+def test_graph_payload_keeps_list_pairs():
+    # loaders check for lists, so a leveled or decomposition payload read
+    # back before it is written must not hold tuple pairs
+    g = cl.grid_window(3, 3)
+    payload = io.graph_payload(g)
+    assert {type(e) for e in payload["edges"]} == {list}
+    assert io.graph_from_payload(payload).edges == g.edges
+
 def test_every_saved_document_is_the_stdlib_bytes(tmp_path, monkeypatch):
     t = cl.homogeneous_tree(3, 3)
     spec = cl.graft_decomposition(cl.grid_window(3, 3), t.graph, "v")
